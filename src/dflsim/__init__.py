@@ -25,7 +25,7 @@ from .control import (
     solve_p,
     trigger_local_aggregation,
 )
-from .data import Dataset, LabeledPoint, load_csv, load_idx, make_blobs
+from .data import Dataset, load_csv, load_idx, make_blobs
 from .engine import (
     IntervalPlan,
     Protocol,

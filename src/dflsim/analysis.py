@@ -151,9 +151,12 @@ def _one_minus_contraction(x, power: int):
 
 def gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: float) -> float:
     """Upper limit on the step-decay rate gamma given eta_max."""
-    _check_interval(tau, delay)
-    _require(eta_max < eta_max_limit(params, tau, delay),
-             f"eta_max {eta_max} >= its limit {eta_max_limit(params, tau, delay)}")
+    em_lim = eta_max_limit(params, tau, delay)
+    _require(eta_max < em_lim, f"eta_max {eta_max} >= its limit {em_lim}")
+    return _gamma_limit(params, tau, delay, eta_max)
+
+
+def _gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: float) -> float:
     branch1 = _one_minus_contraction(params.mu * eta_max, 2 * (tau - delay))
     c3 = _c3_ld(params, tau, delay, eta_max)
     return float(min(branch1, c3 * _LD(eta_max) * _LD(params.beta)))
@@ -162,17 +165,7 @@ def gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: floa
 def alpha_limit(params: HeterogeneityParams, tau: int, delay: int,
                 eta_max: float, gamma: float) -> float:
     """Largest admissible combiner weight for the sublinear guarantee."""
-    _check_interval(tau, delay)
-    _require(0.0 < gamma < gamma_limit(params, tau, delay, eta_max),
-             f"gamma {gamma} outside (0, {gamma_limit(params, tau, delay, eta_max)})")
-    beta, em, gm = _LD(params.beta), _LD(eta_max), _LD(gamma)
-    c2 = _c2_ld(params, tau)
-    c3 = _c3_ld(params, tau, delay, eta_max)
-    grow = (_LD(1.0) + _lam_plus_ld(params)) ** tau
-    denom = (c2 * em ** 2 / (em * beta * c3 - gm)) \
-        * _LD(2.0) * _LD(params.omega) * c2 * (_LD(1.0) + gm) \
-        + (_LD(1.0) + gm) * grow
-    return float(_LD(1.0) / denom)
+    return feasibility_limits(params, tau, delay, eta_max, gamma).alpha_star
 
 
 @dataclass(frozen=True)
@@ -186,11 +179,19 @@ class FeasibilityLimits:
 
 def feasibility_limits(params: HeterogeneityParams, tau: int, delay: int,
                        eta_max: float, gamma: float) -> FeasibilityLimits:
-    """Bundle the three limits, evaluated at the supplied (eta_max, gamma)."""
+    """The three limits, each evaluated once, at the supplied (eta_max, gamma)."""
     em_lim = eta_max_limit(params, tau, delay)
-    g_lim = gamma_limit(params, tau, delay, eta_max)
-    a_star = alpha_limit(params, tau, delay, eta_max, gamma)
-    return FeasibilityLimits(em_lim, g_lim, a_star, eta_max, gamma)
+    _require(eta_max < em_lim, f"eta_max {eta_max} >= its limit {em_lim}")
+    g_lim = _gamma_limit(params, tau, delay, eta_max)
+    _require(0.0 < gamma < g_lim, f"gamma {gamma} outside (0, {g_lim})")
+    beta, em, gm = _LD(params.beta), _LD(eta_max), _LD(gamma)
+    c2 = _c2_ld(params, tau)
+    c3 = _c3_ld(params, tau, delay, eta_max)
+    grow = (_LD(1.0) + _lam_plus_ld(params)) ** tau
+    denom = (c2 * em ** 2 / (em * beta * c3 - gm)) \
+        * _LD(2.0) * _LD(params.omega) * c2 * (_LD(1.0) + gm) \
+        + (_LD(1.0) + gm) * grow
+    return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom), eta_max, gamma)
 
 
 def _check_interval(tau: int, delay: int) -> None:
@@ -273,16 +274,14 @@ def compute_constants(params: HeterogeneityParams, tau: int, delay: int,
     are evaluated without the guards (the envelopes are then meaningless
     outside the feasible region; useful only for cross-checking).
     """
-    _check_interval(tau, delay)
-    em_lim = eta_max_limit(params, tau, delay)
-    g_lim = gamma_limit(params, tau, delay, eta_max) if check else float("nan")
-    a_star = alpha_limit(params, tau, delay, eta_max, gamma) if check \
-        else float("nan")
     if check:
-        _require(0.0 < eta_max < em_lim, f"eta_max {eta_max} outside (0, {em_lim})")
-        _require(0.0 < gamma < g_lim, f"gamma {gamma} outside (0, {g_lim})")
+        limits = feasibility_limits(params, tau, delay, eta_max, gamma)
+        em_lim, g_lim, a_star = limits.eta_max_limit, limits.gamma_limit, limits.alpha_star
+        _require(0.0 < eta_max, f"eta_max {eta_max} outside (0, {em_lim})")
         _require(0.0 <= alpha < min(a_star, 1.0),
                  f"alpha {alpha} outside [0, {min(a_star, 1.0)})")
+    else:
+        em_lim, g_lim, a_star = eta_max_limit(params, tau, delay), float("nan"), float("nan")
 
     eig = dispersion_matrix(params)
     one = _LD(1.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .analysis import compute_constants, feasibility_limits, theorem_bound
-from .control import ControlConfig, run_adaptive, solve_p
+from .control import run_adaptive, solve_p
 from .engine import METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
 from .fleet import HeterogeneityParams
@@ -214,9 +214,9 @@ def _params_from_json(blob: dict) -> HeterogeneityParams:
 
 
 def cmd_bounds(args) -> int:
-    blob = json.loads(Path(args.params).read_text())
-    params = _params_from_json(blob)
-    tau, delay = int(blob["tau"]), int(blob["delay"])
+    blob = cfgmod.read_json(args.params)
+    params = cfgmod.checked("", lambda: _params_from_json(blob))
+    tau, delay = cfgmod.checked("", lambda: (int(blob["tau"]), int(blob["delay"])))
     eta_max, gamma = blob.get("eta_max"), blob.get("gamma")
     if eta_max is None or gamma is None:
         from .control import select_step_size
@@ -245,19 +245,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_control(args) -> int:
-    blob = json.loads(Path(args.snapshot).read_text())
-    params = _params_from_json(blob["params"])
-    cost = CostSnapshot(
-        global_energy=blob["cost"]["global_energy"],
-        global_delay=blob["cost"]["global_delay"],
-        local_energy=np.asarray(blob["cost"]["local_energy"], dtype=np.float64),
-        local_delay=np.asarray(blob["cost"]["local_delay"], dtype=np.float64),
-    )
-    control = ControlConfig(**blob.get("control", {}))
-    weights = np.asarray(blob["subnet_weights"], dtype=np.float64)
-    decision = solve_p(cost, params, control, weights, int(blob.get("t_now", 0)),
-                       int(blob["delay"]), float(blob.get("e3_init", 0.0)),
-                       np.asarray(blob["gap_estimates"], dtype=np.float64))
+    blob = cfgmod.read_json(args.snapshot)
+    params = cfgmod.checked("params", lambda: _params_from_json(blob.get("params", {})))
+    costs = blob.get("cost", {})
+    cost = cfgmod.checked("cost", lambda: CostSnapshot(
+        global_energy=float(costs["global_energy"]),
+        global_delay=float(costs["global_delay"]),
+        local_energy=np.asarray(costs["local_energy"], dtype=np.float64),
+        local_delay=np.asarray(costs["local_delay"], dtype=np.float64),
+    ))
+    control = cfgmod.control_config(blob.get("control"))
+    inputs = cfgmod.checked("", lambda: (
+        np.asarray(blob["subnet_weights"], dtype=np.float64), int(blob.get("t_now", 0)),
+        int(blob["delay"]), float(blob.get("e3_init", 0.0)),
+        np.asarray(blob["gap_estimates"], dtype=np.float64)))
+    decision = solve_p(cost, params, control, *inputs)
     print(json.dumps(asdict(decision), indent=2, sort_keys=True))
     return 0
 

@@ -5,13 +5,15 @@ A config document is a JSON object with sections ``dataset``, ``model``,
 ``seeds``, ``batch_size`` and ``output_dir``. Every defaulted field is
 echoed back into the effective config that lands in the run manifest, so
 the manifest hash changes exactly when an effective value changes.
+The ``control``/``radio`` defaults are those of ``ControlConfig``/
+``RadioConfig``; the runtime constructors validate the values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +21,12 @@ import numpy as np
 from .control import ControlConfig
 from .data import Dataset, load_csv, load_idx, make_blobs, make_ridge_cloud
 from .engine import TrainingSchedule
-from .errors import ConfigError
+from .errors import ConfigError, DFLError
 from .fleet import FleetTopology, build_topology, partition_label_skew
-from .losses import RIDGE, SVM, LossModel
+from .losses import SVM, LossModel
 from .netcost import RadioConfig, RadioCostModel, stream
 
 TAG_DATA = 7
-
-
-def _need(section: dict, field: str, kind, where: str):
-    if field not in section:
-        raise ConfigError(f"{where}.{field}: required field missing")
-    value = section[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _opt(section: dict, field: str, default):
-    value = section.get(field, default)
-    if default is not None and value is not None and not isinstance(value, type(default)):
-        if isinstance(default, float) and isinstance(value, int):
-            return float(value)
-        raise ConfigError(f"{field}: expected {type(default).__name__}")
-    return value
 
 
 @dataclass
@@ -91,108 +73,147 @@ SCHEDULE_DEFAULTS = {
     "alpha_ablation": False, "metrics_every": 1, "track_noise_free": True,
     "track_optimality": True,
 }
-CONTROL_DEFAULTS = {
-    "energy_weight": 0.0, "delay_weight": 0.0, "bound_weight": 1.0,
-    "phi": 0.0, "tau_max": 30, "tau_min": 1, "alpha_step": 0.01,
-    "horizon": 200, "safety": 0.9, "gamma_safety": None, "zeta_fraction": 0.1,
-    "zeta_c_fraction": 0.1, "initial_tau": 10, "probe_count": 32,
-    "probe_scale": 1.0,
+# types of the fields whose default is None (JSON null is always accepted)
+NULLABLE_TYPES = {
+    "path": str, "labels_path": str, "limit": int, "subnet_sizes": list,
+    "up_delay": int, "local_agg_period": int, "gamma_safety": float,
 }
-RADIO_DEFAULTS = {
-    "device_tx_power_w": 0.25, "edge_tx_power_w": 6.3, "bandwidth_hz": 1e6,
-    "noise_density_dbm_hz": -173.0, "pathloss_ref_db": -30.0,
-    "ref_distance_m": 1.0, "pathloss_exponent": 3.75, "bits_per_parameter": 32,
-    "edge_cloud_rate_bps": 100e6, "edge_cloud_latency_s": 0.050,
-    "processing_rate_hz": 200.0, "field_size_m": 30.0, "placement_seed": 3,
-}
+TOP_LEVEL_KEYS = ("dataset", "model", "topology", "schedule", "control", "radio",
+                  "seeds", "batch_size", "output_dir")
 
 
-def _merge(section: dict | None, defaults: dict, where: str) -> dict:
-    section = dict(section or {})
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown field")
+def _is_a(value, kind) -> bool:
+    """JSON type check: an int is also a float, a bool is never an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _merge(section, defaults: dict, where: str) -> dict:
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
     merged = dict(defaults)
-    merged.update(section)
+    for name, value in section.items():
+        if name not in defaults:
+            raise ConfigError(f"{where}.{name}: unknown field")
+        kind = type(defaults[name]) if defaults[name] is not None else NULLABLE_TYPES[name]
+        if not (_is_a(value, kind) or (value is None and defaults[name] is None)):
+            raise ConfigError(
+                f"{where}.{name}: expected {kind.__name__}, got {type(value).__name__}")
+        merged[name] = value
     return merged
 
 
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
+def checked(where: str, build):
+    """Run a constructor, reporting a missing or rejected field as a ConfigError.
+
+    Constructor messages start with the field name, so ``where.`` completes the path.
+    """
+    prefix = f"{where}." if where else ""
     try:
-        raw = json.loads(path.read_text())
+        return build()
+    except KeyError as exc:
+        raise ConfigError(f"{prefix}{exc.args[0]}: required field missing") from exc
+    except (ValueError, TypeError, DFLError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def control_config(section) -> ControlConfig:
+    """A validated ControlConfig from a (partial) ``control`` section."""
+    merged = _merge(section, asdict(ControlConfig()), "control")
+    return checked("control", lambda: ControlConfig(**merged))
+
+
+def read_json(path) -> dict:
+    """A JSON object from a file; unreadable or malformed input is a ConfigError."""
+    try:
+        blob = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return parse_config(raw)
+    if not isinstance(blob, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return blob
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_json(path))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
+    unknown = [key for key in raw if key not in TOP_LEVEL_KEYS]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown top-level key")
     effective = {
         "dataset": _merge(raw.get("dataset"), DATASET_DEFAULTS, "dataset"),
         "model": _merge(raw.get("model"), MODEL_DEFAULTS, "model"),
         "topology": _merge(raw.get("topology"), TOPOLOGY_DEFAULTS, "topology"),
         "schedule": _merge(raw.get("schedule"), SCHEDULE_DEFAULTS, "schedule"),
-        "control": _merge(raw.get("control"), CONTROL_DEFAULTS, "control")
-        if (raw.get("control") is not None or
-            (raw.get("schedule") or {}).get("mode") == "adaptive") else None,
-        "radio": _merge(raw.get("radio"), RADIO_DEFAULTS, "radio")
-        if raw.get("radio") is not None else None,
+        "control": None if raw.get("control") is None
+        else asdict(control_config(raw["control"])),
+        "radio": None if raw.get("radio") is None
+        else _merge(raw["radio"], {**asdict(RadioConfig()), "placement_seed": 3}, "radio"),
         "seeds": raw.get("seeds", [0]),
         "batch_size": raw.get("batch_size", 10),
         "output_dir": raw.get("output_dir", "runs"),
     }
-    if not isinstance(effective["seeds"], list) or not effective["seeds"] \
-            or not all(isinstance(s, int) for s in effective["seeds"]):
+    cfg = ExperimentConfig(raw=raw, effective=effective)
+    if not isinstance(cfg.seeds, list) or not cfg.seeds \
+            or not all(_is_a(s, int) for s in cfg.seeds):
         raise ConfigError("seeds: expected a nonempty list of integers")
-    if not isinstance(effective["batch_size"], int) or effective["batch_size"] < 1:
+    if not _is_a(cfg.batch_size, int) or cfg.batch_size < 1:
         raise ConfigError("batch_size: expected a positive integer")
-
-    sched = effective["schedule"]
-    if sched["mode"] not in ("fixed", "adaptive"):
-        raise ConfigError(f"schedule.mode: expected 'fixed' or 'adaptive', got {sched['mode']!r}")
-    if sched["mode"] == "fixed":
-        for fld in ("tau", "num_intervals"):
-            if not isinstance(sched[fld], int) or sched[fld] < 1:
-                raise ConfigError(f"schedule.{fld}: expected a positive integer")
-        if not isinstance(sched["delay"], int) or not 0 <= sched["delay"] <= sched["tau"] - 1:
-            raise ConfigError("schedule.delay: expected an integer in [0, tau-1]")
-        if not 0.0 <= float(sched["alpha"]) <= 1.0:
-            raise ConfigError("schedule.alpha: expected a value in [0, 1]")
-        if float(sched["alpha"]) == 1.0 and not sched["alpha_ablation"]:
-            raise ConfigError("schedule.alpha: 1.0 requires schedule.alpha_ablation=true")
-        if float(sched["eta"]) <= 0:
-            raise ConfigError("schedule.eta: expected a positive step size")
-    else:
-        if effective["control"] is None:
-            raise ConfigError("control: required when schedule.mode='adaptive'")
-        if not isinstance(sched["delay"], int) or sched["delay"] < 0:
-            raise ConfigError("schedule.delay: expected a nonnegative integer")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError("output_dir: expected a string")
 
     ds = effective["dataset"]
     if ds["kind"] not in ("blobs", "ridge-cloud", "csv", "idx"):
         raise ConfigError(f"dataset.kind: unknown kind {ds['kind']!r}")
-    if ds["kind"] in ("csv", "idx") and not ds["path"]:
-        raise ConfigError("dataset.path: required for file-backed datasets")
-    if ds["kind"] == "idx" and not ds["labels_path"]:
-        raise ConfigError("dataset.labels_path: required for idx datasets")
+    files = {"csv": ("path",), "idx": ("path", "labels_path")}.get(ds["kind"], ())
+    for fld in files:
+        if ds[fld] is None or not Path(ds[fld]).is_file():
+            raise ConfigError(f"dataset.{fld}: no such file {ds[fld]!r}")
 
-    mdl = effective["model"]
-    if mdl["kind"] not in (RIDGE, SVM):
-        raise ConfigError(f"model.kind: expected 'ridge' or 'svm', got {mdl['kind']!r}")
-    if float(mdl["regularization"]) < 0:
-        raise ConfigError("model.regularization: must be nonnegative")
+    sizes = subnet_sizes(effective["topology"])
+    checked("model", lambda: _loss_model(effective["model"], ds["feature_dim"]))
 
-    topo = effective["topology"]
-    if topo["subnet_sizes"] is not None:
-        if not isinstance(topo["subnet_sizes"], list) \
-                or sum(topo["subnet_sizes"]) != topo["num_devices"]:
-            raise ConfigError("topology.subnet_sizes: must sum to num_devices")
-    elif topo["num_devices"] % topo["num_subnets"]:
-        raise ConfigError("topology.num_devices: must divide evenly into num_subnets")
+    sched = effective["schedule"]
+    if sched["mode"] not in ("fixed", "adaptive"):
+        raise ConfigError(f"schedule.mode: expected 'fixed' or 'adaptive', got {sched['mode']!r}")
+    if sched["metrics_every"] < 1:
+        raise ConfigError("schedule.metrics_every: expected a positive integer")
+    if cfg.mode == "fixed":
+        checked("schedule", lambda: build_schedule(cfg, len(sizes)))
+        if sched["alpha"] == 1 and not sched["alpha_ablation"]:
+            raise ConfigError("schedule.alpha: 1.0 requires schedule.alpha_ablation=true")
+    else:
+        if effective["control"] is None:
+            raise ConfigError("control: required when schedule.mode='adaptive'")
+        if sched["delay"] < 0:
+            raise ConfigError("schedule.delay: expected a nonnegative integer")
+    if effective["radio"] is not None:
+        checked("radio", lambda: _radio_config(effective["radio"]))
+    return cfg
 
-    return ExperimentConfig(raw=raw, effective=effective)
+
+def subnet_sizes(topo: dict) -> list[int]:
+    """Devices per subnet: explicit ``subnet_sizes`` or an even split."""
+    for fld in ("num_devices", "num_subnets"):
+        if topo[fld] < 1:
+            raise ConfigError(f"topology.{fld}: expected a positive integer")
+    sizes = topo["subnet_sizes"]
+    if sizes is None:
+        if topo["num_devices"] % topo["num_subnets"]:
+            raise ConfigError("topology.num_devices: must divide evenly into num_subnets")
+        return [topo["num_devices"] // topo["num_subnets"]] * topo["num_subnets"]
+    if not all(_is_a(s, int) and s >= 1 for s in sizes) or sum(sizes) != topo["num_devices"]:
+        raise ConfigError("topology.subnet_sizes: expected positive integers summing to num_devices")
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +227,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         return make_blobs(ds["num_classes"], ds["points_per_class"],
                           ds["feature_dim"], ds["spread"], rng,
                           center_scale=ds["center_scale"],
-                          orthogonal_centers=bool(ds["orthogonal_centers"]))
+                          orthogonal_centers=ds["orthogonal_centers"])
     if ds["kind"] == "ridge-cloud":
         return make_ridge_cloud(ds["num_points"], ds["feature_dim"], ds["noise"], rng)
     if ds["kind"] == "csv":
@@ -214,19 +235,20 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_idx(ds["path"], ds["labels_path"], limit=ds["limit"])
 
 
-def build_model(cfg: ExperimentConfig, dataset: Dataset) -> LossModel:
-    mdl = cfg.effective["model"]
+def _loss_model(mdl: dict, feature_dim: int) -> LossModel:
     return LossModel(
-        kind=mdl["kind"], feature_dim=dataset.feature_dim,
+        kind=mdl["kind"], feature_dim=feature_dim,
         regularization=float(mdl["regularization"]),
-        num_classes=int(mdl["num_classes"]) if mdl["kind"] == SVM else 1,
+        num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1,
     )
+
+
+def build_model(cfg: ExperimentConfig, dataset: Dataset) -> LossModel:
+    return _loss_model(cfg.effective["model"], dataset.feature_dim)
 
 
 def build_fleet(cfg: ExperimentConfig, dataset: Dataset, model: LossModel) -> FleetTopology:
     topo = cfg.effective["topology"]
-    sizes = topo["subnet_sizes"] or \
-        [topo["num_devices"] // topo["num_subnets"]] * topo["num_subnets"]
     rng = stream(topo["partition_seed"], TAG_DATA, 1)
     if model.kind == SVM:
         parts = partition_label_skew(dataset, topo["num_devices"],
@@ -234,7 +256,7 @@ def build_fleet(cfg: ExperimentConfig, dataset: Dataset, model: LossModel) -> Fl
     else:
         idx = rng.permutation(dataset.n)
         parts = [dataset.subset(chunk) for chunk in np.array_split(idx, topo["num_devices"])]
-    return build_topology(parts, sizes)
+    return build_topology(parts, subnet_sizes(topo))
 
 
 def build_schedule(cfg: ExperimentConfig, num_subnets: int) -> TrainingSchedule:
@@ -247,18 +269,11 @@ def build_schedule(cfg: ExperimentConfig, num_subnets: int) -> TrainingSchedule:
 
 
 def build_control(cfg: ExperimentConfig) -> ControlConfig:
-    c = dict(cfg.effective["control"])
-    return ControlConfig(
-        energy_weight=float(c["energy_weight"]), delay_weight=float(c["delay_weight"]),
-        bound_weight=float(c["bound_weight"]), phi=float(c["phi"]),
-        tau_max=int(c["tau_max"]), tau_min=int(c["tau_min"]),
-        alpha_step=float(c["alpha_step"]), horizon=int(c["horizon"]),
-        safety=float(c["safety"]),
-        gamma_safety=None if c["gamma_safety"] is None else float(c["gamma_safety"]),
-        zeta_fraction=float(c["zeta_fraction"]),
-        zeta_c_fraction=float(c["zeta_c_fraction"]), initial_tau=int(c["initial_tau"]),
-        probe_count=int(c["probe_count"]), probe_scale=float(c["probe_scale"]),
-    )
+    return ControlConfig(**cfg.effective["control"])
+
+
+def _radio_config(r: dict) -> RadioConfig:
+    return RadioConfig(**{k: v for k, v in r.items() if k != "placement_seed"})
 
 
 def build_cost_model(cfg: ExperimentConfig, model: LossModel,
@@ -266,8 +281,5 @@ def build_cost_model(cfg: ExperimentConfig, model: LossModel,
     r = cfg.effective["radio"]
     if r is None:
         return None
-    r = dict(r)
-    placement_seed = r.pop("placement_seed")
-    radio = RadioConfig(**r)
-    return RadioCostModel(radio, model.model_dim, topology.num_devices,
-                          topology.subnets, placement_seed)
+    return RadioCostModel(_radio_config(r), model.model_dim, topology.num_devices,
+                          topology.subnets, r["placement_seed"])

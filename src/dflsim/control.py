@@ -55,23 +55,22 @@ class ControlConfig:
     probe_scale: float = 1.0
 
     def __post_init__(self):
-        if min(self.energy_weight, self.delay_weight, self.bound_weight) < 0 \
-                or max(self.energy_weight, self.delay_weight, self.bound_weight) <= 0:
-            raise ValueError("cost weights must be nonnegative with one positive")
+        for name in ("energy_weight", "delay_weight", "bound_weight", "phi"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if max(self.energy_weight, self.delay_weight, self.bound_weight) <= 0:
+            raise ValueError("bound_weight must be positive when the other cost weights are 0")
         if not 0.0 < self.alpha_step < 1.0:
             raise ValueError("alpha_step must lie in (0, 1)")
         if self.tau_max < 2:
             raise ValueError("tau_max must be >= 2")
         if not 1 <= self.tau_min <= self.tau_max:
-            raise ValueError("need 1 <= tau_min <= tau_max")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety factor must lie in (0, 1)")
+            raise ValueError("tau_min must lie in [1, tau_max]")
+        for name in ("safety", "zeta_fraction", "zeta_c_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
         if self.gamma_safety is not None and not 0.0 < self.gamma_safety < 1.0:
             raise ValueError("gamma_safety must lie in (0, 1)")
-        if not 0.0 < self.zeta_fraction < 1.0 or not 0.0 < self.zeta_c_fraction < 1.0:
-            raise ValueError("zeta fractions must lie in (0, 1) so zeta << 2*beta")
-        if self.phi < 0:
-            raise ValueError("phi must be nonnegative")
 
 
 @dataclass(frozen=True)

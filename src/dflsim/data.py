@@ -20,16 +20,11 @@ import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyDatasetError
-
-
-class LabeledPoint(NamedTuple):
-    x: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True)
@@ -63,19 +58,6 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx])
-
-    def points(self) -> Iterator[LabeledPoint]:
-        for i in range(self.n):
-            yield LabeledPoint(self.features[i], float(self.labels[i]))
-
-    @staticmethod
-    def concat(parts: Sequence["Dataset"]) -> "Dataset":
-        if not parts:
-            raise EmptyDatasetError("cannot concatenate zero datasets")
-        return Dataset(
-            np.concatenate([p.features for p in parts], axis=0),
-            np.concatenate([p.labels for p in parts], axis=0),
-        )
 
 
 def require_nonempty(dataset: Dataset, where: str) -> None:
@@ -114,8 +96,8 @@ def save_csv(dataset: Dataset, path) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["y"] + [f"x{i + 1}" for i in range(dataset.feature_dim)])
-        for x, y in dataset.points():
-            writer.writerow([repr(y)] + [repr(float(v)) for v in x])
+        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            writer.writerow([repr(y)] + [repr(v) for v in x])
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

@@ -46,13 +46,11 @@ class IntervalPlan:
         if self.tau < 1:
             raise ScheduleError(f"tau must be >= 1, got {self.tau}")
         if not 0 <= self.delay <= self.tau - 1:
-            raise ScheduleError(f"need 0 <= delay <= tau-1, got delay={self.delay}, tau={self.tau}")
+            raise ScheduleError(f"delay must lie in [0, tau-1], got delay={self.delay}, tau={self.tau}")
         up = self.delay if self.up_delay is None else self.up_delay
         down = self.delay - up if self.down_delay is None else self.down_delay
         if up < 0 or down < 0 or up + down != self.delay:
-            raise ScheduleError(
-                f"delay split {up}+{down} != {self.delay}"
-            )
+            raise ScheduleError(f"up_delay must lie in [0, delay], got delay split {up}+{down}")
         object.__setattr__(self, "up_delay", up)
         object.__setattr__(self, "down_delay", down)
         if not 0.0 <= self.alpha <= 1.0:
@@ -66,10 +64,12 @@ class IntervalPlan:
                         f"subnet {c}: aggregation offset {off} outside [1, {self.tau}]"
                     )
 
-    def offsets_for(self, subnet: int) -> frozenset:
-        if subnet < len(self.local_agg_offsets):
-            return frozenset(self.local_agg_offsets[subnet])
-        return frozenset()
+    def indicators(self, num_subnets: int) -> np.ndarray:
+        """Scheduled aggregations as a (tau+1, num_subnets) table indexed by offset."""
+        table = np.zeros((self.tau + 1, num_subnets), dtype=bool)
+        for c, offsets in enumerate(self.local_agg_offsets[:num_subnets]):
+            table[list(offsets), c] = True
+        return table
 
 
 def periodic_offsets(tau: int, period: int | None, num_subnets: int):
@@ -86,7 +86,7 @@ class TrainingSchedule:
 
     def __post_init__(self):
         if not self.intervals:
-            raise ScheduleError("schedule needs at least one interval")
+            raise ScheduleError("num_intervals must be >= 1")
 
     @property
     def total_steps(self) -> int:
@@ -173,7 +173,9 @@ class Protocol:
         self.cost_model = cost_model
         self.allow_alpha_one = allow_alpha_one
         self.track_noise_free = track_noise_free
-        self.metrics_every = max(1, int(metrics_every))
+        if metrics_every < 1:
+            raise ScheduleError(f"metrics_every must be >= 1, got {metrics_every}")
+        self.metrics_every = int(metrics_every)
 
         dim = model.model_dim
         if w_init is None:
@@ -185,7 +187,6 @@ class Protocol:
             w_star = topology.optimum(model)
         if w_star is None:
             self.track_noise_free = False
-            track_noise_free = False
         self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
 
         self.w = np.tile(w_init, (topology.num_devices, 1))
@@ -256,6 +257,8 @@ class Protocol:
         snapshot = v_snapshot = None
         stale_models = stale_grads = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
+        members = [list(m) for m in topo.subnets]
+        scheduled = plan.indicators(n_sub) if theta_policy is None else None
 
         for step in range(1, plan.tau + 1):
             t = t0 + step
@@ -270,7 +273,7 @@ class Protocol:
             if theta_policy is not None:
                 theta = np.asarray(theta_policy(t, tentative, aggregates), dtype=bool)
             else:
-                theta = np.array([step in plan.offsets_for(c) for c in range(n_sub)])
+                theta = scheduled[step]
 
             if t == capture_t:
                 if snapshot is not None or self._pending_snapshot is not None:
@@ -296,34 +299,25 @@ class Protocol:
             if t == capture_t and self.track_noise_free:
                 v_snapshot = v_tent.global_model(topo)
 
-            if t == t_end:
-                if snapshot is None:
-                    raise SnapshotError("synchronization without a captured snapshot")
-                for c in range(n_sub):
-                    members = list(topo.subnets[c])
-                    local_part = aggregates[c] if theta[c] else tentative[members]
-                    self.w[members] = (1.0 - plan.alpha) * snapshot + plan.alpha * local_part
-                    if theta[c]:
-                        theta_counts[c] += 1
-                        if self.cost_model is not None and t != capture_t:
-                            energy, delay_s = self.cost_model.local_event(t, c)
-                            self._charge(t, "local", c, energy, delay_s)
-                if self.track_noise_free:
-                    self.noise_free = noise_free_sync(v_tent, plan.alpha, v_snapshot)
+            sync = t == t_end
+            if sync and snapshot is None:
+                raise SnapshotError("synchronization without a captured snapshot")
+            for c in range(n_sub):
+                local = aggregates[c] if theta[c] else tentative[members[c]]
+                # the combiner applies at synchronization only
+                self.w[members[c]] = (1.0 - plan.alpha) * snapshot + plan.alpha * local \
+                    if sync else local
+                if theta[c]:
+                    theta_counts[c] += 1
+                    # a triggered aggregation in the capture slot rides the uplink
+                    if self.cost_model is not None and t != capture_t:
+                        energy, delay_s = self.cost_model.local_event(t, c)
+                        self._charge(t, "local", c, energy, delay_s)
+            if self.track_noise_free:
+                self.noise_free = noise_free_sync(v_tent, plan.alpha, v_snapshot) \
+                    if sync else v_tent
+            if sync:
                 self._pending_snapshot = None
-            else:
-                for c in range(n_sub):
-                    members = list(topo.subnets[c])
-                    if theta[c]:
-                        self.w[members] = aggregates[c]
-                        theta_counts[c] += 1
-                        if self.cost_model is not None and t != capture_t:
-                            energy, delay_s = self.cost_model.local_event(t, c)
-                            self._charge(t, "local", c, energy, delay_s)
-                    else:
-                        self.w[members] = tentative[members]
-                if self.track_noise_free:
-                    self.noise_free = v_tent
 
             self.t = t
             if t == t_end or t == capture_t or t % self.metrics_every == 0:

@@ -74,9 +74,6 @@ class FleetTopology:
     def global_weights(self) -> np.ndarray:
         return np.array([self.global_weight(i) for i in range(self.num_devices)])
 
-    def global_dataset(self) -> Dataset:
-        return Dataset.concat(self.datasets)
-
     def device_gradient(self, model: LossModel, device: int, w: np.ndarray) -> np.ndarray:
         return full_gradient(model, self.datasets[device], w)
 
@@ -134,7 +131,7 @@ class HeterogeneityParams:
         object.__setattr__(self, "intra_zeta",
                            np.atleast_1d(np.asarray(self.intra_zeta, dtype=np.float64)))
         if not 0 < self.mu < self.beta:
-            raise ValueError(f"need 0 < mu < beta, got mu={self.mu}, beta={self.beta}")
+            raise ValueError(f"mu must lie in (0, beta), got mu={self.mu}, beta={self.beta}")
         for name in ("inter_delta", "inter_zeta", "sgd_noise", "subnet_noise_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

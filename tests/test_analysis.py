@@ -485,17 +485,20 @@ def test_one_step_bounds_with_positive_zeta_variant():
 @settings(max_examples=60)
 def test_k2_sum_matches_telescoped_closed_form(ratio, omega, tau):
     # sum_l binom(tau, l+2) * lam^(l+1) telescopes to ((1+lam)^tau - 1 - tau*lam)/lam;
-    # an independent identity that pins the binomial-sum transcription
+    # an independent identity that pins the binomial-sum transcription. Both
+    # sides are evaluated exactly from the float eigenvalues: in floats the
+    # alternating lam_- terms cancel and the comparison itself goes flaky.
     import math as _math
+    from fractions import Fraction
 
     eig = eigen_system(ratio, omega)
-    lam_p, lam_m = eig.eig_plus, eig.eig_minus
+    lam_p, lam_m = Fraction(eig.eig_plus), Fraction(eig.eig_minus)
     root = _math.sqrt(8 * omega + 1)
     direct = sum(_math.comb(tau, ell + 2) * (lam_p ** (ell + 1) - lam_m ** (ell + 1))
                  for ell in range(tau - 1))
     closed = ((1 + lam_p) ** tau - 1 - tau * lam_p) / lam_p \
         - ((1 + lam_m) ** tau - 1 - tau * lam_m) / lam_m
-    scale = max(abs(direct), abs(closed), 1.0)
+    scale = max(abs(direct), abs(closed), 1)
     assert abs(direct - closed) / scale < 1e-9
     params = HeterogeneityParams(
         mu=ratio * 2.0, beta=2.0, inter_delta=0.0, inter_zeta=omega * 4.0,
@@ -507,7 +510,8 @@ def test_k2_sum_matches_telescoped_closed_form(ratio, omega, tau):
     except InfeasibleError:
         return
     scale_k2 = max(abs(consts.k2), 1.0)
-    assert abs(consts.k2 - params.beta / root * closed) / scale_k2 < 1e-9
+    exact_k2 = Fraction(params.beta) / Fraction(root) * closed
+    assert abs(Fraction(consts.k2) - exact_k2) / scale_k2 < 1e-9
 
 
 def test_tight_e1_recursion_equals_iterated_one_step():

@@ -20,6 +20,26 @@ MINIMAL = {
     "output_dir": "runs/test",
 }
 
+BOUNDS_PARAMS = {"mu": 0.5, "beta": 2.0, "omega": 0.1, "delta": 0.3,
+                 "sigma": 0.5, "phi": 0.2, "tau": 8, "delay": 2, "alpha": 0.0,
+                 "e3_init": 1.0}
+CONTROL_SNAPSHOT = {
+    "params": {"mu": 0.5, "beta": 2.0, "omega": 0.0, "delta": 0.1,
+               "sigma": 0.5, "phi": 0.2, "delta_c": [0.1, 0.1],
+               "zeta_c": [0.0, 0.0]},
+    "cost": {"global_energy": 0.5, "global_delay": 0.2,
+             "local_energy": [0.01, 0.02], "local_delay": [0.001, 0.002]},
+    "control": {"tau_max": 8, "alpha_step": 0.25, "horizon": 80,
+                "phi": 0.2},
+    "subnet_weights": [0.5, 0.5],
+    "gap_estimates": [1.0, 0.5],
+    "delay": 2,
+    "t_now": 0,
+    "e3_init": 1.0,
+}
+BASE_INPUTS = {"run": MINIMAL, "bounds": BOUNDS_PARAMS, "control": CONTROL_SNAPSHOT}
+DROP = object()
+
 
 def write_config(tmp_path, overrides=None, **top):
     blob = json.loads(json.dumps(MINIMAL))
@@ -76,6 +96,42 @@ def test_unknown_field_named(tmp_path, capsys):
     path = write_config(tmp_path, overrides={"schedule.bogus": 1})
     assert cli.main(["run", str(path)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("run", {"control.alpha_step": 2}, "control.alpha_step"),
+    ("run", {"control.tau_max": 1}, "control.tau_max"),
+    ("run", {"radio.bandwidth_hz": -1}, "radio.bandwidth_hz"),
+    ("run", {"radio.bits_per_parameter": 0}, "radio.bits_per_parameter"),
+    ("run", {"topology.num_subnets": 0}, "topology.num_subnets"),
+    ("run", {"topology.num_devices": 0}, "topology.num_devices"),
+    ("run", {"schedule.delay": 4, "schedule.up_delay": 5}, "schedule.up_delay"),
+    ("run", {"schedule.eta": "abc"}, "schedule.eta"),
+    ("run", {"schedule.metrics_every": 0}, "schedule.metrics_every"),
+    ("run", {"model.regularization": "x"}, "model.regularization"),
+    ("run", {"model.kind": "svm", "model.num_classes": 1}, "model.num_classes"),
+    ("run", {"dataset.kind": "csv", "dataset.path": "no_such_dir/points.csv"},
+     "dataset.path"),
+    ("bounds", {"mu": DROP}, "mu"),
+    ("bounds", {"mu": 3.0}, "mu"),
+    ("control", {"control.bogus": 1}, "control.bogus"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
+    blob = json.loads(json.dumps(BASE_INPUTS[command]))
+    for dotted, value in overrides.items():
+        *parents, leaf = dotted.split(".")
+        node = blob
+        for part in parents:
+            node = node.setdefault(part, {})
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 def test_config_hash_changes_iff_effective_changes(tmp_path):
@@ -142,11 +198,8 @@ def test_sweep_workers_match_serial(tmp_path):
 
 
 def test_bounds_subcommand(tmp_path, capsys):
-    params = {"mu": 0.5, "beta": 2.0, "omega": 0.1, "delta": 0.3,
-              "sigma": 0.5, "phi": 0.2, "tau": 8, "delay": 2, "alpha": 0.0,
-              "e3_init": 1.0}
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(params))
+    path.write_text(json.dumps(BOUNDS_PARAMS))
     assert cli.main(["bounds", str(path)]) == 0
     blob = json.loads(capsys.readouterr().out)
     for key in ("C1", "C2", "C3", "K1", "K2", "Y1", "Y2", "Y3",
@@ -156,22 +209,8 @@ def test_bounds_subcommand(tmp_path, capsys):
 
 
 def test_control_subcommand(tmp_path, capsys):
-    snapshot = {
-        "params": {"mu": 0.5, "beta": 2.0, "omega": 0.0, "delta": 0.1,
-                   "sigma": 0.5, "phi": 0.2, "delta_c": [0.1, 0.1],
-                   "zeta_c": [0.0, 0.0]},
-        "cost": {"global_energy": 0.5, "global_delay": 0.2,
-                 "local_energy": [0.01, 0.02], "local_delay": [0.001, 0.002]},
-        "control": {"tau_max": 8, "alpha_step": 0.25, "horizon": 80,
-                    "phi": 0.2},
-        "subnet_weights": [0.5, 0.5],
-        "gap_estimates": [1.0, 0.5],
-        "delay": 2,
-        "t_now": 0,
-        "e3_init": 1.0,
-    }
     path = tmp_path / "snap.json"
-    path.write_text(json.dumps(snapshot))
+    path.write_text(json.dumps(CONTROL_SNAPSHOT))
     assert cli.main(["control", str(path)]) == 0
     decision = json.loads(capsys.readouterr().out)
     assert 2 <= decision["tau_next"] <= 8

@@ -59,6 +59,12 @@ def test_alpha_one_needs_ablation_flag(rng):
     run_training(topo, model, sched, seed=0, batch_size=4, allow_alpha_one=True)
 
 
+def test_metrics_every_below_one_is_refused(rng):
+    topo, model = small_fleet(rng)
+    with pytest.raises(ScheduleError, match="metrics_every"):
+        Protocol(topo, model, seed=0, batch_size=4, metrics_every=0)
+
+
 # -- aggregation arithmetic ---------------------------------------------------
 
 
