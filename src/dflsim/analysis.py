@@ -451,11 +451,9 @@ def weighted_mean(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def noise_free_step(state: NoiseFreeState, topology: FleetTopology,
                     model: LossModel, eta: float) -> NoiseFreeState:
     """One full-batch descent slot on every subnet companion."""
-    nxt = np.empty_like(state.subnet_models)
-    for c in range(topology.num_subnets):
-        grad = topology.subnet_gradient(model, c, state.subnet_models[c])
-        nxt[c] = state.subnet_models[c] - eta * grad
-    return NoiseFreeState(nxt)
+    models = state.subnet_models
+    grads = topology.stack.own_gradients(model, models[topology.subnet_of])
+    return NoiseFreeState(models - eta * topology.subnet_sums(grads))
 
 
 def noise_free_sync(tentative: NoiseFreeState, alpha: float,

@@ -82,6 +82,7 @@ def execute_single(effective: dict, seed: int) -> tuple:
     dataset = cfgmod.build_dataset(cfg)
     model = cfgmod.build_model(cfg, dataset)
     topology = cfgmod.build_fleet(cfg, dataset, model)
+    del dataset         # the topology holds its own copy of the points
     cost_model = cfgmod.build_cost_model(cfg, model, topology)
     sched_cfg = cfg.effective["schedule"]
     w_star = "auto" if sched_cfg["track_optimality"] else None
@@ -199,18 +200,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# parameter-file key of each HeterogeneityParams field whose name differs
+PARAM_KEYS = {"inter_delta": "delta", "inter_zeta": "zeta", "intra_delta": "delta_c",
+              "intra_zeta": "zeta_c", "sgd_noise": "sigma", "subnet_noise_budget": "phi"}
+
+
 def _params_from_json(blob: dict) -> HeterogeneityParams:
+    """HeterogeneityParams from a parameter file; errors name the file's keys."""
     zeta = blob.get("zeta")
     if zeta is None:
         zeta = 2.0 * blob["beta"] * blob.get("omega", 0.0)
-    return HeterogeneityParams(
-        mu=blob["mu"], beta=blob["beta"], inter_delta=blob.get("delta", 0.0),
-        inter_zeta=zeta,
-        intra_delta=np.asarray(blob.get("delta_c", [0.0]), dtype=np.float64),
-        intra_zeta=np.asarray(blob.get("zeta_c", [0.0]), dtype=np.float64),
-        sgd_noise=blob.get("sigma", 0.0),
-        subnet_noise_budget=blob.get("phi", 0.0),
-    )
+    try:
+        return HeterogeneityParams(
+            mu=blob["mu"], beta=blob["beta"], inter_delta=blob.get("delta", 0.0),
+            inter_zeta=zeta,
+            intra_delta=np.asarray(blob.get("delta_c", [0.0]), dtype=np.float64),
+            intra_zeta=np.asarray(blob.get("zeta_c", [0.0]), dtype=np.float64),
+            sgd_noise=blob.get("sigma", 0.0),
+            subnet_noise_budget=blob.get("phi", 0.0),
+        )
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{PARAM_KEYS.get(field, field)} {rest}") from exc
 
 
 def cmd_bounds(args) -> int:

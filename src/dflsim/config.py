@@ -181,6 +181,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     sizes = subnet_sizes(effective["topology"])
     checked("model", lambda: _loss_model(effective["model"], ds["feature_dim"]))
+    if effective["model"]["kind"] == SVM and ds["kind"] == "blobs":
+        check_labels_per_device(effective["topology"], ds["num_classes"])
 
     sched = effective["schedule"]
     if sched["mode"] not in ("fixed", "adaptive"):
@@ -247,10 +249,19 @@ def build_model(cfg: ExperimentConfig, dataset: Dataset) -> LossModel:
     return _loss_model(cfg.effective["model"], dataset.feature_dim)
 
 
+def check_labels_per_device(topo: dict, num_labels: int) -> None:
+    """The label-skew partition needs 1 <= labels_per_device <= the data's label count."""
+    if not 1 <= topo["labels_per_device"] <= num_labels:
+        raise ConfigError(
+            f"topology.labels_per_device: {topo['labels_per_device']} outside "
+            f"[1, {num_labels}], the label count of the dataset")
+
+
 def build_fleet(cfg: ExperimentConfig, dataset: Dataset, model: LossModel) -> FleetTopology:
     topo = cfg.effective["topology"]
     rng = stream(topo["partition_seed"], TAG_DATA, 1)
     if model.kind == SVM:
+        check_labels_per_device(topo, np.unique(dataset.labels).size)
         parts = partition_label_skew(dataset, topo["num_devices"],
                                      topo["labels_per_device"], rng)
     else:

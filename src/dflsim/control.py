@@ -26,11 +26,12 @@ from .errors import EstimationError, InfeasibleError
 from .fleet import (
     FleetTopology,
     HeterogeneityParams,
-    measure_diversity,
+    diversity_from_survey,
+    gradient_survey,
     measure_sgd_noise,
-    measure_smoothness_convexity,
+    secant_range,
 )
-from .losses import LossModel
+from .losses import LossModel, norms
 from .netcost import TAG_PROBE, CostSnapshot, RadioCostModel, stream
 
 
@@ -87,6 +88,7 @@ class ControlDecision:
     bound_term: float
     objective: float
     fallback: bool = False
+    estimates_reused: bool = False   # the uploads were degenerate; previous estimates kept
 
 
 def select_step_size(params: HeterogeneityParams, tau: int, delay: int,
@@ -144,10 +146,7 @@ def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopo
     """
     if mu_hat <= 0:
         raise InfeasibleError("trigger needs a positive strong-convexity estimate")
-    gaps = np.array([
-        np.linalg.norm(topology.global_gradient(model, subnet_aggregates[c])) / mu_hat
-        for c in range(topology.num_subnets)
-    ])
+    gaps = norms(topology.global_gradients(model, subnet_aggregates)) / mu_hat
     return aggregation_indicators(
         subnet_contributions(gaps, topology.subnet_weights, params), phi)
 
@@ -169,30 +168,26 @@ def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
     models = np.asarray(models, dtype=np.float64)
     if models.ndim != 2 or models.shape[0] < 2:
         raise EstimationError("need at least two uploaded models")
-    pairs = [(models[i], models[i + 1]) for i in range(models.shape[0] - 1)]
-    mu_hat, beta_hat = measure_smoothness_convexity(topology, model, pairs)
+    global_grads, subnet_gaps, device_gaps = gradient_survey(topology, model, models)
+    mu_hat, beta_hat = secant_range(models[:-1], models[1:],
+                                    global_grads[:-1], global_grads[1:])
     # the analysis needs mu < beta strictly; nudge degenerate (isotropic) cases
     beta_hat = max(beta_hat, mu_hat * (1.0 + 1e-9))
     zeta_hat = zeta_fraction * 2.0 * beta_hat
     zeta_c_hat = zeta_c_fraction * 2.0 * beta_hat
 
-    probes = [models[i] for i in range(models.shape[0])]
-    distances = None
     if w_star is None:
-        distances = [
-            float(np.linalg.norm(topology.global_gradient(model, w)) / mu_hat)
-            for w in probes
-        ]
-        w_star = np.zeros(models.shape[1])
-    delta_hat, delta_c_hat = measure_diversity(
-        topology, model, probes, zeta_hat, zeta_c_hat, w_star, distances=distances)
+        distances = norms(global_grads) / mu_hat
+    else:
+        distances = norms(models - w_star)
+    delta_hat, delta_c_hat = diversity_from_survey(
+        topology, subnet_gaps, device_gaps, zeta_hat, zeta_c_hat, distances)
 
     sigma_hat = sigma_floor
     if gradients is not None:
-        gradients = np.asarray(gradients, dtype=np.float64)
-        for i in range(topology.num_devices):
-            exact = topology.device_gradient(model, i, models[i])
-            sigma_hat = max(sigma_hat, float(np.linalg.norm(gradients[i] - exact)))
+        exact = topology.stack.own_gradients(model, models[:topology.num_devices])
+        sigma_hat = float(np.fmax.reduce(
+            norms(np.asarray(gradients, dtype=np.float64) - exact), initial=sigma_floor))
 
     return HeterogeneityParams(
         mu=mu_hat, beta=beta_hat,
@@ -330,21 +325,21 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
         sync_times.append(proto.t)
         k += 1
 
+        reused = False
         try:
             params_hat = estimate_parameters(
                 outcome.stale_models, outcome.stale_gradients, topology, model,
                 config.zeta_fraction, config.zeta_c_fraction, config.phi)
         except EstimationError:
-            pass  # keep previous estimates when uploads are degenerate
+            reused = True    # degenerate uploads: keep the previous estimates
 
-        grad_norm = float(np.linalg.norm(
-            topology.global_gradient(model, outcome.snapshot)))
-        e3_init = grad_norm / params_hat.mu
-        gap_estimates = np.array([
-            np.linalg.norm(topology.global_gradient(
-                model, proto.subnet_aggregate(outcome.stale_models, c))) / params_hat.mu
-            for c in range(topology.num_subnets)
-        ])
+        # grad F at the snapshot, then at every subnet aggregate of the uploads
+        points = np.stack([outcome.snapshot] + [
+            proto.subnet_aggregate(outcome.stale_models, c)
+            for c in range(topology.num_subnets)])
+        grad_norms = norms(topology.global_gradients(model, points))
+        e3_init = float(grad_norms[0]) / params_hat.mu
+        gap_estimates = grad_norms[1:] / params_hat.mu
         cost = cost_model.snapshot(outcome.capture_t) if cost_model is not None \
             else CostSnapshot(0.0, 0.0, np.zeros(topology.num_subnets),
                               np.zeros(topology.num_subnets))
@@ -353,7 +348,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                                proto.t, delay, e3_init, gap_estimates)
         except InfeasibleError:
             decision = fallback_decision(delay, config.horizon - proto.t)
-        decisions.append(decision)
+        decisions.append(replace(decision, estimates_reused=reused))
         tau_next, alpha_next = decision.tau_next, decision.alpha_next
 
     return proto.result(sync_times=np.asarray(sync_times), decisions=decisions)

@@ -22,9 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .analysis import NoiseFreeState, error_terms, noise_free_step, noise_free_sync, weighted_mean
-from .errors import InfeasibleError, ScheduleError, SnapshotError, WeightSumError
+from .errors import (
+    BatchSizeError,
+    InfeasibleError,
+    ScheduleError,
+    SnapshotError,
+    WeightSumError,
+)
 from .fleet import FleetTopology, flatten_topology
-from .losses import LossModel, stochastic_gradient
+from .losses import LossModel
 from .netcost import TAG_SGD, RadioCostModel, stream
 
 METRIC_COLUMNS = ("t", "k", "loss", "gap", "e1", "e2", "e3", "cum_energy", "cum_delay")
@@ -73,9 +79,11 @@ class IntervalPlan:
 
 
 def periodic_offsets(tau: int, period: int | None, num_subnets: int):
-    """Every-``period`` aggregation offsets, identical across subnets."""
-    if period is None or period < 1:
+    """Every-``period`` aggregation offsets, identical across subnets; None never aggregates."""
+    if period is None:
         return tuple(() for _ in range(num_subnets))
+    if period < 1:
+        raise ScheduleError(f"local_agg_period must be >= 1, got {period}")
     offs = tuple(range(period, tau + 1, period))
     return tuple(offs for _ in range(num_subnets))
 
@@ -189,6 +197,10 @@ class Protocol:
             self.track_noise_free = False
         self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
 
+        topology.stack.targets(model)      # checks the data against the model once
+        smallest = int(topology.stack.counts.min())
+        if not 1 <= self.batch_size <= smallest:
+            raise BatchSizeError(f"batch_size {self.batch_size} outside [1, {smallest}]")
         self.w = np.tile(w_init, (topology.num_devices, 1))
         self.noise_free = NoiseFreeState(np.tile(w_init, (topology.num_subnets, 1)))
         self.t = 0
@@ -213,6 +225,20 @@ class Protocol:
         aggs = np.stack([self.subnet_aggregate(values, c)
                          for c in range(self.topology.num_subnets)])
         return weighted_mean(aggs, self.topology.subnet_weights)
+
+    def _sgd_gradients(self, t: int) -> np.ndarray:
+        """Every device's minibatch gradient at its model, for slot t.
+
+        Device i draws its minibatch from stream (seed, TAG_SGD, i, t-1);
+        a device whose data is one batch uses all of it, in order, and draws
+        nothing (as ``stochastic_gradient`` does).
+        """
+        b = self.batch_size
+        idx = np.empty((self.topology.num_devices, b), dtype=np.int64)
+        for i, n in enumerate(self.topology.stack.counts.tolist()):
+            idx[i] = stream(self.seed, TAG_SGD, i, t - 1).choice(n, size=b, replace=False) \
+                if b < n else np.arange(n)
+        return self.topology.stack.minibatch_gradients(self.model, self.w, idx)
 
     def _charge(self, t: int, kind: str, subnet: int, energy: float, delay: float):
         self.events.append(CostEvent(t, kind, subnet, energy, delay))
@@ -262,11 +288,7 @@ class Protocol:
 
         for step in range(1, plan.tau + 1):
             t = t0 + step
-            grads = np.empty_like(self.w)
-            for i in range(topo.num_devices):
-                rng = stream(self.seed, TAG_SGD, i, t - 1)
-                grads[i] = stochastic_gradient(
-                    self.model, topo.datasets[i], self.w[i], self.batch_size, rng)
+            grads = self._sgd_gradients(t)
             tentative = self.w - plan.eta * grads
             aggregates = np.stack([self.subnet_aggregate(tentative, c)
                                    for c in range(n_sub)])

@@ -15,11 +15,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
+    BatchSizeError,
     EstimationError,
     PartitionError,
     TopologyError,
 )
-from .losses import LossModel, full_gradient, stochastic_gradient
+from .losses import DeviceStack, LossModel, full_gradient, norms, solve_optimum
 
 WEIGHT_TOL = 1e-12
 
@@ -31,6 +32,11 @@ class FleetTopology:
     device_weights[i] is the weight of device i inside its own subnet
     (rho), subnet_weights[c] the weight of subnet c in the fleet
     (varrho); both families sum to one.
+
+    The device data is stored once, in ``stack``; ``datasets`` are views
+    of it. Subnet and global sums add device by device within a subnet,
+    then subnet by subnet: the order of the single-point loops, so a
+    batched sum equals the looped one bit for bit.
     """
 
     subnets: tuple[tuple[int, ...], ...]
@@ -38,6 +44,7 @@ class FleetTopology:
     device_weights: np.ndarray
     subnet_weights: np.ndarray
     subnet_of: np.ndarray = field(init=False)
+    stack: DeviceStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -57,6 +64,9 @@ class FleetTopology:
         if abs(self.subnet_weights.sum() - 1.0) > 1e-9:
             raise TopologyError("subnet weights must sum to 1")
         object.__setattr__(self, "subnet_of", subnet_of)
+        stack = DeviceStack(self.datasets)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "datasets", stack.datasets())
 
     @property
     def num_devices(self) -> int:
@@ -74,34 +84,53 @@ class FleetTopology:
     def global_weights(self) -> np.ndarray:
         return np.array([self.global_weight(i) for i in range(self.num_devices)])
 
+    def subnet_sums(self, values: np.ndarray) -> np.ndarray:
+        """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
+        weighted = self.device_weights[:, None] * values
+        out = np.zeros(values.shape[:-2] + (self.num_subnets, values.shape[-1]))
+        # member j of every subnet at once, j = 0, 1, ...: each subnet still
+        # adds its members in order
+        for j in range(max(len(m) for m in self.subnets)):
+            subnets = [c for c, m in enumerate(self.subnets) if len(m) > j]
+            members = [self.subnets[c][j] for c in subnets]
+            out[..., subnets, :] += weighted[..., members, :]
+        return out
+
+    def global_sums(self, values: np.ndarray) -> np.ndarray:
+        """(..., N, M) -> (..., M): varrho-weighted sum over the subnets."""
+        out = np.zeros(values.shape[:-2] + values.shape[-1:])
+        for c in range(self.num_subnets):
+            out += self.subnet_weights[c] * values[..., c, :]
+        return out
+
+    def global_gradients(self, model: LossModel, points) -> np.ndarray:
+        """(P, M) -> (P, M): grad F at every point, a few points per pass."""
+        points = model.check_points(points)
+        out = np.empty_like(points)
+        step = self.stack.points_per_chunk(model)
+        for s in range(0, points.shape[0], step):
+            out[s:s + step] = self.global_sums(self.subnet_sums(
+                self.stack.gradients(model, points[s:s + step])))
+        return out
+
     def device_gradient(self, model: LossModel, device: int, w: np.ndarray) -> np.ndarray:
         return full_gradient(model, self.datasets[device], w)
 
     def subnet_gradient(self, model: LossModel, c: int, w: np.ndarray) -> np.ndarray:
-        out = np.zeros(model.model_dim)
-        for i in self.subnets[c]:
-            out += self.device_weights[i] * full_gradient(model, self.datasets[i], w)
-        return out
+        return self.subnet_sums(self.stack.gradients(model, np.asarray(w)[None]))[0, c]
 
     def global_gradient(self, model: LossModel, w: np.ndarray) -> np.ndarray:
-        out = np.zeros(model.model_dim)
-        for c in range(self.num_subnets):
-            out += self.subnet_weights[c] * self.subnet_gradient(model, c, w)
-        return out
+        return self.global_gradients(model, np.asarray(w)[None])[0]
 
     def global_loss(self, model: LossModel, w: np.ndarray) -> float:
-        from .losses import loss  # local import to keep module load light
-
+        losses = self.stack.losses(model, w)
         total = 0.0
         for c in range(self.num_subnets):
             for i in self.subnets[c]:
-                total += self.subnet_weights[c] * self.device_weights[i] \
-                    * loss(model, self.datasets[i], w)
+                total += self.subnet_weights[c] * self.device_weights[i] * losses[i]
         return total
 
     def optimum(self, model: LossModel) -> np.ndarray:
-        from .losses import solve_optimum
-
         return solve_optimum(model, list(self.datasets), self.global_weights())
 
 
@@ -135,8 +164,9 @@ class HeterogeneityParams:
         for name in ("inter_delta", "inter_zeta", "sgd_noise", "subnet_noise_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if (self.intra_delta < 0).any() or (self.intra_zeta < 0).any():
-            raise ValueError("intra-subnet constants must be nonnegative")
+        for name in ("intra_delta", "intra_zeta"):
+            if (getattr(self, name) < 0).any():
+                raise ValueError(f"{name} must be nonnegative")
         if self.omega > 1.0 + 1e-12:
             raise ValueError(f"omega = zeta/(2 beta) = {self.omega} exceeds 1")
         if (self.omega_c > 1.0 + 1e-12).any():
@@ -229,6 +259,48 @@ def build_topology(assignments: Sequence[Dataset], subnet_sizes: Sequence[int]) 
 # heterogeneity measurement
 
 
+def gradient_survey(topology: FleetTopology, model: LossModel, points):
+    """Everything the estimator reads from the gradients at P points, in one pass.
+
+    Returns grad F at every point (P, M), ||grad Fbar_c - grad F|| per
+    subnet (P, N) and ||grad F_i - grad Fbar_c(i)|| per device (P, D).
+    Each device gradient is computed once, a few points at a time, and
+    only the global gradients and the norms are kept.
+    """
+    stack = topology.stack
+    points = model.check_points(points)
+    num_points = points.shape[0]
+    global_grads = np.empty_like(points)
+    subnet_gaps = np.empty((num_points, topology.num_subnets))
+    device_gaps = np.empty((num_points, topology.num_devices))
+    step = stack.points_per_chunk(model)
+    for s in range(0, num_points, step):
+        device = stack.gradients(model, points[s:s + step])
+        subnet = topology.subnet_sums(device)
+        glob = topology.global_sums(subnet)
+        global_grads[s:s + step] = glob
+        subnet_gaps[s:s + step] = norms(subnet - glob[:, None])
+        device_gaps[s:s + step] = norms(device - subnet[:, topology.subnet_of])
+    return global_grads, subnet_gaps, device_gaps
+
+
+def _largest_excess(gaps: np.ndarray, allowance: np.ndarray) -> float:
+    """max(0, max of gaps - allowance); a NaN never wins, as with ``max``."""
+    return float(np.fmax.reduce((gaps - allowance).ravel(), initial=0.0))
+
+
+def diversity_from_survey(topology: FleetTopology, subnet_gaps: np.ndarray,
+                          device_gaps: np.ndarray, zeta: float, zeta_c: float,
+                          distances: np.ndarray):
+    """(delta, delta_c) from the gaps of ``gradient_survey`` and the ||w - w*|| factors."""
+    distances = np.asarray(distances, dtype=np.float64)[:, None]
+    delta = _largest_excess(subnet_gaps, zeta * distances)
+    device_excess = device_gaps - zeta_c * distances
+    delta_c = np.array([_largest_excess(device_excess[:, list(members)], 0.0)
+                        for members in topology.subnets])
+    return delta, delta_c
+
+
 def measure_diversity(topology: FleetTopology, model: LossModel,
                       probe_points: Sequence[np.ndarray], zeta: float,
                       zeta_c: float, w_star: np.ndarray,
@@ -243,21 +315,23 @@ def measure_diversity(topology: FleetTopology, model: LossModel,
     """
     if len(probe_points) == 0:
         raise EstimationError("measure_diversity needs at least one probe point")
+    probes = np.asarray(probe_points, dtype=np.float64)
     if distances is None:
-        distances = [float(np.linalg.norm(np.asarray(w) - w_star)) for w in probe_points]
-    delta = 0.0
-    delta_c = np.zeros(topology.num_subnets)
-    for w, dist in zip(probe_points, distances):
-        g_global = topology.global_gradient(model, w)
-        for c in range(topology.num_subnets):
-            g_sub = topology.subnet_gradient(model, c, w)
-            gap = np.linalg.norm(g_sub - g_global) - zeta * dist
-            delta = max(delta, gap)
-            for i in topology.subnets[c]:
-                g_dev = topology.device_gradient(model, i, w)
-                gap_c = np.linalg.norm(g_dev - g_sub) - zeta_c * dist
-                delta_c[c] = max(delta_c[c], gap_c)
-    return max(delta, 0.0), np.maximum(delta_c, 0.0)
+        distances = norms(probes - w_star)
+    _, subnet_gaps, device_gaps = gradient_survey(topology, model, probes)
+    return diversity_from_survey(topology, subnet_gaps, device_gaps, zeta, zeta_c,
+                                 distances)
+
+
+def secant_range(points_a: np.ndarray, points_b: np.ndarray, grads_a: np.ndarray,
+                 grads_b: np.ndarray, min_separation: float = 1e-12):
+    """(smallest, largest) ||grad a - grad b|| / ||a - b|| over the separated pairs."""
+    separation = norms(points_a - points_b)
+    kept = ~(separation <= min_separation)
+    if not kept.any():
+        raise EstimationError("all probe pairs coincident; secant undefined")
+    ratios = (norms(grads_a[kept] - grads_b[kept]) / separation[kept]).tolist()
+    return min(ratios), max(ratios)
 
 
 def measure_smoothness_convexity(topology: FleetTopology, model: LossModel,
@@ -268,32 +342,36 @@ def measure_smoothness_convexity(topology: FleetTopology, model: LossModel,
     beta_hat is the largest, mu_hat the smallest gradient-difference /
     point-difference ratio over the pairs; coincident pairs are skipped.
     """
-    ratios = []
-    for w1, w2 in probe_pairs:
-        sep = np.linalg.norm(np.asarray(w1) - np.asarray(w2))
-        if sep <= min_separation:
-            continue
-        g1 = topology.global_gradient(model, np.asarray(w1, dtype=np.float64))
-        g2 = topology.global_gradient(model, np.asarray(w2, dtype=np.float64))
-        ratios.append(float(np.linalg.norm(g1 - g2) / sep))
-    if not ratios:
-        raise EstimationError("all probe pairs coincident; secant undefined")
-    return min(ratios), max(ratios)
+    pairs = np.asarray(probe_pairs, dtype=np.float64).reshape(-1, 2, model.model_dim)
+    grads = topology.global_gradients(model, pairs.reshape(-1, model.model_dim))
+    grads = grads.reshape(pairs.shape)
+    return secant_range(pairs[:, 0], pairs[:, 1], grads[:, 0], grads[:, 1],
+                        min_separation)
 
 
 def measure_sgd_noise(topology: FleetTopology, model: LossModel,
                       probe_points: Sequence[np.ndarray], batch_size: int,
                       rng: np.random.Generator, repeats: int = 8) -> float:
-    """Conservative sigma estimate: max ||ghat - grad F_i|| over sampled draws."""
+    """Conservative sigma estimate: max ||ghat - grad F_i|| over sampled draws.
+
+    Draws go probe by probe, device by device, repeat by repeat. A device
+    with at most ``batch_size`` points has its full data as the minibatch,
+    no draw and a zero gap.
+    """
+    stack = topology.stack
+    if batch_size < 1:
+        raise BatchSizeError(f"batch_size {batch_size} outside [1, {stack.counts.min()}]")
+    points = model.check_points(probe_points)
+    sampled = np.flatnonzero(stack.counts > batch_size)
     worst = 0.0
-    for w in probe_points:
-        for i in range(topology.num_devices):
-            ds = topology.datasets[i]
-            exact = full_gradient(model, ds, np.asarray(w, dtype=np.float64))
-            b = min(batch_size, ds.n)
-            for _ in range(repeats):
-                ghat = stochastic_gradient(model, ds, np.asarray(w, dtype=np.float64), b, rng)
-                worst = max(worst, float(np.linalg.norm(ghat - exact)))
+    for w in points if sampled.size else ():
+        exact = stack.gradients(model, w[None])[0, sampled]
+        idx = np.array([[rng.choice(int(stack.counts[i]), size=batch_size, replace=False)
+                         for _ in range(repeats)] for i in sampled], dtype=np.int64)
+        for r in range(repeats):
+            ghat = stack.minibatch_gradients(model, np.tile(w, (sampled.size, 1)),
+                                             idx[:, r], sampled)
+            worst = max(worst, _largest_excess(norms(ghat - exact), 0.0))
     return worst
 
 

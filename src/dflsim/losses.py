@@ -26,6 +26,7 @@ from .errors import (
     BatchSizeError,
     ConvergenceError,
     DimensionMismatchError,
+    EmptyDatasetError,
 )
 
 RIDGE = "ridge"
@@ -61,6 +62,14 @@ class LossModel:
             )
         return w
 
+    def check_points(self, W) -> np.ndarray:
+        """A (P, model_dim) stack of model vectors."""
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2 or W.shape[1] != self.model_dim:
+            raise DimensionMismatchError(
+                f"model vectors shape {W.shape} != (points, {self.model_dim})")
+        return W
+
     def check_dataset(self, dataset: Dataset) -> None:
         if dataset.feature_dim != self.feature_dim:
             raise DimensionMismatchError(
@@ -72,13 +81,69 @@ class LossModel:
                 raise ValueError("svm labels must be integers in [0, num_classes)")
 
 
-def _svm_margins(model: LossModel, X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    W = w.reshape(model.num_classes, model.feature_dim)
-    scores = X @ W.T                                   # (n, C)
-    targets = np.full_like(scores, -1.0)
-    targets[np.arange(X.shape[0]), y.astype(int)] = 1.0
-    margins = np.maximum(0.0, 1.0 - targets * scores)  # (n, C)
-    return W, targets, margins
+def _targets(model: LossModel, labels: np.ndarray) -> np.ndarray:
+    """What the kernel fits per point: the label (ridge) or a row of +-1 targets (svm)."""
+    if model.kind == RIDGE:
+        return labels
+    targets = np.full((labels.size, model.num_classes), -1.0)
+    targets[np.arange(labels.size), labels.astype(int)] = 1.0
+    return targets
+
+
+def _svm_margins(model: LossModel, X: np.ndarray, targets: np.ndarray,
+                 W: np.ndarray) -> np.ndarray:
+    """max(0, 1 - t * x.w_s) per point and class, computed in one buffer."""
+    blocks = W.reshape(W.shape[:-1] + (model.num_classes, model.feature_dim))
+    margins = X @ np.swapaxes(blocks, -1, -2)
+    np.multiply(targets, margins, out=margins)
+    np.subtract(1.0, margins, out=margins)
+    return np.maximum(0.0, margins, out=margins)
+
+
+def _dots(V: np.ndarray) -> np.ndarray:
+    """v.v of every vector along the last axis, by the dot product of a 1-d call."""
+    V = np.ascontiguousarray(V)
+    return (V[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
+def norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every vector along the last axis, bit for bit."""
+    return np.sqrt(_dots(V))
+
+
+def _gradients(model: LossModel, X: np.ndarray, targets: np.ndarray,
+               W: np.ndarray) -> np.ndarray:
+    """The gradient kernel: objective gradient over the rows of X at W.
+
+    X is (..., n, m), targets (..., n) or (..., n, C) and W (..., M); the
+    leading axes broadcast. ``np.matmul`` runs one GEMM per stacked slice
+    with the shapes of the single-device call, so a slice of a stacked
+    result equals the 2-d call bit for bit.
+    """
+    n = X.shape[-2]
+    if model.kind == RIDGE:
+        resid = (X @ W[..., None])[..., 0] - targets
+        grad = (np.swapaxes(X, -1, -2) @ resid[..., None])[..., 0] / n
+    else:
+        coeff = _svm_margins(model, X, targets, W)
+        np.multiply(targets, coeff, out=coeff)
+        np.multiply(-2.0, coeff, out=coeff)
+        grad = np.swapaxes(coeff, -1, -2) @ X / n
+        grad = grad.reshape(grad.shape[:-2] + (model.model_dim,))
+    return grad + model.regularization * W
+
+
+def _losses(model: LossModel, X: np.ndarray, targets: np.ndarray,
+            W: np.ndarray) -> np.ndarray:
+    """The objective over the rows of X at W, stacked like ``_gradients``."""
+    n = X.shape[-2]
+    if model.kind == RIDGE:
+        data_term = 0.5 * _dots((X @ W[..., None])[..., 0] - targets) / n
+    else:
+        sq = _svm_margins(model, X, targets, W)
+        np.multiply(sq, sq, out=sq)
+        data_term = np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1) / n
+    return data_term + 0.5 * model.regularization * _dots(W)
 
 
 def loss(model: LossModel, dataset: Dataset, w: np.ndarray) -> float:
@@ -86,14 +151,7 @@ def loss(model: LossModel, dataset: Dataset, w: np.ndarray) -> float:
     w = model.check_vector(w)
     model.check_dataset(dataset)
     require_nonempty(dataset, "loss")
-    X, y = dataset.features, dataset.labels
-    if model.kind == RIDGE:
-        resid = X @ w - y
-        data_term = 0.5 * float(resid @ resid) / dataset.n
-    else:
-        _, _, margins = _svm_margins(model, X, y, w)
-        data_term = float(np.sum(margins * margins)) / dataset.n
-    return data_term + 0.5 * model.regularization * float(w @ w)
+    return float(_losses(model, dataset.features, _targets(model, dataset.labels), w))
 
 
 def full_gradient(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarray:
@@ -101,14 +159,7 @@ def full_gradient(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarr
     w = model.check_vector(w)
     model.check_dataset(dataset)
     require_nonempty(dataset, "full_gradient")
-    X, y = dataset.features, dataset.labels
-    if model.kind == RIDGE:
-        grad = X.T @ (X @ w - y) / dataset.n
-    else:
-        _, targets, margins = _svm_margins(model, X, y, w)
-        grad = (-2.0 * (targets * margins)).T @ X / dataset.n
-        grad = grad.reshape(-1)
-    return grad + model.regularization * w
+    return _gradients(model, dataset.features, _targets(model, dataset.labels), w)
 
 
 def point_gradients(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarray:
@@ -116,13 +167,13 @@ def point_gradients(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.nda
     w = model.check_vector(w)
     model.check_dataset(dataset)
     require_nonempty(dataset, "point_gradients")
-    X, y = dataset.features, dataset.labels
+    X = dataset.features
+    targets = _targets(model, dataset.labels)
     if model.kind == RIDGE:
-        grads = (X @ w - y)[:, None] * X
+        grads = (X @ w - targets)[:, None] * X
     else:
-        _, targets, margins = _svm_margins(model, X, y, w)
-        coeff = -2.0 * (targets * margins)             # (n, C)
-        grads = coeff[:, :, None] * X[:, None, :]      # (n, C, m)
+        coeff = -2.0 * (targets * _svm_margins(model, X, targets, w))   # (n, C)
+        grads = coeff[:, :, None] * X[:, None, :]                       # (n, C, m)
         grads = grads.reshape(dataset.n, -1)
     return grads + model.regularization * w[None, :]
 
@@ -147,18 +198,122 @@ def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,
     return full_gradient(model, dataset.subset(idx), w)
 
 
-def weighted_loss(model: LossModel, datasets: Sequence[Dataset],
-                  weights: np.ndarray, w: np.ndarray) -> float:
-    weights = np.asarray(weights, dtype=np.float64)
-    return float(sum(wt * loss(model, ds, w) for wt, ds in zip(weights, datasets)))
+# largest kernel temporary a stacked call builds, in float64 elements
+CHUNK_ELEMENTS = 32768
 
 
-def weighted_gradient(model: LossModel, datasets: Sequence[Dataset],
-                      weights: np.ndarray, w: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    out = np.zeros(model.model_dim)
-    for wt, ds in zip(weights, datasets):
-        out += wt * full_gradient(model, ds, w)
+class DeviceStack:
+    """Every device's data stored once, stacked for the batched kernel.
+
+    Rows are stored device after device, the devices sorted by point count,
+    so each group of equal ``n`` is one ``(G, n, m)`` block: nothing is
+    padded. The kernel targets of a loss model (the labels, or the +-1 rows
+    of the svm) are built and checked once per model. Every method runs
+    ``_gradients`` (or ``_losses``) on whole blocks, and slice i of a result
+    equals the single-device call for device i bit for bit.
+    """
+
+    def __init__(self, datasets: Sequence[Dataset]):
+        dims = sorted({ds.feature_dim for ds in datasets})
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"devices hold feature dims {dims}")
+        self.counts = np.array([ds.n for ds in datasets], dtype=np.int64)
+        order = np.argsort(self.counts, kind="stable")
+        self.features = np.concatenate([datasets[i].features for i in order])
+        self.labels = np.concatenate([datasets[i].labels for i in order])
+        self.offsets = np.empty_like(self.counts)
+        self.offsets[order] = np.cumsum(self.counts[order]) - self.counts[order]
+        self.groups = []            # (device ids, first row, points per device)
+        for n in sorted(set(self.counts.tolist())):   # np.unique would import numpy.ma
+            devices = order[self.counts[order] == n]
+            self.groups.append((devices, int(self.offsets[devices[0]]), n))
+        self._targets: dict = {}
+
+    @property
+    def num_devices(self) -> int:
+        return self.counts.size
+
+    def datasets(self) -> tuple[Dataset, ...]:
+        """One Dataset per device, each a view of its rows."""
+        return tuple(Dataset(self.features[o:o + n], self.labels[o:o + n])
+                     for o, n in zip(self.offsets.tolist(), self.counts.tolist()))
+
+    def targets(self, model: LossModel) -> np.ndarray:
+        """Kernel targets of every row for ``model``; the data is checked on first use."""
+        if model not in self._targets:
+            model.check_dataset(Dataset(self.features, self.labels))
+            if (self.counts == 0).any():
+                raise EmptyDatasetError(
+                    f"device {int(np.argmin(self.counts))}: dataset is empty")
+            self._targets[model] = _targets(model, self.labels)
+        return self._targets[model]
+
+    def _blocks(self, model: LossModel):
+        """(device ids, (G, n, m) features, targets) blocks of at most CHUNK_ELEMENTS targets."""
+        targets = self.targets(model)
+        width = targets[:1].size
+        for devices, first, n in self.groups:
+            per_block = max(1, CHUNK_ELEMENTS // (n * width))
+            for s in range(0, devices.size, per_block):
+                block = devices[s:s + per_block]
+                rows = slice(first + s * n, first + (s + block.size) * n)
+                yield (block, self.features[rows].reshape(block.size, n, -1),
+                       targets[rows].reshape((block.size, n) + targets.shape[1:]))
+
+    def points_per_chunk(self, model: LossModel) -> int:
+        """Points per ``gradients`` call for a caller that sums and differences
+        the (P, D, M) result: its few arrays of that shape fit one budget."""
+        return max(1, CHUNK_ELEMENTS // (4 * self.num_devices * model.model_dim))
+
+    def gradients(self, model: LossModel, W) -> np.ndarray:
+        """(P, M) points -> (P, D, M): the gradient of every device at every point."""
+        W = model.check_points(W)
+        out = np.empty((W.shape[0], self.num_devices, model.model_dim))
+        for devices, X, targets in self._blocks(model):
+            step = max(1, CHUNK_ELEMENTS // targets.size)   # points per kernel call
+            for s in range(0, W.shape[0], step):
+                out[s:s + step, devices] = _gradients(model, X, targets, W[s:s + step, None])
+        return out
+
+    def own_gradients(self, model: LossModel, W) -> np.ndarray:
+        """(D, M) -> (D, M): the gradient of device i at its own point W[i]."""
+        W = model.check_points(W)
+        out = np.empty_like(W)
+        for devices, X, targets in self._blocks(model):
+            out[devices] = _gradients(model, X, targets, W[devices])
+        return out
+
+    def minibatch_gradients(self, model: LossModel, W, idx, devices=None) -> np.ndarray:
+        """(k, M) points and (k, b) point indices -> (k, M) minibatch gradients.
+
+        Row j is the gradient of device ``devices[j]`` (default: device j)
+        over its points ``idx[j]`` at ``W[j]``, the value of
+        ``full_gradient`` on ``dataset.subset(idx[j])``.
+        """
+        W = model.check_points(W)
+        targets = self.targets(model)
+        devices = np.arange(self.num_devices) if devices is None else np.asarray(devices)
+        idx = np.asarray(idx, dtype=np.int64)
+        smallest = int(self.counts[devices].min(initial=idx.shape[1]))
+        if not 1 <= idx.shape[1] <= smallest:
+            raise BatchSizeError(f"batch_size {idx.shape[1]} outside [1, {smallest}]")
+        rows = self.offsets[devices, None] + idx
+        return _gradients(model, self.features[rows], targets[rows], W)
+
+    def losses(self, model: LossModel, w) -> np.ndarray:
+        """(M,) -> (D,): every device's objective at w."""
+        w = model.check_vector(w)
+        out = np.empty(self.num_devices)
+        for devices, X, targets in self._blocks(model):
+            out[devices] = _losses(model, X, targets, w)
+        return out
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * values[i], added one term at a time from zero."""
+    out = np.zeros(values.shape[1:])
+    for wt, value in zip(weights, values):
+        out += wt * value
     return out
 
 
@@ -202,10 +357,18 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
     lipschitz = 2.0 * float(np.linalg.eigvalsh(pooled)[-1]) \
         + model.regularization * float(np.sum(weights))
 
+    stack = DeviceStack(datasets)
+
+    def objective(w):
+        return float(_weighted_sum(weights, stack.losses(model, w)))
+
+    def gradient(w):
+        return _weighted_sum(weights, stack.gradients(model, w[None])[0])
+
     w = np.zeros(model.model_dim)
-    grad = weighted_gradient(model, datasets, weights, w)
+    grad = gradient(w)
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad)))
-    value = weighted_loss(model, datasets, weights, w)
+    value = objective(w)
     step = 1.0 / lipschitz
     for _ in range(max_iter):
         gnorm2 = float(grad @ grad)
@@ -213,14 +376,14 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
             return w
         # the 1/L step always descends; backtrack only if numerics disagree
         cand = w - step * grad
-        cand_value = weighted_loss(model, datasets, weights, cand)
+        cand_value = objective(cand)
         while cand_value > value + 4.0 * np.finfo(np.float64).eps * abs(value) \
                 and step > 1e-18 / lipschitz:
             step *= 0.5
             cand = w - step * grad
-            cand_value = weighted_loss(model, datasets, weights, cand)
+            cand_value = objective(cand)
         w, value = cand, cand_value
-        grad = weighted_gradient(model, datasets, weights, w)
+        grad = gradient(w)
     raise ConvergenceError(
         f"optimum solver exhausted {max_iter} iterations, "
         f"final gradient norm {np.linalg.norm(grad):.3e} > {tol:.3e}"

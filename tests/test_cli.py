@@ -115,6 +115,13 @@ def test_unknown_field_named(tmp_path, capsys):
     ("bounds", {"mu": DROP}, "mu"),
     ("bounds", {"mu": 3.0}, "mu"),
     ("control", {"control.bogus": 1}, "control.bogus"),
+    ("run", {"schedule.local_agg_period": 0}, "schedule.local_agg_period"),
+    ("run", {"schedule.local_agg_period": -2}, "schedule.local_agg_period"),
+    ("run", {"model.kind": "svm", "dataset.kind": "blobs",
+             "topology.labels_per_device": 0}, "topology.labels_per_device"),
+    ("run", {"model.kind": "svm", "dataset.kind": "blobs", "dataset.num_classes": 4,
+             "model.num_classes": 4, "topology.labels_per_device": 5},
+     "topology.labels_per_device"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
     blob = json.loads(json.dumps(BASE_INPUTS[command]))
@@ -132,6 +139,43 @@ def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, fi
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+
+
+def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):
+    # the label count of a file dataset is known only once it is loaded
+    rows = ["y,x1,x2"] + [f"{i % 3},{0.1 * i},{0.2 * i}" for i in range(30)]
+    data = tmp_path / "points.csv"
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path, overrides={
+        "dataset.kind": "csv", "dataset.path": str(data), "model.kind": "svm",
+        "model.num_classes": 3, "topology.labels_per_device": 4})
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: topology.labels_per_device") and "[1, 3]" in err
+
+
+@pytest.mark.parametrize("command, key, value, internal", [
+    ("bounds", "sigma", -1.0, "sgd_noise"),
+    ("bounds", "delta", -1.0, "inter_delta"),
+    ("bounds", "phi", -1.0, "subnet_noise_budget"),
+    ("bounds", "zeta", -1.0, "inter_zeta"),
+    ("control", "params.delta_c", [-0.1, 0.1], "intra_delta"),
+    ("control", "params.zeta_c", [-0.1, 0.0], "intra_zeta"),
+])
+def test_param_file_errors_name_the_file_keys(tmp_path, capsys, command, key, value,
+                                              internal):
+    blob = json.loads(json.dumps(BASE_INPUTS[command]))
+    *parents, leaf = key.split(".")
+    node = blob
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be nonnegative"), err
+    assert internal not in err
 
 
 def test_config_hash_changes_iff_effective_changes(tmp_path):
@@ -269,6 +313,28 @@ def test_adaptive_delay_sweep_emits_mean_alpha(tmp_path):
     rows = (out / "sweep_schedule_delay.csv").read_text().splitlines()
     metrics = {line.split(",")[3] for line in rows[1:]}
     assert "mean_alpha" in metrics and "mean_tau" in metrics
+
+
+def test_adaptive_manifest_records_estimate_reuse(tmp_path):
+    blob = {
+        "dataset": {"kind": "blobs", "num_classes": 4, "points_per_class": 40,
+                    "feature_dim": 4, "spread": 0.5, "seed": 3},
+        "model": {"kind": "ridge", "regularization": 2.0},
+        "topology": {"num_devices": 4, "num_subnets": 2, "partition_seed": 5},
+        # capture one slot into the interval: the uploads are the synchronized models
+        "schedule": {"mode": "adaptive", "delay": 7, "track_noise_free": False,
+                     "track_optimality": False, "metrics_every": 8},
+        "control": {"phi": 1.0, "tau_max": 8, "tau_min": 8, "horizon": 16,
+                    "initial_tau": 8, "probe_scale": 0.5},
+        "seeds": [0],
+        "batch_size": 5,
+    }
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
+    assert decisions[0]["estimates_reused"] is True
 
 
 def test_idx_dataset_end_to_end(tmp_path):

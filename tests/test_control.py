@@ -308,3 +308,21 @@ def test_run_adaptive_smoke_and_decision_validity():
         == [d.alpha_next for d in res2.decisions]
     assert [d.tau_next for d in res.decisions] \
         == [d.tau_next for d in res2.decisions]
+
+
+def test_run_adaptive_records_reused_estimates():
+    # capture one slot into each interval: the uploads are the synchronized
+    # models, identical across devices, so every estimate is degenerate and
+    # the previous one is kept
+    prob = diverse_problem()
+    config = ControlConfig(phi=2.0 * prob.params.subnet_noise_budget, tau_max=4,
+                           tau_min=4, alpha_step=0.05, horizon=16, initial_tau=4,
+                           probe_scale=0.5)
+    stale = run_adaptive(prob.topology, prob.model, config, seed=3, batch_size=1,
+                         delay=3, w_star=prob.w_star, track_noise_free=False)
+    assert stale.decisions
+    assert stale.decisions[0].estimates_reused
+    # capture at the last slot: the devices have drifted apart, nothing is reused
+    fresh = run_adaptive(prob.topology, prob.model, config, seed=3, batch_size=1,
+                         delay=0, w_star=prob.w_star, track_noise_free=False)
+    assert not any(d.estimates_reused for d in fresh.decisions)
