@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .fleet import FleetTopology, HeterogeneityParams
-from .losses import LossModel
+from .losses import LossModel, _dots, norms
 
 RECONSTRUCT_TOL = 1e-12
 
@@ -473,15 +473,15 @@ def error_terms(device_models: np.ndarray, topology: FleetTopology,
     the subnet companion (single-run sample of the expectation), e2 the
     weighted companion dispersion, e3 the companion optimality gap.
     """
+    companions = noise_free.subnet_models
     v_bar = noise_free.global_model(topology)
-    e1_sq = 0.0
-    e2 = 0.0
-    for c in range(topology.num_subnets):
-        vc = noise_free.subnet_models[c]
-        for i in topology.subnets[c]:
-            diff = device_models[i] - vc
-            e1_sq += topology.subnet_weights[c] * topology.device_weights[i] \
-                * float(diff @ diff)
-        e2 += topology.subnet_weights[c] * float(np.linalg.norm(vc - v_bar))
+    # devices subnet by subnet, members in order; the running sums add the
+    # terms one at a time in that order, as a loop over the devices would
+    order = np.concatenate([np.asarray(m, dtype=np.int64) for m in topology.subnets])
+    subnet = topology.subnet_of[order]
+    weights = topology.subnet_weights[subnet] * topology.device_weights[order]
+    e1_sq = np.add.accumulate(
+        weights * _dots(device_models[order] - companions[subnet]))[-1]
+    e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar))[-1]
     e3 = float(np.linalg.norm(v_bar - w_star))
-    return math.sqrt(e1_sq), e2, e3
+    return math.sqrt(e1_sq), float(e2), e3

@@ -16,6 +16,7 @@ stream of a device does not depend on the topology around it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,13 +25,14 @@ import numpy as np
 from .analysis import NoiseFreeState, error_terms, noise_free_step, noise_free_sync, weighted_mean
 from .errors import (
     BatchSizeError,
+    DivergenceError,
     InfeasibleError,
     ScheduleError,
     SnapshotError,
     WeightSumError,
 )
 from .fleet import FleetTopology, flatten_topology
-from .losses import LossModel
+from .losses import LossModel, _dots
 from .netcost import TAG_SGD, RadioCostModel, stream
 
 METRIC_COLUMNS = ("t", "k", "loss", "gap", "e1", "e2", "e3", "cum_energy", "cum_delay")
@@ -197,6 +199,10 @@ class Protocol:
             self.track_noise_free = False
         self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
 
+        # each subnet's members and rho, the weights checked here once
+        self._members = [np.asarray(m, dtype=np.int64) for m in topology.subnets]
+        self._rho_source = None
+        self._subnet_rho()
         topology.stack.targets(model)      # checks the data against the model once
         smallest = int(topology.stack.counts.min())
         if not 1 <= self.batch_size <= smallest:
@@ -214,12 +220,19 @@ class Protocol:
 
     # -- state helpers ------------------------------------------------
 
+    def _subnet_rho(self) -> list:
+        """Each subnet's rho, checked once per device-weight array of the topology."""
+        weights = self.topology.device_weights
+        if weights is not self._rho_source:
+            rho = [weights[members] for members in self._members]
+            for c, r in enumerate(rho):
+                if abs(r.sum() - 1.0) > 1e-9:
+                    raise WeightSumError(f"subnet {c} weights sum to {r.sum()}")
+            self._rho, self._rho_source = rho, weights
+        return self._rho
+
     def subnet_aggregate(self, values: np.ndarray, c: int) -> np.ndarray:
-        members = list(self.topology.subnets[c])
-        rho = self.topology.device_weights[members]
-        if abs(rho.sum() - 1.0) > 1e-9:
-            raise WeightSumError(f"subnet {c} weights sum to {rho.sum()}")
-        return weighted_mean(values[members], rho)
+        return weighted_mean(values[self._members[c]], self._subnet_rho()[c])
 
     def global_average(self, values: np.ndarray) -> np.ndarray:
         aggs = np.stack([self.subnet_aggregate(values, c)
@@ -245,7 +258,17 @@ class Protocol:
         self.cum_energy += energy
         self.cum_delay += delay
 
+    def _diverged(self, device: int, what: str) -> DivergenceError:
+        return DivergenceError(f"t={self.t}, k={self.k}: device {device} {what}; "
+                               "the step size is too large for this problem")
+
     def _log_row(self):
+        # a model whose squared norm overflows leaves every metric inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norms = _dots(self.w)
+        finite = np.isfinite(sq_norms)
+        if not finite.all():
+            raise self._diverged(int(np.argmin(finite)), "has a non-finite squared norm")
         w_bar = self.global_average(self.w)
         if self.w_star is None:
             gap = float("nan")
@@ -263,6 +286,9 @@ class Protocol:
         else:
             e1 = e2 = e3 = float("nan")
         row.update(e1=e1, e2=e2, e3=e3)
+        if not math.isfinite(row["loss"]):
+            raise self._diverged(int(np.argmax(sq_norms)),
+                                 "has the largest model and the loss is not finite")
         for name in METRIC_COLUMNS:
             self._rows[name].append(row[name])
 

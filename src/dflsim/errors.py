@@ -41,6 +41,10 @@ class SnapshotError(DFLError):
     """Global snapshot captured twice, or synchronization without a snapshot."""
 
 
+class DivergenceError(DFLError):
+    """A device model left the finite floats; message names t, k and the device."""
+
+
 class InfeasibleError(DFLError):
     """Parameter set violates a feasibility inequality; message names it."""
 

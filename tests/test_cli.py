@@ -1,8 +1,13 @@
 """CLI harness: run/sweep/bounds/control/validate, manifests, round trips."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dflsim import cli
@@ -279,6 +284,30 @@ def test_checked_in_minimal_config_runs(tmp_path):
     steps = cfg.effective["schedule"]["num_intervals"] * cfg.effective["schedule"]["tau"]
     rows = (out / "run_seed0_metrics.csv").read_text().splitlines()
     assert len(rows) == 1 + steps + 1
+
+
+def test_divergent_run_exits_1_naming_slot_and_device(tmp_path, capsys):
+    repo_cfg = Path(__file__).resolve().parents[1] / "configs" / "minimal_ridge.json"
+    blob = json.loads(repo_cfg.read_text())
+    blob["schedule"]["eta"] = 50
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"DivergenceError: t=\d+, k=\d+: device \d+ ", err)
+    assert not list(out.glob("*.csv"))
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "dflsim", "validate", "facts", "--quick"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "[PASS]" in done.stdout
 
 
 def test_sweep_alpha_with_ablation_value(tmp_path):

@@ -6,6 +6,7 @@ sums added device by device and subnet by subnet, ``stochastic_gradient``
 on the same stream, and the estimator's norms and maxima.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dflsim import losses
-from dflsim.analysis import NoiseFreeState, noise_free_step
+from dflsim.analysis import NoiseFreeState, error_terms, noise_free_step
 from dflsim.data import Dataset
 from dflsim.fleet import (
     FleetTopology,
@@ -128,6 +129,29 @@ def test_companion_step_equals_the_subnet_loop(case):
     for c in range(topo.num_subnets):
         want = models[c] - 0.1 * looped_subnet_gradient(topo, model, c, models[c])
         assert np.array_equal(got[c], want)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_error_terms_equal_the_device_loop(sizes, dim, seed):
+    # up to 60 devices: a pairwise sum would differ from the loop's order
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(1, 10, sum(sizes))
+    topo = build_topology([Dataset(gen.standard_normal((n, dim)), gen.standard_normal(n))
+                           for n in counts], sizes)
+    device_models = gen.standard_normal((topo.num_devices, dim))
+    state = NoiseFreeState(gen.standard_normal((topo.num_subnets, dim)))
+    w_star = gen.standard_normal(dim)
+    v_bar = state.global_model(topo)
+    e1_sq = e2 = 0.0
+    for c in range(topo.num_subnets):
+        vc = state.subnet_models[c]
+        for i in topo.subnets[c]:
+            diff = device_models[i] - vc
+            e1_sq += topo.subnet_weights[c] * topo.device_weights[i] * float(diff @ diff)
+        e2 += topo.subnet_weights[c] * float(np.linalg.norm(vc - v_bar))
+    want = (math.sqrt(e1_sq), e2, float(np.linalg.norm(v_bar - w_star)))
+    assert error_terms(device_models, topo, state, w_star) == want
 
 
 @given(fleets(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
