@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import config as cfgmod
 from .analysis import compute_constants, feasibility_limits, theorem_bound
 from .control import run_adaptive, solve_p
@@ -109,6 +111,12 @@ def execute_single(effective: dict, seed: int) -> tuple:
     return result, _summarize(result), partition_manifest(topology)
 
 
+def environment() -> dict:
+    """The software the bits rest on: numpy's PCG64 streams and floating point."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "dflsim": __version__}
+
+
 def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
                 workers: int, tag: str = "run") -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,6 +132,7 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
             results[seed] = execute_single(cfg.effective, seed)
 
     manifest = {
+        "environment": environment(),
         "config_hash": cfg.config_hash(),
         "effective_config": cfg.effective,
         "seeds": seeds,

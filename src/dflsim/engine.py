@@ -9,9 +9,11 @@ t_{k+1} - D_down and applied at t_{k+1} through the convex combiner
 (1-alpha)*stale global + alpha*fresh local. FedAvg and hierarchical
 FedAvg are parameterizations of the same loop.
 
-All randomness is drawn from streams keyed by (seed, tag, device, slot),
-so two runs with equal seeds produce bit-identical logs and the sampling
-stream of a device does not depend on the topology around it.
+All randomness is drawn from one stream per (seed, tag, device),
+addressed by the slot: device i's minibatch keys at slot t are draws
+[(t-1)*n_i, t*n_i) of stream (seed, TAG_SGD, i), so two runs with equal
+seeds produce bit-identical logs and the sampling stream of a device does
+not depend on the topology around it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .errors import (
     WeightSumError,
 )
 from .fleet import FleetTopology, flatten_topology
-from .losses import LossModel, _dots
-from .netcost import TAG_SGD, RadioCostModel, stream
+from .losses import CHUNK_ELEMENTS, DeviceStack, LossModel, _dots, minibatch
+from .netcost import TAG_SGD, RadioCostModel, SlotStreams
 
 METRIC_COLUMNS = ("t", "k", "loss", "gap", "e1", "e2", "e3", "cum_energy", "cum_delay")
 
@@ -165,6 +167,53 @@ class RunResult:
 
 ThetaPolicy = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
+# most slots of minibatch keys drawn at once
+SLOT_BLOCK = 64
+
+
+class Minibatches:
+    """Every device's minibatch point indices, slot by slot.
+
+    Device i's keys at slot t are draws [(t-1)*n_i, t*n_i) of stream
+    (seed, TAG_SGD, i), and its minibatch is the b smallest of them
+    (``losses.minibatch``); a device whose data is one batch uses all of
+    it and draws nothing. The keys of an aligned block of S slots are drawn
+    at once, one read per device and one sort per group of equal-n
+    devices (cut into pieces of at most CHUNK_ELEMENTS keys), into one
+    reused buffer. S is at most SLOT_BLOCK and at least 1, and all
+    devices' keys of S slots fit CHUNK_ELEMENTS unless one slot does not.
+    """
+
+    def __init__(self, seed: int, stack: DeviceStack, batch_size: int):
+        self.batch_size = batch_size
+        drawn = int(stack.counts[stack.counts > batch_size].sum())
+        self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(drawn, 1)))
+        self._streams = SlotStreams(seed, TAG_SGD, stack.num_devices)
+        self._batches = np.empty((self.slots, stack.num_devices, batch_size), dtype=np.int64)
+        self._pieces = []           # (device ids, the same as a list, points per device)
+        for devices, _, n in stack.groups:
+            if n == batch_size:
+                self._batches[:, devices] = np.arange(n)
+                continue
+            step = max(1, CHUNK_ELEMENTS // (self.slots * n))
+            self._pieces += [(devices[s:s + step], devices[s:s + step].tolist(), n)
+                             for s in range(0, devices.size, step)]
+        self._keys = np.empty(max((d.size * self.slots * n for d, _, n in self._pieces),
+                                  default=0))
+        self._first = None          # first slot of the block in ``_batches``
+
+    def at(self, t: int) -> np.ndarray:
+        """(D, b) point indices of every device's minibatch at slot t >= 1."""
+        first = t - (t - 1) % self.slots
+        if first != self._first:
+            for devices, rows, n in self._pieces:
+                keys = self._keys[:devices.size * self.slots * n].reshape(devices.size, -1)
+                self._streams.fill(rows, (first - 1) * n, keys)
+                batch = minibatch(keys.reshape(devices.size, self.slots, n), self.batch_size)
+                self._batches[:, devices] = np.swapaxes(batch, 0, 1)
+            self._first = first
+        return self._batches[t - first]
+
 
 class Protocol:
     """Mutable protocol state advanced one interval at a time."""
@@ -207,6 +256,7 @@ class Protocol:
         smallest = int(topology.stack.counts.min())
         if not 1 <= self.batch_size <= smallest:
             raise BatchSizeError(f"batch_size {self.batch_size} outside [1, {smallest}]")
+        self._minibatches = Minibatches(self.seed, topology.stack, self.batch_size)
         self.w = np.tile(w_init, (topology.num_devices, 1))
         self.noise_free = NoiseFreeState(np.tile(w_init, (topology.num_subnets, 1)))
         self.t = 0
@@ -242,16 +292,13 @@ class Protocol:
     def _sgd_gradients(self, t: int) -> np.ndarray:
         """Every device's minibatch gradient at its model, for slot t.
 
-        Device i draws its minibatch from stream (seed, TAG_SGD, i, t-1);
-        a device whose data is one batch uses all of it, in order, and draws
-        nothing (as ``stochastic_gradient`` does).
+        Device i's keys are draws [(t-1)*n_i, t*n_i) of stream
+        (seed, TAG_SGD, i) and its minibatch is the b smallest of them
+        (``losses.minibatch``), as ``stochastic_gradient`` draws them from
+        that stream slot after slot.
         """
-        b = self.batch_size
-        idx = np.empty((self.topology.num_devices, b), dtype=np.int64)
-        for i, n in enumerate(self.topology.stack.counts.tolist()):
-            idx[i] = stream(self.seed, TAG_SGD, i, t - 1).choice(n, size=b, replace=False) \
-                if b < n else np.arange(n)
-        return self.topology.stack.minibatch_gradients(self.model, self.w, idx)
+        return self.topology.stack.minibatch_gradients(
+            self.model, self.w, self._minibatches.at(t))
 
     def _charge(self, t: int, kind: str, subnet: int, energy: float, delay: float):
         self.events.append(CostEvent(t, kind, subnet, energy, delay))

@@ -20,7 +20,7 @@ from .errors import (
     PartitionError,
     TopologyError,
 )
-from .losses import DeviceStack, LossModel, full_gradient, norms, solve_optimum
+from .losses import DeviceStack, LossModel, full_gradient, minibatch, norms, solve_optimum
 
 WEIGHT_TOL = 1e-12
 
@@ -354,9 +354,10 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
                       rng: np.random.Generator, repeats: int = 8) -> float:
     """Conservative sigma estimate: max ||ghat - grad F_i|| over sampled draws.
 
-    Draws go probe by probe, device by device, repeat by repeat. A device
-    with at most ``batch_size`` points has its full data as the minibatch,
-    no draw and a zero gap.
+    Draws go probe by probe, device by device, repeat by repeat, each one
+    the keys of ``stochastic_gradient``. A device with at most
+    ``batch_size`` points has its full data as the minibatch, no draw and
+    a zero gap.
     """
     stack = topology.stack
     if batch_size < 1:
@@ -366,8 +367,8 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
     worst = 0.0
     for w in points if sampled.size else ():
         exact = stack.gradients(model, w[None])[0, sampled]
-        idx = np.array([[rng.choice(int(stack.counts[i]), size=batch_size, replace=False)
-                         for _ in range(repeats)] for i in sampled], dtype=np.int64)
+        idx = np.stack([minibatch(rng.random((repeats, int(stack.counts[i]))), batch_size)
+                        for i in sampled])
         for r in range(repeats):
             ghat = stack.minibatch_gradients(model, np.tile(w, (sampled.size, 1)),
                                              idx[:, r], sampled)

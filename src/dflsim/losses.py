@@ -178,12 +178,32 @@ def point_gradients(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.nda
     return grads + model.regularization * w[None, :]
 
 
+def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
+    """The minibatch of one uniform key per point: the positions of the
+    ``batch_size`` smallest keys along the last axis, in key order.
+
+    This is ``np.argsort(keys, kind="stable")[..., :batch_size]``. It sorts
+    with the faster default kind and re-sorts stably only the rows where
+    two of the first ``batch_size + 1`` sorted keys tie, the only rows
+    where the two kinds can disagree.
+    """
+    order = np.argsort(keys, axis=-1)[..., :batch_size + 1]
+    head = np.take_along_axis(keys, order, axis=-1)
+    tied = (head[..., 1:] == head[..., :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=-1, kind="stable")[..., :batch_size + 1]
+    return order[..., :batch_size]
+
+
 def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,
                         batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Mean gradient over a uniform without-replacement minibatch.
 
-    Unbiased for ``full_gradient``; bit-reproducible given the generator
-    state. ``batch_size == n`` returns the full gradient exactly.
+    The minibatch is the ``batch_size`` smallest of n keys drawn with
+    ``rng.random(n)`` (``minibatch``), the rule the engine applies to each
+    device's stream. Unbiased for ``full_gradient``; bit-reproducible given
+    the generator state. ``batch_size == n`` returns the full gradient
+    exactly and draws nothing.
     """
     model.check_vector(w)
     model.check_dataset(dataset)
@@ -194,7 +214,7 @@ def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,
         )
     if batch_size == dataset.n:
         return full_gradient(model, dataset, w)
-    idx = rng.choice(dataset.n, size=batch_size, replace=False)
+    idx = minibatch(rng.random(dataset.n), batch_size)
     return full_gradient(model, dataset.subset(idx), w)
 
 

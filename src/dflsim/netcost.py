@@ -1,10 +1,15 @@
-"""Wireless/wired communication cost model.
+"""Wireless/wired communication cost model, and the simulator's random streams.
 
 Device-to-edge links use Shannon rates over Rayleigh-faded pathloss
-channels, redrawn per transmission event from a seeded stream keyed by
-(event time, device id). Edge-to-cloud links are wired with a fixed rate
+channels: device d's gain at slot t is its pathloss times -log1p(-U), an
+Exp(1) fading power, where U is draw t of the device's channel stream
+(seed, TAG_CHANNEL, d). Edge-to-cloud links are wired with a fixed rate
 and latency. Energy is additive across transmitters; delay composes as a
 max over parallel device uplinks within a subnet.
+
+Per-device streams are PCG64 generators read with ``Generator.random``,
+which takes exactly one 64-bit output per double, so ``PCG64.advance``
+reaches any draw index directly (``SlotStreams``).
 """
 
 from __future__ import annotations
@@ -24,8 +29,31 @@ TAG_PROBE = 4
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for one (seed, tag, ...) event key."""
+    """Deterministic generator for one (seed, tag, ...) key."""
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
+
+
+class SlotStreams:
+    """One stream per device, ``stream(seed, tag, d)``, read at any draw index.
+
+    ``fill`` positions each device's generator with ``PCG64.advance`` (a
+    no-op when reads follow each other), so what a device draws depends
+    only on (seed, tag, device, index), never on the reads before it.
+    """
+
+    def __init__(self, seed: int, tag: int, num_devices: int):
+        self._generators = [stream(seed, tag, d) for d in range(num_devices)]
+        self._next = [0] * num_devices      # draw index each generator is at
+
+    def fill(self, devices, start: int, out: np.ndarray) -> None:
+        """Row j of ``out`` <- draws start, start+1, ... of device devices[j]."""
+        for d, row in zip(devices, out):
+            gen = self._generators[d]
+            ahead = start - self._next[d]
+            if ahead:
+                gen.bit_generator.advance(ahead)    # a negative delta steps back
+            gen.random(out=row)
+            self._next[d] = start + row.size
 
 
 @dataclass(frozen=True)
@@ -63,16 +91,6 @@ def dbm_per_hz_to_w_per_hz(density_dbm_hz: float) -> float:
     return 10.0 ** ((density_dbm_hz - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    coefficient: complex
-    distance_m: float
-
-    @property
-    def gain(self) -> float:
-        return abs(self.coefficient) ** 2
-
-
 def pathloss_gain(radio: RadioConfig, distance_m: float) -> float:
     """Linear large-scale gain: ref gain minus 10*exponent*log10(d/d0) in dB."""
     loss_db = radio.pathloss_ref_db - 10.0 * radio.pathloss_exponent \
@@ -80,17 +98,19 @@ def pathloss_gain(radio: RadioConfig, distance_m: float) -> float:
     return 10.0 ** (loss_db / 10.0)
 
 
-def draw_channel(radio: RadioConfig, distance_m: float,
-                 rng: np.random.Generator) -> ChannelRealization:
-    """Rayleigh-faded channel: sqrt(pathloss) times a unit complex normal."""
-    u = complex(rng.normal(0.0, math.sqrt(0.5)), rng.normal(0.0, math.sqrt(0.5)))
-    return ChannelRealization(math.sqrt(pathloss_gain(radio, distance_m)) * u, distance_m)
+def fading_gains(pathloss, uniforms: np.ndarray) -> np.ndarray:
+    """Rayleigh-faded channel gains pathloss * -log1p(-U) from uniforms U in [0, 1).
+
+    -log1p(-U) is Exp(1): the law of |CN(0, 1)|^2, the power of a unit
+    complex normal fading coefficient.
+    """
+    return pathloss * -np.log1p(-uniforms)
 
 
-def shannon_rate(radio: RadioConfig, channel_gain: float, tx_power_w: float) -> float:
-    """Achievable bit/s for one device uplink."""
-    snr = tx_power_w * channel_gain / radio.noise_power_w
-    return radio.bandwidth_hz * math.log2(1.0 + snr)
+def shannon_rate(radio: RadioConfig, channel_gain, tx_power_w: float):
+    """Achievable bit/s of a device uplink (elementwise over gains)."""
+    snr = tx_power_w * np.asarray(channel_gain, dtype=np.float64) / radio.noise_power_w
+    return radio.bandwidth_hz * np.log2(1.0 + snr)
 
 
 def aggregation_energy(radio: RadioConfig, model_bits: int, rates: np.ndarray,
@@ -133,8 +153,19 @@ def place_devices(radio: RadioConfig, num_devices: int, seed: int) -> np.ndarray
     return np.hypot(xy[:, 0], xy[:, 1])
 
 
+# slots of uplink rates the channel table holds between refills
+CHANNEL_BLOCK = 64
+
+
 class RadioCostModel:
-    """Per-event cost source for a fleet with fixed device placements."""
+    """Per-event cost source for a fleet with fixed device placements.
+
+    Every device's uplink rate is kept in one (devices, CHANNEL_BLOCK)
+    table covering an aligned block of slots; an event outside the block
+    refills the table from the channel streams. ``local_event`` and
+    ``snapshot`` both read the table, so a snapshot at t prices exactly
+    the events charged at t.
+    """
 
     def __init__(self, radio: RadioConfig, model_dim: int, num_devices: int,
                  subnets, seed: int, distances: np.ndarray | None = None):
@@ -145,14 +176,20 @@ class RadioCostModel:
         if distances is None:
             distances = place_devices(radio, num_devices, seed)
         self.distances = np.asarray(distances, dtype=np.float64)
+        self._pathloss = np.array([pathloss_gain(radio, d) for d in self.distances.tolist()])
+        self._channels = SlotStreams(self.seed, TAG_CHANNEL, self.distances.size)
+        self._uniforms = np.empty((self.distances.size, CHANNEL_BLOCK))
+        self._rates = None
+        self._first = None          # first slot of the table
 
     def device_rates(self, t: int, members) -> np.ndarray:
-        rates = np.empty(len(members))
-        for pos, dev in enumerate(members):
-            rng = stream(self.seed, TAG_CHANNEL, t, dev)
-            chan = draw_channel(self.radio, float(self.distances[dev]), rng)
-            rates[pos] = shannon_rate(self.radio, chan.gain, self.radio.device_tx_power_w)
-        return rates
+        first = t - t % CHANNEL_BLOCK
+        if first != self._first:
+            self._channels.fill(range(self.distances.size), first, self._uniforms)
+            gains = fading_gains(self._pathloss[:, None], self._uniforms)
+            self._rates = shannon_rate(self.radio, gains, self.radio.device_tx_power_w)
+            self._first = first
+        return self._rates[list(members), t - first]
 
     def local_event(self, t: int, subnet: int) -> tuple[float, float]:
         members = self.subnets[subnet]

@@ -39,13 +39,14 @@ from dflsim.errors import InfeasibleError
 from dflsim.fleet import build_topology, partition_label_skew
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
 from dflsim.netcost import (
+    TAG_CHANNEL,
     TAG_SGD,
     CostSnapshot,
     RadioConfig,
     RadioCostModel,
     aggregation_delay,
     aggregation_energy,
-    draw_channel,
+    pathloss_gain,
     shannon_rate,
     stream,
     wall_clock_to_iterations,
@@ -275,7 +276,10 @@ def test_criterion_7_protocol_collapse():
     w = np.zeros(3)
     ref = [w.copy()]
     for t in range(1, steps + 1):
-        g = stochastic_gradient(model, ds, w, batch, stream(42, TAG_SGD, 0, t - 1))
+        # slot t reads draws [(t-1)*n, t*n) of the device's stream
+        gen = stream(42, TAG_SGD, 0)
+        gen.bit_generator.advance((t - 1) * ds.n)
+        g = stochastic_gradient(model, ds, w, batch, gen)
         w = w - eta * g
         ref.append(w.copy())
     identical = np.array_equal(np.asarray(traj), np.asarray(ref))
@@ -426,10 +430,13 @@ def test_criterion_10_cost_anchors():
     members = topo.subnets[ev.subnet]
     rates = []
     for dev in members:
-        chan = draw_channel(radio, float(cost_model.distances[dev]),
-                            stream(13, 2, ev.t, dev))
+        # slot t's fading power is -log1p(-U), U draw t of the device's stream
+        gen = stream(13, TAG_CHANNEL, dev)
+        gen.bit_generator.advance(ev.t)
+        gain = pathloss_gain(radio, float(cost_model.distances[dev])) \
+            * -math.log1p(-gen.random())
         rates.append(radio.bandwidth_hz * math.log2(
-            1.0 + 0.25 * chan.gain / noise_w))
+            1.0 + 0.25 * gain / noise_w))
     hand_energy = sum(model.model_dim * 32 * 0.25 / r for r in rates)
     hand_delay = max(model.model_dim * 32 / r for r in rates)
     event_err = max(abs(hand_energy - ev.energy_j) / hand_energy,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dflsim
 from dflsim import cli
 from dflsim.config import parse_config, load_config
 
@@ -67,6 +69,16 @@ def test_run_smoke_and_row_count(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seeds"] == [0]
     assert "final_loss" in manifest["summary"]["0"]
+
+
+def test_manifest_stamps_the_environment(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "dflsim": dflsim.__version__}
 
 
 def test_run_byte_identical(tmp_path):

@@ -121,7 +121,9 @@ def test_collapse_to_centralized_sgd_bitwise():
     w = np.zeros(3)
     ref = [w.copy()]
     for t in range(1, 201):
-        g = stochastic_gradient(model, ds, w, 5, stream(42, TAG_SGD, 0, t - 1))
+        gen = stream(42, TAG_SGD, 0)
+        gen.bit_generator.advance((t - 1) * ds.n)
+        g = stochastic_gradient(model, ds, w, 5, gen)
         w = w - 0.05 * g
         ref.append(w.copy())
     np.testing.assert_array_equal(np.asarray(traj), np.asarray(ref))
@@ -189,8 +191,9 @@ def straight_line_protocol(topo, model, seed, batch, num_intervals, tau, alpha,
             tcur = t + step
             tent = []
             for i in range(I):
-                g = stochastic_gradient(model, topo.datasets[i], w[i], batch,
-                                        stream(seed, TAG_SGD, i, tcur - 1))
+                gen = stream(seed, TAG_SGD, i)
+                gen.bit_generator.advance((tcur - 1) * topo.datasets[i].n)
+                g = stochastic_gradient(model, topo.datasets[i], w[i], batch, gen)
                 tent.append(w[i] - eta * g)
             aggs = []
             for c in range(N):

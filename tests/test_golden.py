@@ -20,17 +20,17 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = {
     "adaptive_demo": (
         "9659029f52270b495ffe10872651f514cd9055c1450f09d30fa20e7bfc73a612",
-        "1e2e47a3584a081dba23db327afd7a3a0b4ffe3270e8046994f34f2ba0189721",
-        "a7b5197922ffceb39a9fb6413a0f7d215b9794b5dc458fab6b7355bfbc503ddc",
+        "b8ec214735c277ac564764488c37ec338e91367dbd70506e02bfbd5e97beb1ad",
+        "372f055f356988e9fb90ac068fa65396417b78c6f5f2ee8f954c577655ed95ae",
     ),
     "label_skew_svm": (
         "b7e2761d545231ad52da599a5aa36db1c066dba08d88415b75f34c56fd356ed7",
-        "2f250f809aa12d23403e1aa77c97e968c682b76cfd313b642b38e68d60380448",
-        "28c6e3a083bae27b31d4b57366fd075376a0ef475d222305df8ccc63869ae216",
+        "afedf8b4adce41e1790ff4b8ec177e89f40b042e5a1e148ae004c9a100a098e4",
+        "9f92db5d567d77a7779b014bb2a1449a25b46b51e8803d75fb9593b9252e5011",
     ),
     "minimal_ridge": (
         "21cde20e3d4c758cfdad8d14738e4bdf0e64070c0d729452d31c1d6730adbaec",
-        "cd8d5c00269ad8b28763c32a98149adb1f213c032a889c2a2c605bd65329335c",
+        "7b11f95bdffc888b9f88be24e03a772ce10e56d71d30016ad05d9dbd701c6ef8",
         "659467e3949491f0f8545002e28f21f53c3efe8402922fdf766decbf940cfe1e",
     ),
 }

@@ -18,7 +18,7 @@ from dflsim.netcost import (
     aggregation_delay,
     aggregation_energy,
     dbm_per_hz_to_w_per_hz,
-    draw_channel,
+    fading_gains,
     global_aggregation_cost,
     pathloss_gain,
     place_devices,
@@ -103,10 +103,22 @@ def test_pathloss_reference_point():
 
 
 def test_channel_draw_deterministic_and_positive():
-    a = draw_channel(RADIO, 5.0, stream(1, 2, 7, 3))
-    b = draw_channel(RADIO, 5.0, stream(1, 2, 7, 3))
-    assert a.coefficient == b.coefficient
-    assert a.gain > 0
+    subnets = ((0, 1, 2), (3, 4))
+    a = RadioCostModel(RADIO, 10, 5, subnets, seed=1)
+    b = RadioCostModel(RADIO, 10, 5, subnets, seed=1)
+    for t in (7, 3, 130, 7):        # out of order: the table refills and steps back
+        assert np.array_equal(a.device_rates(t, range(5)), b.device_rates(t, range(5)))
+        assert (a.device_rates(t, range(5)) > 0).all()
+    assert not np.array_equal(a.device_rates(7, range(5)), a.device_rates(8, range(5)))
+
+
+def test_fading_power_is_unit_exponential():
+    # |CN(0, 1)|^2 is Exp(1): mean 1, variance 1, P(> 1) = 1/e
+    power = fading_gains(1.0, stream(1, 2, 0).random(200_000))
+    assert abs(power.mean() - 1.0) < 0.01
+    assert abs(power.var() - 1.0) < 0.03
+    assert abs(np.mean(power > 1.0) - math.exp(-1.0)) < 0.005
+    assert (power >= 0).all()
 
 
 def test_placement_in_field():

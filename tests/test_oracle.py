@@ -1,21 +1,25 @@
-"""The fleet-batched gradient oracle against the single-device calls.
+"""The fleet-batched gradient oracle and the slot-addressed streams against
+the single-device calls.
 
 Every stacked result must equal, bit for bit, the per-device loop it
 replaces: ``full_gradient`` per (point, device), the subnet and global
 sums added device by device and subnet by subnet, ``stochastic_gradient``
-on the same stream, and the estimator's norms and maxima.
+on the same stream, and the estimator's norms and maxima. The engine's
+minibatches and the channel table must equal what each device's own
+stream, advanced to the slot, gives.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import losses
 from dflsim.analysis import NoiseFreeState, error_terms, noise_free_step
 from dflsim.data import Dataset
+from dflsim.engine import Protocol, TrainingSchedule, run_training
 from dflsim.fleet import (
     FleetTopology,
     build_topology,
@@ -24,7 +28,14 @@ from dflsim.fleet import (
     measure_smoothness_convexity,
 )
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, loss, norms, stochastic_gradient
-from dflsim.netcost import TAG_SGD, stream
+from dflsim.netcost import (
+    TAG_CHANNEL,
+    TAG_SGD,
+    RadioConfig,
+    RadioCostModel,
+    pathloss_gain,
+    stream,
+)
 
 
 @st.composite
@@ -47,6 +58,13 @@ def fleets(draw):
     # a small budget splits blocks and points into several kernel calls
     budget = draw(st.sampled_from([1, 7, 40, losses.CHUNK_ELEMENTS]))
     return build_topology(datasets, sizes), model, points, budget
+
+
+def slot_stream(seed, device, draws, tag=TAG_SGD):
+    """The device's stream (seed, tag, device) advanced past its first ``draws`` draws."""
+    gen = stream(seed, tag, device)
+    gen.bit_generator.advance(draws)
+    return gen
 
 
 def looped_subnet_gradient(topo: FleetTopology, model, c, w):
@@ -103,15 +121,88 @@ def test_minibatch_form_equals_stochastic_gradient(case, t, batch):
     topo, model, points, _ = case
     batch = min(batch, int(topo.stack.counts.min()))
     W = points[np.arange(topo.num_devices) % len(points)]
-    # the engine's draws: one stream per (device, slot); a device whose data
-    # is one batch takes all of it and draws nothing
-    idx = np.array([stream(5, TAG_SGD, i, t).choice(n, size=batch, replace=False)
+    # the engine's draws at slot t+1: draws [t*n, (t+1)*n) of each device's
+    # stream; a device whose data is one batch takes all of it and draws nothing
+    idx = np.array([np.argsort(slot_stream(5, i, t * n).random(n), kind="stable")[:batch]
                     if batch < n else np.arange(n)
                     for i, n in enumerate(topo.stack.counts.tolist())])
     got = topo.stack.minibatch_gradients(model, W, idx)
     for i, ds in enumerate(topo.datasets):
-        want = stochastic_gradient(model, ds, W[i], batch, stream(5, TAG_SGD, i, t))
+        want = stochastic_gradient(model, ds, W[i], batch, slot_stream(5, i, t * ds.n))
         assert np.array_equal(got[i], want)
+
+
+def engine_minibatch(proto, t):
+    """The (D, b) point indices the engine's SGD step uses at slot t."""
+    with mock.patch.object(proto.topology.stack, "minibatch_gradients") as spy:
+        proto._sgd_gradients(t)
+    return spy.call_args.args[2].copy()
+
+
+def stream_minibatch(seed, i, n, batch, t):
+    """Device i's minibatch at slot t from its own stream, advanced by (t-1)*n draws."""
+    if batch == n:
+        return np.arange(n)
+    return np.argsort(slot_stream(seed, i, (t - 1) * n).random(n), kind="stable")[:batch]
+
+
+@given(fleets(), st.integers(1, 9), st.lists(st.integers(1, 300), min_size=1, max_size=6))
+def test_engine_minibatches_equal_the_device_streams(case, batch, slots):
+    topo, model, _, _ = case
+    batch = min(batch, int(topo.stack.counts.min()))
+    proto = Protocol(topo, model, seed=5, batch_size=batch, w_star=None)
+    for t in slots:     # any order: a slot is read at its own draw index
+        got = engine_minibatch(proto, t)
+        for i, n in enumerate(topo.stack.counts.tolist()):
+            assert np.array_equal(got[i], stream_minibatch(5, i, n, batch, t))
+
+
+@given(fleets(), st.integers(1, 9), st.integers(1, 60))
+def test_device_draws_do_not_depend_on_the_subnet_split(case, batch, t):
+    topo, model, _, _ = case
+    batch = min(batch, int(topo.stack.counts.min()))
+    datasets = list(topo.datasets)
+    splits = [topo, build_topology(datasets, [len(datasets)]),
+              build_topology(datasets, [1] * len(datasets))]
+    draws = [engine_minibatch(Protocol(split, model, seed=9, batch_size=batch, w_star=None), t)
+             for split in splits]
+    assert all(np.array_equal(draws[0], other) for other in draws[1:])
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 400), min_size=1, max_size=8))
+def test_channel_table_equals_the_device_streams(num_devices, seed, slots):
+    radio = RadioConfig()
+    cost = RadioCostModel(radio, 10, num_devices, (tuple(range(num_devices)),), seed)
+    for t in slots:
+        got = cost.device_rates(t, range(num_devices))
+        for d in range(num_devices):
+            u = slot_stream(seed, d, t, tag=TAG_CHANNEL).random()
+            gain = pathloss_gain(radio, float(cost.distances[d])) * -np.log1p(-u)
+            snr = radio.device_tx_power_w * gain / radio.noise_power_w
+            assert got[d] == radio.bandwidth_hz * np.log2(1.0 + snr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(1, 4), st.integers(0, 2**16))
+def test_snapshot_prices_the_capture_events(tau, delay, period, seed):
+    delay = min(delay, tau - 1)
+    gen = np.random.default_rng(seed)
+    parts = [Dataset(gen.standard_normal((6, 2)), gen.standard_normal(6)) for _ in range(5)]
+    topo = build_topology(parts, [2, 3])
+    model = LossModel(RIDGE, feature_dim=2, regularization=0.2)
+    cost = RadioCostModel(RadioConfig(), model.model_dim, 5, topo.subnets, seed)
+    sched = TrainingSchedule.uniform(12, tau, alpha=0.3, eta=0.05, delay=delay,
+                                     local_agg_period=period, num_subnets=2)
+    res = run_training(topo, model, sched, seed=seed, batch_size=3, cost_model=cost,
+                       w_star=None)
+    for capture in (sched.sync_times - delay)[::-1].tolist():   # the table steps back
+        snap = cost.snapshot(capture)
+        charged = [ev for ev in res.events if ev.t == capture and ev.kind == "local"]
+        assert sorted(ev.subnet for ev in charged) == [0, 1]
+        for ev in charged:
+            assert (snap.local_energy[ev.subnet], snap.local_delay[ev.subnet]) \
+                == (ev.energy_j, ev.delay_s)
 
 
 @given(fleets())
