@@ -132,6 +132,17 @@ def test_minibatch_form_equals_stochastic_gradient(case, t, batch):
         assert np.array_equal(got[i], want)
 
 
+@given(st.data(), st.integers(1, 4), st.integers(1, 9))
+def test_minibatch_is_the_stable_argsort_under_ties(data, rows, n):
+    # keys from four values tie often; a stable sort breaks ties by position
+    keys = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                                       min_size=rows * n, max_size=rows * n)))
+    batch = data.draw(st.integers(1, n))
+    for shaped in (keys.reshape(rows, n), keys[:n]):
+        want = np.argsort(shaped, axis=-1, kind="stable")[..., :batch]
+        assert np.array_equal(losses.minibatch(shaped, batch), want)
+
+
 def engine_minibatch(proto, t):
     """The (D, b) point indices the engine's SGD step uses at slot t."""
     with mock.patch.object(proto.topology.stack, "minibatch_gradients") as spy:
