@@ -179,15 +179,16 @@ class Minibatches:
     (``losses.minibatch``); a device whose data is one batch uses all of
     it and draws nothing. The keys of an aligned block of S slots are drawn
     at once, one read per device and one sort per group of equal-n
-    devices (cut into pieces of at most CHUNK_ELEMENTS keys), into one
-    reused buffer. S is at most SLOT_BLOCK and at least 1, and all
-    devices' keys of S slots fit CHUNK_ELEMENTS unless one slot does not.
+    devices, into one reused buffer. The keys and their sort order take
+    at most CHUNK_ELEMENTS elements together (groups are cut into pieces
+    that do), unless one device's keys of one slot do not: S is as large
+    as that allows, at most SLOT_BLOCK and at least 1.
     """
 
     def __init__(self, seed: int, stack: DeviceStack, batch_size: int):
         self.batch_size = batch_size
         drawn = int(stack.counts[stack.counts > batch_size].sum())
-        self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(drawn, 1)))
+        self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(2 * drawn, 1)))
         self._streams = SlotStreams(seed, TAG_SGD, stack.num_devices)
         self._batches = np.empty((self.slots, stack.num_devices, batch_size), dtype=np.int64)
         self._pieces = []           # (device ids, the same as a list, points per device)
@@ -195,7 +196,7 @@ class Minibatches:
             if n == batch_size:
                 self._batches[:, devices] = np.arange(n)
                 continue
-            step = max(1, CHUNK_ELEMENTS // (self.slots * n))
+            step = max(1, CHUNK_ELEMENTS // (2 * self.slots * n))
             self._pieces += [(devices[s:s + step], devices[s:s + step].tolist(), n)
                              for s in range(0, devices.size, step)]
         self._keys = np.empty(max((d.size * self.slots * n for d, _, n in self._pieces),
@@ -307,7 +308,7 @@ class Protocol:
 
     def _diverged(self, device: int, what: str) -> DivergenceError:
         return DivergenceError(f"t={self.t}, k={self.k}: device {device} {what}; "
-                               "the step size is too large for this problem")
+                               "the run diverged")
 
     def _log_row(self):
         # a model whose squared norm overflows leaves every metric inf or NaN

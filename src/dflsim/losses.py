@@ -180,19 +180,9 @@ def point_gradients(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.nda
 
 def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
     """The minibatch of one uniform key per point: the positions of the
-    ``batch_size`` smallest keys along the last axis, in key order.
-
-    This is ``np.argsort(keys, kind="stable")[..., :batch_size]``. It sorts
-    with the faster default kind and re-sorts stably only the rows where
-    two of the first ``batch_size + 1`` sorted keys tie, the only rows
-    where the two kinds can disagree.
-    """
-    order = np.argsort(keys, axis=-1)[..., :batch_size + 1]
-    head = np.take_along_axis(keys, order, axis=-1)
-    tied = (head[..., 1:] == head[..., :-1]).any(axis=-1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=-1, kind="stable")[..., :batch_size + 1]
-    return order[..., :batch_size]
+    ``batch_size`` smallest keys along the last axis, in key order (the
+    sort is stable, so equal keys keep their point order)."""
+    return np.argsort(keys, axis=-1, kind="stable")[..., :batch_size]
 
 
 def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,

@@ -109,7 +109,7 @@ def fading_gains(pathloss, uniforms: np.ndarray) -> np.ndarray:
 
 def shannon_rate(radio: RadioConfig, channel_gain, tx_power_w: float):
     """Achievable bit/s of a device uplink (elementwise over gains)."""
-    snr = tx_power_w * np.asarray(channel_gain, dtype=np.float64) / radio.noise_power_w
+    snr = tx_power_w * channel_gain / radio.noise_power_w
     return radio.bandwidth_hz * np.log2(1.0 + snr)
 
 
