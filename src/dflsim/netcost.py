@@ -42,11 +42,16 @@ class SlotStreams:
     """
 
     def __init__(self, seed: int, tag: int, num_devices: int):
-        self._generators = [stream(seed, tag, d) for d in range(num_devices)]
+        self._keys = [(seed, tag, d) for d in range(num_devices)]
+        # built at the first read: each costs a SeedSequence, and the first
+        # one in a process imports numpy.random (about 14 ms)
+        self._generators = None
         self._next = [0] * num_devices      # draw index each generator is at
 
     def fill(self, devices, start: int, out: np.ndarray) -> None:
         """Row j of ``out`` <- draws start, start+1, ... of device devices[j]."""
+        if self._generators is None:
+            self._generators = [stream(*key) for key in self._keys]
         for d, row in zip(devices, out):
             gen = self._generators[d]
             ahead = start - self._next[d]
