@@ -440,12 +440,7 @@ class NoiseFreeState:
     subnet_models: np.ndarray  # (N, M)
 
     def global_model(self, topology: FleetTopology) -> np.ndarray:
-        return weighted_mean(self.subnet_models, topology.subnet_weights)
-
-
-def weighted_mean(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Deterministic weighted average (elementwise product + pairwise sum)."""
-    return np.sum(np.asarray(weights)[:, None] * np.asarray(vectors), axis=0)
+        return topology.global_sums(self.subnet_models)
 
 
 def noise_free_step(state: NoiseFreeState, topology: FleetTopology,

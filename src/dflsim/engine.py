@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import NoiseFreeState, error_terms, noise_free_step, noise_free_sync, weighted_mean
+from .analysis import NoiseFreeState, error_terms, noise_free_step, noise_free_sync
 from .errors import (
     BatchSizeError,
     DivergenceError,
@@ -249,10 +249,8 @@ class Protocol:
             self.track_noise_free = False
         self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
 
-        # each subnet's members and rho, the weights checked here once
-        self._members = [np.asarray(m, dtype=np.int64) for m in topology.subnets]
-        self._rho_source = None
-        self._subnet_rho()
+        self._checked_weights = None
+        self._check_weights()
         topology.stack.targets(model)      # checks the data against the model once
         smallest = int(topology.stack.counts.min())
         if not 1 <= self.batch_size <= smallest:
@@ -271,24 +269,22 @@ class Protocol:
 
     # -- state helpers ------------------------------------------------
 
-    def _subnet_rho(self) -> list:
-        """Each subnet's rho, checked once per device-weight array of the topology."""
-        weights = self.topology.device_weights
-        if weights is not self._rho_source:
-            rho = [weights[members] for members in self._members]
-            for c, r in enumerate(rho):
-                if abs(r.sum() - 1.0) > 1e-9:
-                    raise WeightSumError(f"subnet {c} weights sum to {r.sum()}")
-            self._rho, self._rho_source = rho, weights
-        return self._rho
+    def _check_weights(self) -> FleetTopology:
+        """The topology, its rho checked once per device-weight array."""
+        topo = self.topology
+        if topo.device_weights is not self._checked_weights:
+            sums = topo.subnet_sums(np.ones((topo.num_devices, 1)))[:, 0]
+            for c in np.flatnonzero(np.abs(sums - 1.0) > 1e-9):
+                raise WeightSumError(f"subnet {c} weights sum to {sums[c]}")
+            self._checked_weights = topo.device_weights
+        return topo
 
     def subnet_aggregate(self, values: np.ndarray, c: int) -> np.ndarray:
-        return weighted_mean(values[self._members[c]], self._subnet_rho()[c])
+        return self._check_weights().subnet_sums(values)[c]
 
     def global_average(self, values: np.ndarray) -> np.ndarray:
-        aggs = np.stack([self.subnet_aggregate(values, c)
-                         for c in range(self.topology.num_subnets)])
-        return weighted_mean(aggs, self.topology.subnet_weights)
+        topo = self._check_weights()
+        return topo.global_sums(topo.subnet_sums(values))
 
     def _sgd_gradients(self, t: int) -> np.ndarray:
         """Every device's minibatch gradient at its model, for slot t.
@@ -349,7 +345,7 @@ class Protocol:
                 "alpha = 1 never synchronizes with the global model; "
                 "enable allow_alpha_one for ablation runs"
             )
-        topo = self.topology
+        topo = self._check_weights()
         n_sub = topo.num_subnets
         t0 = self.t
         t_end = t0 + plan.tau
@@ -357,15 +353,13 @@ class Protocol:
         snapshot = v_snapshot = None
         stale_models = stale_grads = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
-        members = [list(m) for m in topo.subnets]
         scheduled = plan.indicators(n_sub) if theta_policy is None else None
 
         for step in range(1, plan.tau + 1):
             t = t0 + step
             grads = self._sgd_gradients(t)
             tentative = self.w - plan.eta * grads
-            aggregates = np.stack([self.subnet_aggregate(tentative, c)
-                                   for c in range(n_sub)])
+            aggregates = topo.subnet_sums(tentative)
             if theta_policy is not None:
                 theta = np.asarray(theta_policy(t, tentative, aggregates), dtype=bool)
             else:
@@ -374,7 +368,7 @@ class Protocol:
             if t == capture_t:
                 if snapshot is not None or self._pending_snapshot is not None:
                     raise SnapshotError(f"duplicate snapshot capture at t={t}")
-                snapshot = weighted_mean(aggregates, topo.subnet_weights)
+                snapshot = topo.global_sums(aggregates)
                 self._pending_snapshot = snapshot
                 stale_models = self.w.copy()       # models the estimates pair with
                 stale_grads = grads.copy()
@@ -398,17 +392,16 @@ class Protocol:
             sync = t == t_end
             if sync and snapshot is None:
                 raise SnapshotError("synchronization without a captured snapshot")
-            for c in range(n_sub):
-                local = aggregates[c] if theta[c] else tentative[members[c]]
-                # the combiner applies at synchronization only
-                self.w[members[c]] = (1.0 - plan.alpha) * snapshot + plan.alpha * local \
-                    if sync else local
-                if theta[c]:
-                    theta_counts[c] += 1
-                    # a triggered aggregation in the capture slot rides the uplink
-                    if self.cost_model is not None and t != capture_t:
-                        energy, delay_s = self.cost_model.local_event(t, c)
-                        self._charge(t, "local", c, energy, delay_s)
+            local = np.where(theta[topo.subnet_of][:, None],
+                             aggregates[topo.subnet_of], tentative)
+            # the combiner applies at synchronization only
+            self.w = (1.0 - plan.alpha) * snapshot + plan.alpha * local if sync else local
+            theta_counts += theta
+            # a triggered aggregation in the capture slot rides the uplink
+            if self.cost_model is not None and t != capture_t:
+                for c in np.flatnonzero(theta).tolist():
+                    energy, delay_s = self.cost_model.local_event(t, c)
+                    self._charge(t, "local", c, energy, delay_s)
             if self.track_noise_free:
                 self.noise_free = noise_free_sync(v_tent, plan.alpha, v_snapshot) \
                     if sync else v_tent

@@ -34,9 +34,10 @@ class FleetTopology:
     (varrho); both families sum to one.
 
     The device data is stored once, in ``stack``; ``datasets`` are views
-    of it. Subnet and global sums add device by device within a subnet,
-    then subnet by subnet: the order of the single-point loops, so a
-    batched sum equals the looped one bit for bit.
+    of it. Subnet and global sums, the fleet's only reductions, add
+    device by device within a subnet, then subnet by subnet: the order of
+    the single-point loops, so a batched sum equals the looped one bit for
+    bit.
     """
 
     subnets: tuple[tuple[int, ...], ...]
@@ -45,6 +46,8 @@ class FleetTopology:
     subnet_weights: np.ndarray
     subnet_of: np.ndarray = field(init=False)
     stack: DeviceStack = field(init=False, repr=False, compare=False)
+    # (subnet rows, member ids) of member j of every subnet that has one, j = 0, 1, ...
+    positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -64,6 +67,12 @@ class FleetTopology:
         if abs(self.subnet_weights.sum() - 1.0) > 1e-9:
             raise TopologyError("subnet weights must sum to 1")
         object.__setattr__(self, "subnet_of", subnet_of)
+        positions = []
+        for j in range(max(len(m) for m in self.subnets)):
+            subnets = [c for c, m in enumerate(self.subnets) if len(m) > j]
+            rows = slice(None) if len(subnets) == len(self.subnets) else np.array(subnets)
+            positions.append((rows, np.array([self.subnets[c][j] for c in subnets])))
+        object.__setattr__(self, "positions", tuple(positions))
         stack = DeviceStack(self.datasets)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "datasets", stack.datasets())
@@ -88,11 +97,8 @@ class FleetTopology:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
         weighted = self.device_weights[:, None] * values
         out = np.zeros(values.shape[:-2] + (self.num_subnets, values.shape[-1]))
-        # member j of every subnet at once, j = 0, 1, ...: each subnet still
-        # adds its members in order
-        for j in range(max(len(m) for m in self.subnets)):
-            subnets = [c for c, m in enumerate(self.subnets) if len(m) > j]
-            members = [self.subnets[c][j] for c in subnets]
+        # member j of every subnet at once: each subnet adds its members in order
+        for subnets, members in self.positions:
             out[..., subnets, :] += weighted[..., members, :]
         return out
 

@@ -24,7 +24,6 @@ from .analysis import (
     one_step_bounds,
     proposition_step,
     theorem_bound,
-    weighted_mean,
 )
 from .control import (
     ControlConfig,
@@ -91,12 +90,8 @@ def certified_ridge_fleet(device_labels, subnet_sizes, direction=(1.0, 0.0),
     mu = regularization
     beta = regularization + x_sq
     dev_means = np.array([np.mean(labels) for labels in device_labels])
-    sub_means = np.array([
-        weighted_mean(dev_means[list(members)][:, None],
-                      topology.device_weights[list(members)])[0]
-        for members in topology.subnets
-    ])
-    global_mean = float(weighted_mean(sub_means[:, None], topology.subnet_weights)[0])
+    sub_means = topology.subnet_sums(dev_means[:, None])[:, 0]
+    global_mean = float(topology.global_sums(sub_means[:, None])[0])
     delta = float(np.max(np.abs(sub_means - global_mean))) * math.sqrt(x_sq)
     delta_c = np.array([
         max(abs(dev_means[i] - sub_means[c]) for i in members)
