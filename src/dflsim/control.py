@@ -89,6 +89,10 @@ class ControlDecision:
     objective: float
     fallback: bool = False
     estimates_reused: bool = False   # the uploads were degenerate; previous estimates kept
+    # the interval that ended here: local aggregations per subnet (realized,
+    # next to the forecast agg_counts) and the delay after the tau - 1 clamp
+    theta_counts: tuple = ()
+    delay_eff: int | None = None
 
 
 def select_step_size(params: HeterogeneityParams, tau: int, delay: int,
@@ -334,9 +338,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
             reused = True    # degenerate uploads: keep the previous estimates
 
         # grad F at the snapshot, then at every subnet aggregate of the uploads
-        points = np.stack([outcome.snapshot] + [
-            proto.subnet_aggregate(outcome.stale_models, c)
-            for c in range(topology.num_subnets)])
+        points = np.vstack([outcome.snapshot, topology.subnet_sums(outcome.stale_models)])
         grad_norms = norms(topology.global_gradients(model, points))
         e3_init = float(grad_norms[0]) / params_hat.mu
         gap_estimates = grad_norms[1:] / params_hat.mu
@@ -348,7 +350,8 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                                proto.t, delay, e3_init, gap_estimates)
         except InfeasibleError:
             decision = fallback_decision(delay, config.horizon - proto.t)
-        decisions.append(replace(decision, estimates_reused=reused))
+        decisions.append(replace(decision, estimates_reused=reused, delay_eff=delay_eff,
+                                 theta_counts=tuple(outcome.theta_counts.tolist())))
         tau_next, alpha_next = decision.tau_next, decision.alpha_next
 
     return proto.result(sync_times=np.asarray(sync_times), decisions=decisions)

@@ -378,6 +378,42 @@ def test_adaptive_manifest_records_estimate_reuse(tmp_path):
     assert decisions[0]["estimates_reused"] is True
 
 
+def test_adaptive_manifest_records_realized_aggregations(tmp_path, monkeypatch):
+    from dflsim.engine import Protocol
+
+    realized = []
+    run_interval = Protocol.run_interval
+
+    def spy(self, plan, theta_policy=None):
+        outcome = run_interval(self, plan, theta_policy)
+        realized.append(outcome.theta_counts.tolist())
+        return outcome
+
+    monkeypatch.setattr(Protocol, "run_interval", spy)
+    blob = {
+        "dataset": {"kind": "blobs", "num_classes": 4, "points_per_class": 40,
+                    "feature_dim": 4, "spread": 0.5, "seed": 3},
+        "model": {"kind": "ridge", "regularization": 2.0},
+        "topology": {"num_devices": 4, "num_subnets": 2, "labels_per_device": 2,
+                     "partition_seed": 5},
+        "schedule": {"mode": "adaptive", "delay": 2, "track_noise_free": False,
+                     "track_optimality": False, "metrics_every": 10},
+        # a tight budget: the trigger fires in most slots, not in all
+        "control": {"phi": 0.05, "tau_max": 8, "horizon": 32, "initial_tau": 8,
+                    "probe_scale": 0.5},
+        "seeds": [0],
+        "batch_size": 5,
+    }
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
+    assert [d["theta_counts"] for d in decisions] == realized
+    assert realized[0] == [8, 6]
+    assert [d["delay_eff"] for d in decisions] == [2] * len(decisions)
+
+
 def test_idx_dataset_end_to_end(tmp_path):
     import struct
 

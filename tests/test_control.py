@@ -326,3 +326,18 @@ def test_run_adaptive_records_reused_estimates():
     fresh = run_adaptive(prob.topology, prob.model, config, seed=3, batch_size=1,
                          delay=0, w_star=prob.w_star, track_noise_free=False)
     assert not any(d.estimates_reused for d in fresh.decisions)
+
+
+def test_run_adaptive_records_the_clamped_tail_delay():
+    # horizon 10 in intervals of 4: the 2-slot tail cannot hold the delay of
+    # 3, so it runs with delay 1
+    prob = diverse_problem()
+    config = ControlConfig(phi=2.0 * prob.params.subnet_noise_budget, tau_max=4,
+                           tau_min=4, alpha_step=0.05, horizon=10, initial_tau=4,
+                           probe_scale=0.5)
+    res = run_adaptive(prob.topology, prob.model, config, seed=3, batch_size=1,
+                       delay=3, w_star=prob.w_star, track_noise_free=False)
+    assert res.sync_times.tolist() == [4, 8, 10]
+    assert [d.delay_eff for d in res.decisions] == [3, 3, 1]
+    for d in res.decisions:
+        assert len(d.theta_counts) == prob.topology.num_subnets

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dflsim.analysis import one_step_bounds
 from dflsim.data import Dataset
@@ -15,7 +17,7 @@ from dflsim.engine import (
 )
 from dflsim.errors import InfeasibleError, ScheduleError
 from dflsim.fleet import build_topology
-from dflsim.losses import RIDGE, LossModel, full_gradient, stochastic_gradient
+from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
 from dflsim.netcost import TAG_SGD, stream
 from dflsim.validate import diverse_problem
 
@@ -237,6 +239,64 @@ def test_engine_matches_straight_line_oracle(rng):
     np.testing.assert_allclose(res.final_models, oracle, rtol=0, atol=1e-10)
 
 
+def engine_and_oracle(topo, model, seed, batch, intervals, tau, alpha, eta, delay,
+                      period):
+    """Final device models of ``run_training`` and of the straight-line oracle."""
+    sched = TrainingSchedule.uniform(intervals, tau, alpha=alpha, eta=eta, delay=delay,
+                                     local_agg_period=period,
+                                     num_subnets=topo.num_subnets)
+    res = run_training(topo, model, sched, seed=seed, batch_size=batch, w_star=None)
+    offsets = set() if period is None else set(range(period, tau + 1, period))
+    oracle = straight_line_protocol(topo, model, seed=seed, batch=batch,
+                                    num_intervals=intervals, tau=tau, alpha=alpha,
+                                    eta=eta, delay=delay, offsets=offsets)
+    return res.final_models, oracle
+
+
+@st.composite
+def ragged_runs(draw):
+    """Ragged subnets (up to 12 devices) of ragged devices, and a short schedule."""
+    kind = draw(st.sampled_from([RIDGE, SVM]))
+    dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 3)) if kind == SVM else 1
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for n in gen.integers(2, 9, sum(sizes)).tolist():
+        labels = gen.integers(0, classes, n).astype(float) if kind == SVM \
+            else gen.standard_normal(n)
+        parts.append(Dataset(gen.standard_normal((n, dim)), labels))
+    model = LossModel(kind, feature_dim=dim, regularization=0.1, num_classes=classes)
+    tau = draw(st.integers(1, 5))
+    return dict(
+        topo=build_topology(parts, sizes), model=model, seed=draw(st.integers(0, 99)),
+        batch=draw(st.integers(1, 2)), intervals=draw(st.integers(1, 3)), tau=tau,
+        alpha=draw(st.sampled_from([0.0, 0.4])), eta=0.05,
+        delay=draw(st.integers(0, tau - 1)),
+        period=draw(st.one_of(st.none(), st.integers(1, tau))),
+    )
+
+
+@given(ragged_runs())
+def test_engine_equals_straight_line_oracle_bitwise(case):
+    engine, oracle = engine_and_oracle(**case)
+    assert np.array_equal(engine, oracle)
+
+
+def test_engine_equals_oracle_bitwise_on_a_dim1_subnet_of_12():
+    # a (k, 1) column is where a pairwise np.sum(axis=0) over k >= 9 rows
+    # would part from the member-by-member sums
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        parts = [Dataset(gen.standard_normal((n, 1)), gen.standard_normal(n))
+                 for n in gen.integers(3, 9, 14).tolist()]
+        topo = build_topology(parts, [12, 2])
+        model = LossModel(RIDGE, feature_dim=1, regularization=0.1)
+        engine, oracle = engine_and_oracle(topo, model, seed=seed, batch=2, intervals=3,
+                                           tau=4, alpha=0.4, eta=0.05, delay=1, period=2)
+        assert np.array_equal(engine, oracle), seed
+
+
 def test_clock_discipline_snapshot_precedes_sync(rng):
     topo, model = small_fleet(rng)
     proto = Protocol(topo, model, seed=5, batch_size=3)
@@ -325,6 +385,21 @@ def test_weight_sum_guard(rng):
 
     with pytest.raises(WeightSumError):
         proto.subnet_aggregate(np.zeros((4, 3)), 0)
+
+
+def test_weight_sum_guard_stops_the_slot_loop(rng):
+    topo, model = small_fleet(rng)
+    proto = Protocol(topo, model, seed=0, batch_size=3, w_star=None)
+    plan = IntervalPlan(tau=2, alpha=0.0, eta=0.05, local_agg_offsets=((1, 2), (2,)))
+    proto.run_interval(plan)
+    bad = topo.device_weights.copy()
+    bad[3] -= 1e-3
+    object.__setattr__(topo, "device_weights", bad)
+    from dflsim.errors import WeightSumError
+
+    with pytest.raises(WeightSumError, match="subnet 1"):
+        proto.run_interval(plan)
+    assert proto.t == 2
 
 
 def test_full_batch_reproduces_deterministic_gd(rng):
