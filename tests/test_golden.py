@@ -3,18 +3,26 @@
 Pins the config hash and the SHA-256 of the seed-0 metrics and events
 CSVs of every ``configs/*.json``. A change that alters these bytes on
 purpose must show why, re-pin the digests and say so in CHANGES.md.
+
+The tolerance mode compares a fresh seed-0 metrics CSV with the one
+checked in under ``tests/golden/`` at rtol 1e-12 and reports the largest
+relative deviation: a change that moves the bits must still pass it
+before the digests are re-pinned.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dflsim import cli
 from dflsim.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN_CSV = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-12
 
 # name -> (config_hash, metrics.csv sha256, events.csv sha256)
 GOLDEN = {
@@ -53,3 +61,32 @@ def test_seed0_outputs_match_pinned_digests(name, tmp_path):
     digest = lambda kind: hashlib.sha256(
         (out / f"run_seed0_{kind}.csv").read_bytes()).hexdigest()
     assert (digest("metrics"), digest("events")) == (metrics_sha, events_sha)
+
+
+def largest_relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got - want| / |want| over the entries; NaN where both are NaN is equal."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.abs(got - want) / np.abs(want)
+    dev[(got == want) | both_nan] = 0.0
+    return float(np.nan_to_num(dev, nan=np.inf).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seed0_metrics_within_rtol_of_checked_in_csv(name, tmp_path):
+    blob = json.loads((CONFIGS / f"{name}.json").read_text())
+    blob["seeds"] = [0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    read = lambda p: np.genfromtxt(p, delimiter=",", names=True)
+    got = read(out / "run_seed0_metrics.csv")
+    want = read(GOLDEN_CSV / f"{name}_seed0_metrics.csv")
+    assert got.dtype.names == want.dtype.names and got.shape == want.shape
+    deviations = {col: largest_relative_deviation(got[col], want[col])
+                  for col in want.dtype.names}
+    worst = max(deviations, key=deviations.get)
+    print(f"{name}: largest relative deviation {deviations[worst]:.3g} ({worst})")
+    assert deviations[worst] <= RTOL, \
+        f"{name}: column {worst} deviates by {deviations[worst]:.3g} > rtol {RTOL}"
