@@ -15,7 +15,7 @@ from dflsim.engine import (
     run_baseline,
     run_training,
 )
-from dflsim.errors import InfeasibleError, ScheduleError
+from dflsim.errors import InfeasibleError, ScheduleError, WeightSumError
 from dflsim.fleet import build_topology
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
 from dflsim.netcost import TAG_SGD, stream
@@ -395,8 +395,6 @@ def test_weight_sum_guard_stops_the_slot_loop(rng):
     bad = topo.device_weights.copy()
     bad[3] -= 1e-3
     object.__setattr__(topo, "device_weights", bad)
-    from dflsim.errors import WeightSumError
-
     with pytest.raises(WeightSumError, match="subnet 1"):
         proto.run_interval(plan)
     assert proto.t == 2
