@@ -3,45 +3,17 @@
 
 Runs the full adaptive loop (estimation, trigger, grid solver) over a range
 of round-trip delays at a pinned interval length, then over a range of
-label-skew severities, reporting the mean chosen combiner weight per point.
+label-skew severities, reporting the mean chosen combiner weight per point
+and how many decisions had no alpha but 0 on their grid (alpha_cap <=
+alpha_step). The sweep itself is ``dflsim.validate.controller_trends``,
+which acceptance criterion 9 runs too.
 """
 
 import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
-from dflsim.control import ControlConfig, run_adaptive
-from dflsim.data import make_blobs
-from dflsim.fleet import build_topology, partition_label_skew
-from dflsim.losses import RIDGE, LossModel
-from dflsim.netcost import stream
-
-
-def build_fleet(labels_per_device):
-    gen = stream(7, 7)
-    blob = make_blobs(10, 120, 6, 0.6, gen)
-    parts = partition_label_skew(blob, 20, labels_per_device, stream(11, 7, 1))
-    topo = build_topology(parts, [5] * 4)
-    model = LossModel(RIDGE, feature_dim=6, regularization=4.0)
-    return topo, model
-
-
-def sweep_point(topo, model, delay, seeds, tau=30, horizon=240):
-    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2,
-                           bound_weight=1.0, phi=2.0, tau_max=tau, tau_min=tau,
-                           alpha_step=0.01, horizon=horizon, initial_tau=tau,
-                           probe_scale=0.5)
-    alphas, taus = [], []
-    for seed in seeds:
-        res = run_adaptive(topo, model, config, seed=seed, batch_size=10,
-                           delay=delay, w_star=None, metrics_every=tau)
-        for d in res.decisions:
-            if not d.fallback:
-                alphas.append(d.alpha_next)
-                taus.append(d.tau_next)
-    return float(np.mean(alphas)), float(np.mean(taus))
+from dflsim.validate import controller_trends
 
 
 def main():
@@ -49,20 +21,13 @@ def main():
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--output", default="runs/controller_sweeps")
     args = parser.parse_args()
-    seeds = range(args.seeds)
 
     rows = []
-    topo, model = build_fleet(labels_per_device=3)
-    for delay in (5, 10, 15, 20, 25):
-        mean_alpha, mean_tau = sweep_point(topo, model, delay, seeds)
-        print(f"delay={delay:2d}: mean alpha {mean_alpha:.4f}, mean tau {mean_tau:.1f}")
-        rows.append(("delay", delay, mean_alpha, mean_tau))
-
-    for labels in (5, 3, 2, 1):
-        topo, model = build_fleet(labels_per_device=labels)
-        mean_alpha, mean_tau = sweep_point(topo, model, 10, seeds)
-        print(f"labels/device={labels}: mean alpha {mean_alpha:.4f}, mean tau {mean_tau:.1f}")
-        rows.append(("labels_per_device", labels, mean_alpha, mean_tau))
+    for p in controller_trends(range(args.seeds)):
+        name = f"delay={p.value:2d}" if p.axis == "delay" else f"labels/device={p.value}"
+        print(f"{name}: mean alpha {p.mean_alpha:.4f}, mean tau {p.mean_tau:.1f}, "
+              f"alpha grid {{0}} in {p.zero_grid} of {p.decisions} decisions")
+        rows.append((p.axis, p.value, p.mean_alpha, p.mean_tau))
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

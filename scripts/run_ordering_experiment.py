@@ -4,50 +4,16 @@
 Compares the combiner protocol (alpha=0.5) against hierarchical FedAvg
 (alpha=0), flat FedAvg, the delay-free variants, and the never-synchronize
 ablation (alpha=1), averaged over seeds. Prints a table of mean final
-losses and writes a CSV next to the output directory.
+losses and writes a CSV next to the output directory. The experiment
+itself is ``dflsim.validate.ordering_experiment``, which acceptance
+criterion 8 runs too.
 """
 
 import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
-from dflsim.data import make_blobs
-from dflsim.engine import TrainingSchedule, run_baseline, run_training
-from dflsim.fleet import build_topology, partition_label_skew
-from dflsim.losses import SVM, LossModel
-from dflsim.netcost import stream
-
-
-def build_fleet(num_devices=50, num_subnets=10, labels_per_device=3):
-    gen = stream(7, 7)
-    blob = make_blobs(10, 300, 12, 0.25, gen, center_scale=6.0,
-                      orthogonal_centers=True)
-    parts = partition_label_skew(blob, num_devices, labels_per_device,
-                                 stream(11, 7, 1))
-    topo = build_topology(parts, [num_devices // num_subnets] * num_subnets)
-    model = LossModel(SVM, feature_dim=12, regularization=0.01, num_classes=10)
-    return topo, model
-
-
-def mean_final_loss(topo, model, *, alpha, delay, kind="dfl", seeds, eta,
-                    intervals, tau, period, batch):
-    finals = []
-    for seed in seeds:
-        if kind == "fedavg":
-            res = run_baseline("fedavg", topo, model, num_intervals=intervals,
-                               tau=tau, eta=eta, delay=delay, seed=seed,
-                               batch_size=batch, w_star=None, metrics_every=tau)
-        else:
-            sched = TrainingSchedule.uniform(
-                intervals, tau, alpha=alpha, eta=eta, delay=delay,
-                local_agg_period=period, num_subnets=topo.num_subnets)
-            res = run_training(topo, model, sched, seed=seed, batch_size=batch,
-                               w_star=None, metrics_every=tau,
-                               allow_alpha_one=(alpha == 1.0))
-        finals.append(float(res.column("loss")[-1]))
-    return float(np.mean(finals)), float(np.std(finals))
+from dflsim.validate import ordering_experiment
 
 
 def main():
@@ -58,18 +24,7 @@ def main():
     parser.add_argument("--output", default="runs/ordering")
     args = parser.parse_args()
 
-    topo, model = build_fleet()
-    seeds = range(args.seeds)
-    common = dict(seeds=seeds, eta=args.eta, intervals=args.intervals,
-                  tau=20, period=5, batch=10)
-    rows = [
-        ("combiner alpha=0.5, delay=10", *mean_final_loss(topo, model, alpha=0.5, delay=10, **common)),
-        ("hierarchical alpha=0, delay=10", *mean_final_loss(topo, model, alpha=0.0, delay=10, **common)),
-        ("flat fedavg, delay=10", *mean_final_loss(topo, model, alpha=0.0, delay=10, kind="fedavg", **common)),
-        ("hierarchical alpha=0, delay=0", *mean_final_loss(topo, model, alpha=0.0, delay=0, **common)),
-        ("combiner alpha=0.5, delay=0", *mean_final_loss(topo, model, alpha=0.5, delay=0, **common)),
-        ("ablation alpha=1, delay=10", *mean_final_loss(topo, model, alpha=1.0, delay=10, **common)),
-    ]
+    rows = ordering_experiment(range(args.seeds), eta=args.eta, intervals=args.intervals)
     width = max(len(r[0]) for r in rows)
     for name, mean, std in rows:
         print(f"{name:<{width}}  final loss {mean:.4f} +/- {std:.4f}")

@@ -470,13 +470,8 @@ def error_terms(device_models: np.ndarray, topology: FleetTopology,
     """
     companions = noise_free.subnet_models
     v_bar = noise_free.global_model(topology)
-    # devices subnet by subnet, members in order; the running sums add the
-    # terms one at a time in that order, as a loop over the devices would
-    order = np.concatenate([np.asarray(m, dtype=np.int64) for m in topology.subnets])
-    subnet = topology.subnet_of[order]
-    weights = topology.subnet_weights[subnet] * topology.device_weights[order]
-    e1_sq = np.add.accumulate(
-        weights * _dots(device_models[order] - companions[subnet]))[-1]
+    # the running sums add the terms one at a time, as a loop over the devices would
+    e1_sq = topology.device_total(_dots(device_models - companions[topology.subnet_of]))
     e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar))[-1]
     e3 = float(np.linalg.norm(v_bar - w_star))
     return math.sqrt(e1_sq), float(e2), e3

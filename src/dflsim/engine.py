@@ -101,10 +101,6 @@ class TrainingSchedule:
             raise ScheduleError("num_intervals must be >= 1")
 
     @property
-    def total_steps(self) -> int:
-        return sum(p.tau for p in self.intervals)
-
-    @property
     def sync_times(self) -> np.ndarray:
         return np.cumsum([p.tau for p in self.intervals])
 

@@ -20,7 +20,7 @@ from .errors import (
     PartitionError,
     TopologyError,
 )
-from .losses import DeviceStack, LossModel, full_gradient, minibatch, norms, solve_optimum
+from .losses import DeviceStack, LossModel, minibatch, norms, solve_optimum
 
 WEIGHT_TOL = 1e-12
 
@@ -34,10 +34,10 @@ class FleetTopology:
     (varrho); both families sum to one.
 
     The device data is stored once, in ``stack``; ``datasets`` are views
-    of it. Subnet and global sums, the fleet's only reductions, add
-    device by device within a subnet, then subnet by subnet: the order of
-    the single-point loops, so a batched sum equals the looped one bit for
-    bit.
+    of it. Subnet and global sums and the weighted device total, the
+    fleet's only reductions, add device by device within a subnet, then
+    subnet by subnet: the order of the single-point loops, so a batched
+    sum equals the looped one bit for bit.
     """
 
     subnets: tuple[tuple[int, ...], ...]
@@ -48,6 +48,8 @@ class FleetTopology:
     stack: DeviceStack = field(init=False, repr=False, compare=False)
     # (subnet rows, member ids) of member j of every subnet that has one, j = 0, 1, ...
     positions: tuple = field(init=False, repr=False, compare=False)
+    # the device ids subnet by subnet, members in order
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -73,6 +75,8 @@ class FleetTopology:
             rows = slice(None) if len(subnets) == len(self.subnets) else np.array(subnets)
             positions.append((rows, np.array([self.subnets[c][j] for c in subnets])))
         object.__setattr__(self, "positions", tuple(positions))
+        object.__setattr__(self, "order", np.concatenate(
+            [np.asarray(m, dtype=np.int64) for m in self.subnets]))
         stack = DeviceStack(self.datasets)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "datasets", stack.datasets())
@@ -91,7 +95,13 @@ class FleetTopology:
                      * self.device_weights[device])
 
     def global_weights(self) -> np.ndarray:
-        return np.array([self.global_weight(i) for i in range(self.num_devices)])
+        return self.subnet_weights[self.subnet_of] * self.device_weights
+
+    def device_total(self, values: np.ndarray) -> float:
+        """(D,) -> sum_i global_weight(i) * values[i], added one device at a
+        time from zero, subnet by subnet, members in order."""
+        order = self.order
+        return float(np.add.accumulate(self.global_weights()[order] * values[order])[-1])
 
     def subnet_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
@@ -119,9 +129,6 @@ class FleetTopology:
                 self.stack.gradients(model, points[s:s + step])))
         return out
 
-    def device_gradient(self, model: LossModel, device: int, w: np.ndarray) -> np.ndarray:
-        return full_gradient(model, self.datasets[device], w)
-
     def subnet_gradient(self, model: LossModel, c: int, w: np.ndarray) -> np.ndarray:
         return self.subnet_sums(self.stack.gradients(model, np.asarray(w)[None]))[0, c]
 
@@ -129,12 +136,7 @@ class FleetTopology:
         return self.global_gradients(model, np.asarray(w)[None])[0]
 
     def global_loss(self, model: LossModel, w: np.ndarray) -> float:
-        losses = self.stack.losses(model, w)
-        total = 0.0
-        for c in range(self.num_subnets):
-            for i in self.subnets[c]:
-                total += self.subnet_weights[c] * self.device_weights[i] * losses[i]
-        return total
+        return self.device_total(self.stack.losses(model, w))
 
     def optimum(self, model: LossModel) -> np.ndarray:
         return solve_optimum(model, list(self.datasets), self.global_weights())

@@ -1,21 +1,25 @@
-"""Runnable validation suites tying the theory to the simulator.
+"""The paper's checks, one implementation each, and the suites that run them.
 
-Each suite returns a list of named checks with measured slack; the CLI
-prints them and fails on any violation. The certified fleet builders
-construct shared-design ridge problems whose smoothness, convexity,
-diversity and noise constants are exact closed forms, so every bound can
-be tested without estimated inputs.
+The ``validate`` suites, the acceptance criteria and ``scripts/`` call
+the experiments here with their own inputs. Each suite returns a list of
+named checks with measured slack; the CLI prints them and fails on any
+violation. The certified fleet builders construct shared-design ridge
+problems whose smoothness, convexity, diversity and noise constants are
+exact closed forms, so every bound can be tested without estimated inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
     NoiseFreeState,
+    alpha_limit,
     compute_constants,
     eigen_system,
     error_terms,
@@ -27,16 +31,18 @@ from .analysis import (
 )
 from .control import (
     ControlConfig,
+    ControlDecision,
     aggregation_indicators,
+    run_adaptive,
     select_step_size,
     solve_p,
     subnet_contributions,
 )
-from .data import make_shared_design
-from .engine import TrainingSchedule, run_training
+from .data import Dataset, make_blobs, make_shared_design
+from .engine import IntervalPlan, TrainingSchedule, run_baseline, run_training
 from .errors import InfeasibleError
-from .fleet import FleetTopology, HeterogeneityParams, build_topology
-from .losses import RIDGE, LossModel, full_gradient
+from .fleet import FleetTopology, HeterogeneityParams, build_topology, partition_label_skew
+from .losses import RIDGE, SVM, LossModel, full_gradient
 from .netcost import CostSnapshot, stream
 
 TAG_VALIDATE = 9
@@ -140,6 +146,23 @@ def diverse_problem(batch_size: int = 1) -> CertifiedProblem:
     return certified_ridge_fleet(device_labels, [2, 2, 2], batch_size=batch_size)
 
 
+def ordering_fleet() -> tuple[FleetTopology, LossModel]:
+    """Label-skew SVM toy of the ordering experiment: 50 devices, 10 subnets."""
+    blob = make_blobs(10, 300, 12, 0.25, stream(7, 7), center_scale=6.0,
+                      orthogonal_centers=True)
+    parts = partition_label_skew(blob, 50, 3, stream(11, 7, 1))
+    model = LossModel(SVM, feature_dim=12, regularization=0.01, num_classes=10)
+    return build_topology(parts, [5] * 10), model
+
+
+def trend_fleet(labels_per_device: int) -> tuple[FleetTopology, LossModel]:
+    """Ridge fleet of the controller trends: 20 devices in 4 subnets."""
+    blob = make_blobs(10, 120, 6, 0.6, stream(7, 7))
+    parts = partition_label_skew(blob, 20, labels_per_device, stream(11, 7, 1))
+    model = LossModel(RIDGE, feature_dim=6, regularization=4.0)
+    return build_topology(parts, [5] * 4), model
+
+
 def random_quadratic_params(rng: np.random.Generator,
                             proof_regime: bool = True) -> HeterogeneityParams:
     """Random feasible constant set; proof_regime keeps mu/beta <= 1/2.
@@ -161,65 +184,61 @@ def random_quadratic_params(rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# suites
+# experiments
 
 
-def suite_facts(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
-    """Gradient-step contraction on random ridge problems + eigen identities."""
-    rng = stream(seed, TAG_VALIDATE, 0)
+def contraction_slack(rng: np.random.Generator, trials: int) -> float:
+    """Worst (1 - mu eta)||w1 - w2|| - ||(w1 - w2) - eta (g(w1) - g(w2))|| over
+    random ridge problems, step sizes eta < 2/(mu + beta) and point pairs."""
     worst = math.inf
     for _ in range(trials):
         n, m = int(rng.integers(3, 12)), int(rng.integers(1, 6))
         X = rng.standard_normal((n, m))
         reg = float(rng.uniform(0.05, 1.0))
-        from .data import Dataset
-
         ds = Dataset(X, rng.standard_normal(n))
         model = LossModel(RIDGE, feature_dim=m, regularization=reg)
-        H = X.T @ X / n + reg * np.eye(m)
-        eigs = np.linalg.eigvalsh(H)
+        eigs = np.linalg.eigvalsh(X.T @ X / n + reg * np.eye(m))
         mu, beta = float(eigs[0]), float(eigs[-1])
         eta = float(rng.uniform(0.0, 1.0)) * 2.0 / (mu + beta)
         w1, w2 = rng.standard_normal(m), rng.standard_normal(m)
         step = (w1 - w2) - eta * (full_gradient(model, ds, w1) - full_gradient(model, ds, w2))
-        slack = (1.0 - mu * eta) * np.linalg.norm(w1 - w2) - np.linalg.norm(step)
-        worst = min(worst, float(slack))
-    checks = [CheckResult("contraction-under-gradient-step", worst >= -1e-12, worst,
-                          f"{trials} random ridge problems")]
+        worst = min(worst, float((1.0 - mu * eta) * np.linalg.norm(w1 - w2)
+                                 - np.linalg.norm(step)))
+    return worst
 
-    worst_rec, worst_ident = math.inf, math.inf
-    lam_ok = True
+
+def eigen_margins() -> tuple[float, bool, float]:
+    """1e-12 minus the worst reconstruction and identity residuals of
+    eigen_system over a (mu/beta, omega) grid, and the eigenvalue signs."""
+    worst_rec = worst_ident = math.inf
+    signs_ok = True
     for ratio in np.linspace(0.04, 0.96, 20):
         for omega in np.linspace(0.0, 1.0, 10):
             eig = eigen_system(float(ratio), float(omega))
             rec = float(np.max(np.abs(eig.reconstruct() - eig.matrix)))
             worst_rec = min(worst_rec, 1e-12 - rec)
-            lam_ok &= eig.eig_plus > 0 and eig.eig_minus < 0 \
+            signs_ok &= eig.eig_plus > 0 and eig.eig_minus < 0 \
                 and eig.eig_plus * eig.eig_minus <= 0
             ident = max(abs(eig.g1 + eig.g2 - 1.0), abs(eig.g4 + eig.g3),
                         abs(eig.g3 - 1.0 / math.sqrt(8 * omega + 1)))
             worst_ident = min(worst_ident, 1e-12 - ident)
-    checks.append(CheckResult("eigen-reconstruction", worst_rec >= 0, worst_rec,
-                              "200 grid points"))
-    checks.append(CheckResult("eigenvalue-signs", lam_ok, 0.0))
-    checks.append(CheckResult("gap-row-coefficient-identities", worst_ident >= 0, worst_ident))
-    return checks
+    return worst_rec, signs_ok, worst_ident
 
 
-def suite_onestep(steps: int = 525, e1_seeds: int = 1000) -> list[CheckResult]:
-    """Single-slot error recursions against simulated dynamics."""
-    checks = []
+def noise_free_onestep(steps: int) -> tuple[float, float, int]:
+    """Worst slack of the one-slot e2 and e3 bounds on diverse_problem's
+    companions, over the slots that do not synchronize, and their count."""
     prob = diverse_problem()
     topo, model, params = prob.topology, prob.model, prob.params
     eta = 0.9 * 2.0 / (params.mu + params.beta)
     tau, delay, alpha = 25, 5, 0.3
     state = NoiseFreeState(np.zeros((topo.num_subnets, model.model_dim)))
+    zeros = np.zeros((topo.num_devices, model.model_dim))
     worst2 = worst3 = math.inf
     checked = 0
     snapshot = None
     for t in range(1, steps + 1):
-        e1, e2, e3 = error_terms(np.zeros((topo.num_devices, model.model_dim)),
-                                 topo, state, prob.w_star)
+        _, e2, e3 = error_terms(zeros, topo, state, prob.w_star)
         _, b2, b3 = one_step_bounds(params, 0.0, e2, e3, eta)
         step_in = (t - 1) % tau + 1
         nxt = noise_free_step(state, topo, model, eta)
@@ -229,36 +248,196 @@ def suite_onestep(steps: int = 525, e1_seeds: int = 1000) -> list[CheckResult]:
             state = noise_free_sync(nxt, alpha, snapshot)
         else:
             state = nxt
-            _, e2n, e3n = error_terms(np.zeros((topo.num_devices, model.model_dim)),
-                                      topo, state, prob.w_star)
+            _, e2n, e3n = error_terms(zeros, topo, state, prob.w_star)
             worst2 = min(worst2, b2 - e2n)
             worst3 = min(worst3, b3 - e3n)
             checked += 1
-    checks.append(CheckResult("dispersion-one-step-bound", worst2 >= -1e-9, worst2,
-                              f"{checked} noise-free slots"))
-    checks.append(CheckResult("gap-one-step-bound", worst3 >= -1e-9, worst3,
-                              f"{checked} noise-free slots"))
+    return worst2, worst3, checked
 
-    prob = theorem_problem(batch_size=1)
-    topo, model, params = prob.topology, prob.model, prob.params
+
+def replica_moments(prob: CertifiedProblem, schedule: TrainingSchedule, num_seeds: int,
+                    trajectory, **engine_kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of ``trajectory(run)`` over seeds 0..num_seeds-1:
+    the one multi-seed loop of the suites and the acceptance criteria."""
+    samples = np.stack([
+        trajectory(run_training(prob.topology, prob.model, schedule, seed=s,
+                                batch_size=1, w_star=prob.w_star, **engine_kwargs))
+        for s in range(num_seeds)])
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(num_seeds)
+
+
+def deviation_msq_slack(prob: CertifiedProblem, num_seeds: int) -> float:
+    """3-sigma slack of E e1'^2 <= (1 - mu eta)^2 E e1^2 + eta^2 (sigma^2 + phi^2),
+    worst over 40 slots that all aggregate."""
+    params, horizon = prob.params, 40
     eta = 0.4 * 2.0 / (params.mu + params.beta)
-    horizon = 40
     schedule = TrainingSchedule.uniform(1, horizon + 1, alpha=0.0, eta=eta,
                                         delay=0, local_agg_period=1,
-                                        num_subnets=topo.num_subnets)
-    e1_sq = np.zeros((e1_seeds, horizon + 1))
-    for s in range(e1_seeds):
-        res = run_training(topo, model, schedule, seed=s, batch_size=1,
-                           w_star=prob.w_star)
-        e1_sq[s] = res.column("e1")[:horizon + 1] ** 2
-    mean = e1_sq.mean(axis=0)
-    stderr = e1_sq.std(axis=0, ddof=1) / math.sqrt(e1_seeds)
+                                        num_subnets=prob.topology.num_subnets)
+    mean, stderr = replica_moments(prob, schedule, num_seeds,
+                                   lambda res: res.column("e1")[:horizon + 1] ** 2)
     noise = params.sgd_noise ** 2 + params.subnet_noise_budget ** 2
     bound = (1.0 - params.mu * eta) ** 2 * mean[:-1] + eta ** 2 * noise
-    slack = float(np.min(bound + 3.0 * stderr[1:] - mean[1:]))
-    checks.append(CheckResult("deviation-one-step-bound-msq", slack >= 0, slack,
-                              f"{e1_seeds} seeds, 3-sigma band"))
-    return checks
+    return float(np.min(bound + 3.0 * stderr[1:] - mean[1:]))
+
+
+def brute_force_p(cost: CostSnapshot, params: HeterogeneityParams,
+                  config: ControlConfig, subnet_weights: np.ndarray, t_now: int,
+                  delay: int, e3_init: float, gaps: np.ndarray) -> list:
+    """Every (objective, tau, alpha) of solve_p's grid, found apart from
+    solve_p: alpha climbs until compute_constants rejects it. The ``min``
+    is solve_p's answer under its tie-break (smaller tau, then alpha)."""
+    theta = aggregation_indicators(
+        subnet_contributions(gaps, subnet_weights, params), config.phi)
+    left = config.horizon - t_now
+    grid = []
+    for tau in range(max(delay, config.tau_min, 1), min(config.tau_max, left) + 1):
+        try:
+            eta_max, gamma = select_step_size(params, tau, delay, config.safety,
+                                              config.gamma_safety)
+        except InfeasibleError:
+            continue
+        counts = theta.astype(int) * tau
+        energy = left / tau * (cost.global_energy + float(np.sum(counts * cost.local_energy)))
+        delay_cost = left / tau * (cost.global_delay + float(np.sum(counts * cost.local_delay)))
+        for j in itertools.count():
+            try:
+                consts = compute_constants(params, tau, delay, j * config.alpha_step,
+                                           eta_max, gamma, e3_init)
+            except InfeasibleError:
+                break
+            grid.append((config.energy_weight * energy + config.delay_weight * delay_cost
+                         + config.bound_weight * theorem_bound(consts, left // tau),
+                         tau, j * config.alpha_step))
+    return grid
+
+
+class SolverOutcome(NamedTuple):
+    decision: ControlDecision
+    grid_points: int
+    exact: bool         # the brute-force winner, bit for bit, and again on a rerun
+    cap: float          # the feasible alpha ceiling at the decision's tau
+    feasible: bool      # delay <= tau <= tau_max and alpha below the ceiling
+
+
+def solver_experiment(rng: np.random.Generator) -> SolverOutcome:
+    """solve_p against brute_force_p on diverse_problem, costs and gaps from rng."""
+    prob = diverse_problem()
+    params, num_subnets = prob.params, prob.topology.num_subnets
+    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2, bound_weight=1.0,
+                           phi=params.subnet_noise_budget, tau_max=8,
+                           alpha_step=0.25, horizon=100)
+    cost = CostSnapshot(global_energy=0.5, global_delay=0.2,
+                        local_energy=rng.uniform(0.01, 0.1, num_subnets),
+                        local_delay=rng.uniform(0.001, 0.01, num_subnets))
+    delay = 3
+    inputs = (cost, params, config, prob.topology.subnet_weights, 0, delay,
+              prob.e3_init, rng.uniform(0.0, 2.0, num_subnets))
+    d = solve_p(*inputs)
+    grid = brute_force_p(*inputs)
+    exact = min(grid, default=None) == (d.objective, d.tau_next, d.alpha_next) \
+        and solve_p(*inputs) == d
+    cap = alpha_limit(params, d.tau_next, delay,
+                      *select_step_size(params, d.tau_next, delay, config.safety))
+    feasible = delay <= d.tau_next <= min(config.tau_max, config.horizon) and d.alpha_next < cap
+    return SolverOutcome(d, len(grid), exact, cap, feasible)
+
+
+ORDERING_VARIANTS = (   # (label, protocol, alpha, delay)
+    ("combiner alpha=0.5, delay=10", "dfl", 0.5, 10),
+    ("hierarchical alpha=0, delay=10", "dfl", 0.0, 10),
+    ("flat fedavg, delay=10", "fedavg", 0.0, 10),
+    ("hierarchical alpha=0, delay=0", "dfl", 0.0, 0),
+    ("combiner alpha=0.5, delay=0", "dfl", 0.5, 0),
+    ("ablation alpha=1, delay=10", "dfl", 1.0, 10),
+)
+
+
+def ordering_experiment(seeds, eta: float = 0.03,
+                        intervals: int = 10) -> list[tuple[str, float, float]]:
+    """(label, mean, std) over seeds of the final loss on ordering_fleet per
+    ORDERING_VARIANTS row: tau 20, local aggregation every 5 slots, batch 10."""
+    topo, model = ordering_fleet()
+    tau, batch = 20, 10
+    rows = []
+    for label, protocol, alpha, delay in ORDERING_VARIANTS:
+        finals = []
+        for seed in seeds:
+            if protocol == "fedavg":
+                res = run_baseline("fedavg", topo, model, num_intervals=intervals,
+                                   tau=tau, eta=eta, delay=delay, seed=seed,
+                                   batch_size=batch, w_star=None, metrics_every=tau)
+            else:
+                sched = TrainingSchedule.uniform(
+                    intervals, tau, alpha=alpha, eta=eta, delay=delay,
+                    local_agg_period=5, num_subnets=topo.num_subnets)
+                res = run_training(topo, model, sched, seed=seed, batch_size=batch,
+                                   w_star=None, metrics_every=tau,
+                                   allow_alpha_one=(alpha == 1.0))
+            finals.append(float(res.column("loss")[-1]))
+        rows.append((label, float(np.mean(finals)), float(np.std(finals))))
+    return rows
+
+
+class TrendPoint(NamedTuple):
+    axis: str           # "delay" or "labels_per_device"
+    value: int
+    mean_alpha: float
+    mean_tau: float
+    decisions: int      # decisions that were not fallbacks
+    zero_grid: int      # of those, decisions whose alpha grid is {0}: alpha_cap <= alpha_step
+    caps_ok: bool       # every chosen alpha below its cap
+
+
+def controller_trends(seeds) -> list[TrendPoint]:
+    """Mean (alpha, tau) the adaptive controller picks on trend_fleet, tau
+    pinned to 30: by delay at 3 labels per device, then by skew at delay 10."""
+    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2,
+                           bound_weight=1.0, phi=2.0, tau_max=30, tau_min=30,
+                           alpha_step=0.01, horizon=240, initial_tau=30,
+                           probe_scale=0.5)
+    points = [("delay", delay, 3, delay) for delay in (5, 10, 15, 20, 25)]
+    points += [("labels_per_device", labels, labels, 10) for labels in (5, 3, 2, 1)]
+    out = []
+    for axis, value, labels, delay in points:
+        topo, model = trend_fleet(labels)
+        kept = [d for seed in seeds
+                for d in run_adaptive(topo, model, config, seed=seed, batch_size=10,
+                                      delay=delay, w_star=None, metrics_every=60).decisions
+                if not d.fallback]
+        out.append(TrendPoint(
+            axis, value, float(np.mean([d.alpha_next for d in kept])),
+            float(np.mean([d.tau_next for d in kept])), len(kept),
+            sum(d.alpha_cap <= config.alpha_step for d in kept),
+            all(d.alpha_next < d.alpha_cap for d in kept)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def suite_facts(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
+    """Gradient-step contraction on random ridge problems + eigen identities."""
+    worst = contraction_slack(stream(seed, TAG_VALIDATE, 0), trials)
+    worst_rec, signs_ok, worst_ident = eigen_margins()
+    return [CheckResult("contraction-under-gradient-step", worst >= -1e-12, worst,
+                        f"{trials} random ridge problems"),
+            CheckResult("eigen-reconstruction", worst_rec >= 0, worst_rec, "200 grid points"),
+            CheckResult("eigenvalue-signs", signs_ok, 0.0),
+            CheckResult("gap-row-coefficient-identities", worst_ident >= 0, worst_ident)]
+
+
+def suite_onestep(steps: int = 525, e1_seeds: int = 1000) -> list[CheckResult]:
+    """Single-slot error recursions against simulated dynamics."""
+    worst2, worst3, checked = noise_free_onestep(steps)
+    slack = deviation_msq_slack(theorem_problem(batch_size=1), e1_seeds)
+    return [CheckResult("dispersion-one-step-bound", worst2 >= -1e-9, worst2,
+                        f"{checked} noise-free slots"),
+            CheckResult("gap-one-step-bound", worst3 >= -1e-9, worst3,
+                        f"{checked} noise-free slots"),
+            CheckResult("deviation-one-step-bound-msq", slack >= 0, slack,
+                        f"{e1_seeds} seeds, 3-sigma band")]
 
 
 def suite_proposition(draws: int = 100, seed: int = 1) -> list[CheckResult]:
@@ -331,94 +510,38 @@ def suite_proposition(draws: int = 100, seed: int = 1) -> list[CheckResult]:
 def suite_theorem(num_seeds: int = 300, num_syncs: int = 50) -> list[CheckResult]:
     """Gap bound dominates the multi-seed mean trajectory on the certified fleet."""
     prob = theorem_problem(batch_size=1)
-    topo, model, params = prob.topology, prob.model, prob.params
+    params = prob.params
     tau, delay = 6, 2
     eta_max, gamma = select_step_size(params, tau, delay)
     alpha = 0.5 * compute_constants(params, tau, delay, 0.0, eta_max, gamma,
                                     e3_init=prob.e3_init).alpha_star
     consts = compute_constants(params, tau, delay, alpha, eta_max, gamma,
                                e3_init=prob.e3_init)
-    gaps = np.zeros((num_seeds, num_syncs + 1))
-    for s in range(num_seeds):
-        plans = []
-        for k in range(num_syncs):
-            plans.append(TrainingSchedule.uniform(
-                1, tau, alpha=alpha, eta=consts.eta_at(k), delay=delay,
-                local_agg_period=1, num_subnets=topo.num_subnets).intervals[0])
-        res = run_training(topo, model, TrainingSchedule(tuple(plans)), seed=s,
-                           batch_size=1, w_star=prob.w_star,
-                           track_noise_free=False, metrics_every=tau)
-        gaps[s] = np.concatenate(([res.column("gap")[0]], res.at_sync("gap")))
-    mean = gaps.mean(axis=0)
-    stderr = gaps.std(axis=0, ddof=1) / math.sqrt(num_seeds)
+    every_slot = tuple(tuple(range(1, tau + 1)) for _ in range(prob.topology.num_subnets))
+    schedule = TrainingSchedule(tuple(
+        IntervalPlan(tau=tau, alpha=alpha, eta=consts.eta_at(k), delay=delay,
+                     local_agg_offsets=every_slot) for k in range(num_syncs)))
+    mean, stderr = replica_moments(
+        prob, schedule, num_seeds,
+        lambda res: np.concatenate(([res.column("gap")[0]], res.at_sync("gap"))),
+        track_noise_free=False, metrics_every=tau)
     nu = np.array([theorem_bound(consts, k) for k in range(num_syncs + 1)])
     slack = float(np.min(nu + 3.0 * stderr - mean))
-    checks = [CheckResult("gap-bound-dominates", slack >= 0, slack,
-                          f"{num_seeds} seeds, {num_syncs} synchronizations")]
-    decreasing = bool(np.all(np.diff(nu) < 0))
-    checks.append(CheckResult("gap-bound-strictly-decreasing", decreasing,
-                              float(-np.max(np.diff(nu)))))
-    return checks
+    return [CheckResult("gap-bound-dominates", slack >= 0, slack,
+                        f"{num_seeds} seeds, {num_syncs} synchronizations"),
+            CheckResult("gap-bound-strictly-decreasing", bool(np.all(np.diff(nu) < 0)),
+                        float(-np.max(np.diff(nu))))]
 
 
 def suite_solver(seed: int = 2) -> list[CheckResult]:
     """Grid solver against a brute-force scan, plus constraint satisfaction."""
-    rng = stream(seed, TAG_VALIDATE, 3)
-    prob = diverse_problem()
-    params = prob.params
-    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2, bound_weight=1.0,
-                           phi=params.subnet_noise_budget, tau_max=8, tau_min=1,
-                           alpha_step=0.25, horizon=100)
-    cost = CostSnapshot(
-        global_energy=0.5, global_delay=0.2,
-        local_energy=rng.uniform(0.01, 0.1, prob.topology.num_subnets),
-        local_delay=rng.uniform(0.001, 0.01, prob.topology.num_subnets),
-    )
-    gaps = rng.uniform(0.0, 2.0, prob.topology.num_subnets)
-    delay, t_now, e3_init = 3, 0, prob.e3_init
-    decision = solve_p(cost, params, config, prob.topology.subnet_weights,
-                       t_now, delay, e3_init, gaps)
-
-    best = None
-    theta = aggregation_indicators(
-        subnet_contributions(gaps, prob.topology.subnet_weights, params), config.phi)
-    for tau in range(max(delay, 1), min(config.tau_max, config.horizon) + 1):
-        try:
-            eta_max, gamma = select_step_size(params, tau, delay, config.safety)
-        except InfeasibleError:
-            continue
-        counts = theta.astype(int) * tau
-        rounds = (config.horizon - t_now) / tau
-        energy = rounds * (cost.global_energy + float(np.sum(counts * cost.local_energy)))
-        delay_cost = rounds * (cost.global_delay + float(np.sum(counts * cost.local_delay)))
-        j = 0
-        while True:
-            alpha = j * config.alpha_step
-            j += 1
-            try:
-                consts = compute_constants(params, tau, delay, alpha, eta_max,
-                                           gamma, e3_init)
-            except InfeasibleError:
-                break
-            obj = config.energy_weight * energy + config.delay_weight * delay_cost \
-                + config.bound_weight * theorem_bound(consts, (config.horizon - t_now) // tau)
-            if best is None or obj < best[0]:
-                best = (obj, tau, alpha)
-    agree = best is not None and decision.tau_next == best[1] \
-        and decision.alpha_next == best[2] and decision.objective == best[0]
-    checks = [CheckResult("solver-matches-brute-force", agree,
-                          0.0 if agree else -1.0,
-                          f"decision tau={decision.tau_next}, alpha={decision.alpha_next}")]
-
-    eta_max, gamma = select_step_size(params, decision.tau_next, delay, config.safety)
-    from .analysis import alpha_limit
-
-    cap = alpha_limit(params, decision.tau_next, delay, eta_max, gamma)
-    ok = delay <= decision.tau_next <= min(config.tau_max, config.horizon - t_now) \
-        and decision.alpha_next < cap
-    checks.append(CheckResult("decision-satisfies-constraints", ok,
-                              float(cap - decision.alpha_next)))
-    return checks
+    outcome = solver_experiment(stream(seed, TAG_VALIDATE, 3))
+    d = outcome.decision
+    return [CheckResult("solver-matches-brute-force", outcome.exact,
+                        0.0 if outcome.exact else -1.0,
+                        f"decision tau={d.tau_next}, alpha={d.alpha_next}"),
+            CheckResult("decision-satisfies-constraints", outcome.feasible,
+                        float(outcome.cap - d.alpha_next))]
 
 
 SUITES = {

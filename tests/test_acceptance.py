@@ -7,41 +7,22 @@ end-to-end gap bound, protocol collapse, behavioral orderings at desk
 scale, controller sweeps, radio-cost anchors, and the grid solver.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 
 import mp_reference as mpref
-from dflsim.analysis import (
-    NoiseFreeState,
-    alpha_limit,
-    compute_constants,
-    eigen_system,
-    error_terms,
-    noise_free_step,
-    noise_free_sync,
-    one_step_bounds,
-    theorem_bound,
-)
-from dflsim.control import (
-    ControlConfig,
-    aggregation_indicators,
-    run_adaptive,
-    select_step_size,
-    solve_p,
-    subnet_contributions,
-)
-from dflsim.data import Dataset, make_blobs
-from dflsim.engine import IntervalPlan, Protocol, TrainingSchedule, run_baseline, run_training
+from dflsim.analysis import compute_constants
+from dflsim.control import select_step_size
+from dflsim.data import Dataset
+from dflsim.engine import IntervalPlan, Protocol, TrainingSchedule, run_training
 from dflsim.errors import InfeasibleError
-from dflsim.fleet import build_topology, partition_label_skew
-from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
+from dflsim.fleet import build_topology
+from dflsim.losses import RIDGE, LossModel, stochastic_gradient
 from dflsim.netcost import (
     TAG_CHANNEL,
     TAG_SGD,
-    CostSnapshot,
     RadioConfig,
     RadioCostModel,
     aggregation_delay,
@@ -53,9 +34,16 @@ from dflsim.netcost import (
 )
 from dflsim.validate import (
     certified_ridge_fleet,
+    contraction_slack,
+    controller_trends,
+    deviation_msq_slack,
     diverse_problem,
+    eigen_margins,
+    noise_free_onestep,
+    ordering_experiment,
     random_quadratic_params,
-    theorem_problem,
+    solver_experiment,
+    suite_theorem,
 )
 
 
@@ -69,22 +57,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_contraction_fact():
     start = time.time()
-    rng = stream(1001, 0)
-    worst = math.inf
-    for _ in range(1000):
-        n, m = int(rng.integers(3, 12)), int(rng.integers(1, 6))
-        X = rng.standard_normal((n, m))
-        reg = float(rng.uniform(0.05, 1.0))
-        ds = Dataset(X, rng.standard_normal(n))
-        model = LossModel(RIDGE, feature_dim=m, regularization=reg)
-        eigs = np.linalg.eigvalsh(X.T @ X / n + reg * np.eye(m))
-        mu, beta = float(eigs[0]), float(eigs[-1])
-        eta = float(rng.uniform(0.0, 1.0)) * 2.0 / (mu + beta)
-        w1, w2 = rng.standard_normal(m), rng.standard_normal(m)
-        moved = (w1 - w2) - eta * (full_gradient(model, ds, w1)
-                                   - full_gradient(model, ds, w2))
-        worst = min(worst, (1.0 - mu * eta) * np.linalg.norm(w1 - w2)
-                    - np.linalg.norm(moved))
+    worst = contraction_slack(stream(1001, 0), 1000)
     elapsed = time.time() - start
     report("criterion-1 contraction-fact",
            worst >= -1e-12 and elapsed < 5.0,
@@ -96,18 +69,7 @@ def test_criterion_1_contraction_fact():
 
 def test_criterion_2_eigen_machinery():
     start = time.time()
-    worst_rec = worst_ident = math.inf
-    signs_ok = True
-    for ratio in np.linspace(0.04, 0.96, 20):
-        for omega in np.linspace(0.0, 1.0, 10):
-            eig = eigen_system(float(ratio), float(omega))
-            worst_rec = min(worst_rec,
-                            1e-12 - float(np.max(np.abs(eig.reconstruct() - eig.matrix))))
-            signs_ok &= eig.eig_plus > 0 and eig.eig_minus < 0 \
-                and eig.eig_plus * eig.eig_minus <= 0
-            worst_ident = min(worst_ident,
-                              1e-12 - abs(eig.g1 + eig.g2 - 1.0),
-                              1e-12 - abs(eig.g4 + eig.g3))
+    worst_rec, signs_ok, worst_ident = eigen_margins()
     elapsed = time.time() - start
     report("criterion-2 eigen-machinery",
            worst_rec >= 0 and worst_ident >= 0 and signs_ok and elapsed < 1.0,
@@ -165,29 +127,9 @@ def test_criterion_3_constants_cross_check():
 
 def test_criterion_4_noise_free_one_step():
     prob = diverse_problem()
-    topo, model, params = prob.topology, prob.model, prob.params
-    assert topo.num_subnets == 3 and model.model_dim == 2
-    eta = 0.9 * 2.0 / (params.mu + params.beta)
-    tau, delay, alpha = 25, 5, 0.3
-    state = NoiseFreeState(np.zeros((3, 2)))
-    zeros = np.zeros((topo.num_devices, 2))
-    worst = math.inf
-    checked = 0
-    snapshot = None
-    for t in range(1, 526):
-        _, e2, e3 = error_terms(zeros, topo, state, prob.w_star)
-        _, b2, b3 = one_step_bounds(params, 0.0, e2, e3, eta)
-        step = (t - 1) % tau + 1
-        nxt = noise_free_step(state, topo, model, eta)
-        if step == tau - delay:
-            snapshot = nxt.global_model(topo)
-        if step == tau:
-            state = noise_free_sync(nxt, alpha, snapshot)
-        else:
-            state = nxt
-            _, e2n, e3n = error_terms(zeros, topo, state, prob.w_star)
-            worst = min(worst, b2 - e2n, b3 - e3n)
-            checked += 1
+    assert prob.topology.num_subnets == 3 and prob.model.model_dim == 2
+    worst2, worst3, checked = noise_free_onestep(525)
+    worst = min(worst2, worst3)
     report("criterion-4 noise-free-one-step",
            worst >= -1e-9 and checked >= 500,
            f"min slack {worst:.3e} over {checked} slots")
@@ -198,23 +140,9 @@ def test_criterion_4_noise_free_one_step():
 
 def test_criterion_5_stochastic_one_step():
     start = time.time()
-    prob = certified_ridge_fleet([[0.0, 2.0], [-1.0, 3.0]], [2], batch_size=1)
-    topo, model, params = prob.topology, prob.model, prob.params
-    eta = 0.4 * 2.0 / (params.mu + params.beta)
-    horizon, seeds = 40, 1000
-    schedule = TrainingSchedule.uniform(1, horizon + 1, alpha=0.0, eta=eta,
-                                        delay=0, local_agg_period=1,
-                                        num_subnets=1)
-    e1_sq = np.zeros((seeds, horizon + 1))
-    for s in range(seeds):
-        res = run_training(topo, model, schedule, seed=s, batch_size=1,
-                           w_star=prob.w_star)
-        e1_sq[s] = res.column("e1")[: horizon + 1] ** 2
-    mean = e1_sq.mean(axis=0)
-    stderr = e1_sq.std(axis=0, ddof=1) / math.sqrt(seeds)
-    noise = params.sgd_noise ** 2 + params.subnet_noise_budget ** 2
-    bound = (1.0 - params.mu * eta) ** 2 * mean[:-1] + eta ** 2 * noise
-    slack = float(np.min(bound + 3.0 * stderr[1:] - mean[1:]))
+    seeds = 1000
+    slack = deviation_msq_slack(
+        certified_ridge_fleet([[0.0, 2.0], [-1.0, 3.0]], [2], batch_size=1), seeds)
     elapsed = time.time() - start
     report("criterion-5 stochastic-one-step",
            slack >= 0 and elapsed < 60.0,
@@ -226,34 +154,13 @@ def test_criterion_5_stochastic_one_step():
 
 def test_criterion_6_theorem_domination():
     start = time.time()
-    prob = theorem_problem(batch_size=1)
-    topo, model, params = prob.topology, prob.model, prob.params
-    tau, delay, num_syncs, seeds = 6, 2, 50, 300
-    eta_max, gamma = select_step_size(params, tau, delay)
-    alpha = 0.5 * compute_constants(params, tau, delay, 0.0, eta_max, gamma,
-                                    e3_init=prob.e3_init).alpha_star
-    consts = compute_constants(params, tau, delay, alpha, eta_max, gamma,
-                               e3_init=prob.e3_init)
-    gaps = np.zeros((seeds, num_syncs + 1))
-    for s in range(seeds):
-        plans = tuple(
-            IntervalPlan(tau=tau, alpha=alpha, eta=consts.eta_at(k), delay=delay,
-                         local_agg_offsets=tuple(tuple(range(1, tau + 1))
-                                                 for _ in range(topo.num_subnets)))
-            for k in range(num_syncs))
-        res = run_training(topo, model, TrainingSchedule(plans), seed=s,
-                           batch_size=1, w_star=prob.w_star,
-                           track_noise_free=False, metrics_every=tau)
-        gaps[s] = np.concatenate(([res.column("gap")[0]], res.at_sync("gap")))
-    mean = gaps.mean(axis=0)
-    stderr = gaps.std(axis=0, ddof=1) / math.sqrt(seeds)
-    nu = np.array([theorem_bound(consts, k) for k in range(num_syncs + 1)])
-    slack = float(np.min(nu + 3.0 * stderr - mean))
-    decreasing = bool(np.all(np.diff(nu) < 0))
+    seeds, num_syncs = 300, 50
+    dominates, decreasing = suite_theorem(seeds, num_syncs)
     elapsed = time.time() - start
     report("criterion-6 theorem-domination",
-           slack >= 0 and decreasing and elapsed < 300.0,
-           f"min 3-sigma slack {slack:.3e}, nu strictly decreasing={decreasing}, "
+           dominates.passed and decreasing.passed and elapsed < 300.0,
+           f"min 3-sigma slack {dominates.slack:.3e}, "
+           f"nu strictly decreasing={decreasing.passed}, "
            f"{seeds} seeds x {num_syncs} syncs, {elapsed:.0f}s")
 
 
@@ -290,44 +197,10 @@ def test_criterion_7_protocol_collapse():
 # -- 8: behavioral ordering ----------------------------------------------------
 
 
-def ordering_fleet():
-    gen = stream(7, 7)
-    blob = make_blobs(10, 300, 12, 0.25, gen, center_scale=6.0,
-                      orthogonal_centers=True)
-    parts = partition_label_skew(blob, 50, 3, stream(11, 7, 1))
-    topo = build_topology(parts, [5] * 10)
-    model = LossModel(SVM, feature_dim=12, regularization=0.01, num_classes=10)
-    return topo, model
-
-
 def test_criterion_8_behavioral_ordering():
     start = time.time()
-    topo, model = ordering_fleet()
-    eta, tau, period, intervals, seeds = 0.03, 20, 5, 10, range(5)
-
-    def mean_final(alpha, delay, kind="dfl"):
-        finals = []
-        for s in seeds:
-            if kind == "fedavg":
-                res = run_baseline("fedavg", topo, model, num_intervals=intervals,
-                                   tau=tau, eta=eta, delay=delay, seed=s,
-                                   batch_size=10, w_star=None, metrics_every=200)
-            else:
-                sched = TrainingSchedule.uniform(
-                    intervals, tau, alpha=alpha, eta=eta, delay=delay,
-                    local_agg_period=period, num_subnets=topo.num_subnets)
-                res = run_training(topo, model, sched, seed=s, batch_size=10,
-                                   w_star=None, metrics_every=200,
-                                   allow_alpha_one=(alpha == 1.0))
-            finals.append(float(res.column("loss")[-1]))
-        return float(np.mean(finals))
-
-    dfl = mean_final(0.5, 10)
-    hier = mean_final(0.0, 10)
-    fed = mean_final(0.0, 10, kind="fedavg")
-    d0_conventional = mean_final(0.0, 0)
-    d0_combined = mean_final(0.5, 0)
-    ablation = mean_final(1.0, 10)
+    dfl, hier, fed, d0_conventional, d0_combined, ablation = (
+        mean for _, mean, _ in ordering_experiment(range(5), eta=0.03, intervals=10))
     elapsed = time.time() - start
 
     a_ok = dfl < hier and dfl < fed
@@ -343,57 +216,24 @@ def test_criterion_8_behavioral_ordering():
 # -- 9: controller trends ------------------------------------------------------
 
 
-def trend_fleet(labels_per_device):
-    gen = stream(7, 7)
-    blob = make_blobs(10, 120, 6, 0.6, gen)
-    parts = partition_label_skew(blob, 20, labels_per_device, stream(11, 7, 1))
-    topo = build_topology(parts, [5] * 4)
-    model = LossModel(RIDGE, feature_dim=6, regularization=4.0)
-    return topo, model
-
-
-def adaptive_mean_alpha(topo, model, delay, seeds):
-    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2,
-                           bound_weight=1.0, phi=2.0, tau_max=30, tau_min=30,
-                           alpha_step=0.01, horizon=240, initial_tau=30,
-                           probe_scale=0.5)
-    alphas, cap_ok = [], True
-    for s in seeds:
-        res = run_adaptive(topo, model, config, seed=s, batch_size=10,
-                           delay=delay, w_star=None, metrics_every=60)
-        for d in res.decisions:
-            if d.fallback:
-                continue
-            alphas.append(d.alpha_next)
-            cap_ok &= d.alpha_next < d.alpha_cap
-    return float(np.mean(alphas)), cap_ok
-
-
 def test_criterion_9_controller_trends():
     start = time.time()
-    seeds = range(5)
-    topo3, model3 = trend_fleet(3)
-    delay_means = []
-    caps_ok = True
-    for delay in (5, 10, 15, 20, 25):
-        mean_alpha, ok = adaptive_mean_alpha(topo3, model3, delay, seeds)
-        delay_means.append(mean_alpha)
-        caps_ok &= ok
+    points = controller_trends(range(5))
+    delay_means = [p.mean_alpha for p in points if p.axis == "delay"]
     increasing = all(b >= a - 1e-12 for a, b in zip(delay_means, delay_means[1:]))
-
-    diversity_means = []
-    for labels in (5, 3, 2, 1):       # increasing heterogeneity
-        topo, model = trend_fleet(labels)
-        mean_alpha, ok = adaptive_mean_alpha(topo, model, 10, seeds)
-        diversity_means.append(mean_alpha)
-        caps_ok &= ok
+    # labels per device 5, 3, 2, 1: increasing heterogeneity
+    diversity_means = [p.mean_alpha for p in points if p.axis == "labels_per_device"]
     decreasing = all(b <= a + 1e-12 for a, b in
                      zip(diversity_means, diversity_means[1:]))
+    caps_ok = all(p.caps_ok for p in points)
+    zero_grid = sum(p.zero_grid for p in points)
+    decisions = sum(p.decisions for p in points)
     elapsed = time.time() - start
     report("criterion-9 controller-trends",
            increasing and decreasing and caps_ok,
            f"mean alpha by delay {delay_means}, by skew {diversity_means}, "
-           f"caps respected={caps_ok}, {elapsed:.0f}s")
+           f"caps respected={caps_ok}, alpha grid {{0}} in {zero_grid} of "
+           f"{decisions} decisions, {elapsed:.0f}s")
 
 
 # -- 10: cost anchors ----------------------------------------------------------
@@ -453,50 +293,8 @@ def test_criterion_10_cost_anchors():
 
 
 def test_criterion_11_solver_determinism():
-    prob = diverse_problem()
-    params, topo = prob.params, prob.topology
-    gen = stream(1011, 0)
-    cost = CostSnapshot(
-        global_energy=0.5, global_delay=0.2,
-        local_energy=gen.uniform(0.01, 0.1, 3),
-        local_delay=gen.uniform(0.001, 0.01, 3),
-    )
-    gaps = gen.uniform(0, 2, 3)
-    config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2,
-                           bound_weight=1.0, phi=params.subnet_noise_budget,
-                           tau_max=8, alpha_step=0.25, horizon=100)
-    delay = 3
-    decision = solve_p(cost, params, config, topo.subnet_weights, 0, delay, prob.e3_init, gaps)
-    rerun = solve_p(cost, params, config, topo.subnet_weights, 0, delay, prob.e3_init, gaps)
-
-    theta = aggregation_indicators(subnet_contributions(gaps, topo.subnet_weights, params),
-                                   config.phi)
-    grid = []
-    for tau in range(delay, 9):
-        try:
-            eta_max, gamma = select_step_size(params, tau, delay)
-        except InfeasibleError:
-            continue
-        counts = theta.astype(int) * tau
-        energy = 100 / tau * (0.5 + float(np.sum(counts * cost.local_energy)))
-        delay_cost = 100 / tau * (0.2 + float(np.sum(counts * cost.local_delay)))
-        for j in itertools.count():
-            alpha = 0.25 * j
-            try:
-                consts = compute_constants(params, tau, delay, alpha, eta_max,
-                                           gamma, prob.e3_init)
-            except InfeasibleError:
-                break
-            obj = 1e-3 * energy + 1e-2 * delay_cost \
-                + theorem_bound(consts, 100 // tau)
-            grid.append((obj, tau, alpha))
-    # brute-force winner with the documented tie-break: objective, tau, alpha
-    best = min(grid, key=lambda g: (g[0], g[1], g[2]))
-    exact = decision.objective == best[0] and decision.tau_next == best[1] \
-        and decision.alpha_next == best[2] and decision == rerun
-    cap = alpha_limit(params, decision.tau_next, delay,
-                      *select_step_size(params, decision.tau_next, delay))
-    constraints = delay <= decision.tau_next <= 8 and decision.alpha_next < cap
-    report("criterion-11 solver-determinism", exact and constraints,
-           f"grid of {len(grid)} points, decision (tau={decision.tau_next}, "
+    outcome = solver_experiment(stream(1011, 0))
+    decision = outcome.decision
+    report("criterion-11 solver-determinism", outcome.exact and outcome.feasible,
+           f"grid of {outcome.grid_points} points, decision (tau={decision.tau_next}, "
            f"alpha={decision.alpha_next}) matches brute force exactly")

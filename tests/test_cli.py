@@ -14,6 +14,7 @@ import pytest
 import dflsim
 from dflsim import cli
 from dflsim.config import parse_config, load_config
+from dflsim.validate import SUITES
 
 MINIMAL = {
     "dataset": {"kind": "ridge-cloud", "num_points": 60, "feature_dim": 3,
@@ -283,9 +284,11 @@ def test_validate_unknown_suite():
         cli.main(["validate", "nonsense"])
 
 
-def test_validate_quick_suite_passes(capsys):
-    assert cli.main(["validate", "facts", "--quick"]) == 0
-    assert "[PASS]" in capsys.readouterr().out
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_validate_quick_suite_passes(suite, capsys):
+    assert cli.main(["validate", suite, "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS]" in out and "[FAIL]" not in out
 
 
 def test_checked_in_minimal_config_runs(tmp_path):
@@ -312,14 +315,29 @@ def test_divergent_run_exits_1_naming_slot_and_device(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def run_python(*args):
+    """``python *args`` from the repo root with this checkout's src on PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src")] + paths))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=root, timeout=300)
+
+
 def test_module_entry_point_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-m", "dflsim", "validate", "facts", "--quick"],
-                          capture_output=True, text=True, env=env, timeout=300)
+    done = run_python("-m", "dflsim", "validate", "facts", "--quick")
     assert done.returncode == 0, done.stderr
     assert "[PASS]" in done.stdout
+
+
+@pytest.mark.parametrize("script, csv_name, header", [
+    ("run_ordering_experiment.py", "ordering.csv", "variant,mean_final_loss,std_final_loss"),
+    ("run_controller_sweeps.py", "controller_sweeps.csv", "axis,value,mean_alpha,mean_tau"),
+], ids=["ordering", "sweeps"])
+def test_script_writes_its_csv(script, csv_name, header, tmp_path):
+    done = run_python(f"scripts/{script}", "--seeds", "1", "--output", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / csv_name).read_text().splitlines()[0] == header
 
 
 def test_sweep_alpha_with_ablation_value(tmp_path):

@@ -21,7 +21,7 @@ from dflsim.control import (
 from dflsim.data import Dataset
 from dflsim.errors import EstimationError, InfeasibleError
 from dflsim.fleet import build_topology, measure_diversity
-from dflsim.losses import RIDGE, LossModel
+from dflsim.losses import RIDGE, LossModel, full_gradient
 from dflsim.netcost import CostSnapshot, stream
 from dflsim.validate import diverse_problem, theorem_problem
 
@@ -138,7 +138,7 @@ def test_estimate_sigma_from_uploaded_gradients(rng):
     prob = theorem_problem()
     topo, model = prob.topology, prob.model
     uploads = rng.standard_normal((topo.num_devices, model.model_dim))
-    grads = np.stack([topo.device_gradient(model, i, uploads[i])
+    grads = np.stack([full_gradient(model, topo.datasets[i], uploads[i])
                       for i in range(topo.num_devices)])
     est = estimate_parameters(uploads, grads, topo, model, 0.1, 0.1, phi=0.0)
     assert est.sgd_noise == 0.0  # exact gradients uploaded

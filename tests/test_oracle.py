@@ -116,6 +116,29 @@ def test_subnet_and_global_sums_equal_the_loops(case):
     assert topo.global_loss(model, points[0]) == looped_loss
 
 
+@given(fleets(), st.data())
+def test_global_loss_equals_the_loop_on_shuffled_ragged_subnets(case, data):
+    fleet, model, points, _ = case
+    num = fleet.num_devices
+    ids = data.draw(st.permutations(range(num)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(num - 1, 1)), max_size=num - 1)))
+    subnets = tuple(tuple(ids[a:b]) for a, b in zip([0] + cuts, cuts + [num]))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = gen.uniform(0.1, 1.0, num)
+    device_weights = np.empty(num)
+    for members in subnets:
+        device_weights[list(members)] = raw[list(members)] / raw[list(members)].sum()
+    subnet_weights = gen.uniform(0.1, 1.0, len(subnets))
+    subnet_weights /= subnet_weights.sum()
+    topo = FleetTopology(subnets, fleet.datasets, device_weights, subnet_weights)
+    looped = 0.0
+    for c, members in enumerate(subnets):
+        for i in members:
+            looped += subnet_weights[c] * device_weights[i] \
+                * loss(model, topo.datasets[i], points[0])
+    assert topo.global_loss(model, points[0]) == looped
+
+
 @given(fleets(), st.integers(0, 50), st.integers(1, 9))
 def test_minibatch_form_equals_stochastic_gradient(case, t, batch):
     topo, model, points, _ = case
