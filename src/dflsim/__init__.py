@@ -3,7 +3,6 @@
 from .analysis import (
     BoundConstants,
     EigenSystem,
-    NoiseFreeState,
     compute_constants,
     dispersion_matrix,
     eigen_system,
@@ -31,6 +30,7 @@ from .engine import (
     Protocol,
     RunResult,
     TrainingSchedule,
+    noise_free_interval,
     run_baseline,
     run_training,
 )
@@ -47,7 +47,6 @@ from .losses import (
     LossModel,
     full_gradient,
     loss,
-    point_gradients,
     solve_optimum,
     stochastic_gradient,
 )

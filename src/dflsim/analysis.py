@@ -433,43 +433,28 @@ def coupled_dynamics_step(constants: BoundConstants, e2: float, e3: float,
 # noise-free companion dynamics
 
 
-@dataclass(frozen=True)
-class NoiseFreeState:
-    """Per-subnet full-batch companions of the device trajectories."""
-
-    subnet_models: np.ndarray  # (N, M)
-
-    def global_model(self, topology: FleetTopology) -> np.ndarray:
-        return topology.global_sums(self.subnet_models)
+def noise_free_step(companions: np.ndarray, topology: FleetTopology,
+                    model: LossModel, eta: float) -> np.ndarray:
+    """One full-batch descent slot on every (N, M) subnet companion."""
+    grads = topology.stack.own_gradients(model, companions[topology.subnet_of])
+    return companions - eta * topology.subnet_sums(grads)
 
 
-def noise_free_step(state: NoiseFreeState, topology: FleetTopology,
-                    model: LossModel, eta: float) -> NoiseFreeState:
-    """One full-batch descent slot on every subnet companion."""
-    models = state.subnet_models
-    grads = topology.stack.own_gradients(model, models[topology.subnet_of])
-    return NoiseFreeState(models - eta * topology.subnet_sums(grads))
-
-
-def noise_free_sync(tentative: NoiseFreeState, alpha: float,
-                    snapshot: np.ndarray) -> NoiseFreeState:
+def noise_free_sync(companions: np.ndarray, alpha: float,
+                    snapshot: np.ndarray) -> np.ndarray:
     """Combiner applied to the companions: (1-alpha)*stale global + alpha*own."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InfeasibleError(f"alpha {alpha} outside [0, 1]")
-    mixed = (1.0 - alpha) * snapshot[None, :] + alpha * tentative.subnet_models
-    return NoiseFreeState(mixed)
+    return (1.0 - alpha) * snapshot[None, :] + alpha * companions
 
 
 def error_terms(device_models: np.ndarray, topology: FleetTopology,
-                noise_free: NoiseFreeState, w_star: np.ndarray):
+                companions: np.ndarray, w_star: np.ndarray):
     """Per-slot (e1, e2, e3) sample from device models and their companions.
 
     e1 is the square-rooted weighted mean squared device deviation from
     the subnet companion (single-run sample of the expectation), e2 the
     weighted companion dispersion, e3 the companion optimality gap.
     """
-    companions = noise_free.subnet_models
-    v_bar = noise_free.global_model(topology)
+    v_bar = topology.global_sums(companions)
     # the running sums add the terms one at a time, as a loop over the devices would
     e1_sq = topology.device_total(_dots(device_models - companions[topology.subnet_of]))
     e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar))[-1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import ControlConfig
 from .data import Dataset, load_csv, load_idx, make_blobs, make_ridge_cloud
-from .engine import TrainingSchedule
+from .engine import IntervalPlan, TrainingSchedule
 from .errors import ConfigError, DFLError
 from .fleet import FleetTopology, build_topology, partition_label_skew
 from .losses import SVM, LossModel
@@ -198,6 +198,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("control: required when schedule.mode='adaptive'")
         if sched["delay"] < 0:
             raise ConfigError("schedule.delay: expected a nonnegative integer")
+        # the delay split rule of every interval, on the shortest that holds the delay
+        checked("schedule", lambda: IntervalPlan(tau=sched["delay"] + 1, alpha=0.0, eta=1.0,
+                                                 delay=sched["delay"], up_delay=sched["up_delay"]))
     if effective["radio"] is not None:
         checked("radio", lambda: _radio_config(effective["radio"]))
     return cfg

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import NoiseFreeState, error_terms, noise_free_step, noise_free_sync
+from .analysis import error_terms, noise_free_step, noise_free_sync
 from .errors import (
     BatchSizeError,
     DivergenceError,
@@ -80,6 +80,22 @@ class IntervalPlan:
         for c, offsets in enumerate(self.local_agg_offsets[:num_subnets]):
             table[list(offsets), c] = True
         return table
+
+
+def noise_free_interval(companions: np.ndarray, topology: FleetTopology,
+                        model: LossModel, plan: IntervalPlan):
+    """The (N, M) noise-free companions after each slot 1..tau of ``plan``.
+
+    Every slot takes one full-batch step; the snapshot is their global
+    model at slot tau - delay, mixed back in by the combiner at slot tau.
+    """
+    for step in range(1, plan.tau + 1):
+        companions = noise_free_step(companions, topology, model, plan.eta)
+        if step == plan.tau - plan.delay:
+            snapshot = topology.global_sums(companions)
+        if step == plan.tau:
+            companions = noise_free_sync(companions, plan.alpha, snapshot)
+        yield companions
 
 
 def periodic_offsets(tau: int, period: int | None, num_subnets: int):
@@ -253,7 +269,7 @@ class Protocol:
             raise BatchSizeError(f"batch_size {self.batch_size} outside [1, {smallest}]")
         self._minibatches = Minibatches(self.seed, topology.stack, self.batch_size)
         self.w = np.tile(w_init, (topology.num_devices, 1))
-        self.noise_free = NoiseFreeState(np.tile(w_init, (topology.num_subnets, 1)))
+        self.noise_free = np.tile(w_init, (topology.num_subnets, 1))
         self.t = 0
         self.k = 0
         self.cum_energy = 0.0
@@ -346,10 +362,12 @@ class Protocol:
         t0 = self.t
         t_end = t0 + plan.tau
         capture_t = t_end - plan.delay
-        snapshot = v_snapshot = None
+        snapshot = None
         stale_models = stale_grads = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
         scheduled = plan.indicators(n_sub) if theta_policy is None else None
+        companions = noise_free_interval(self.noise_free, topo, self.model, plan) \
+            if self.track_noise_free else None
 
         for step in range(1, plan.tau + 1):
             t = t0 + step
@@ -380,11 +398,6 @@ class Protocol:
                 energy, delay_s = self.cost_model.global_event(t)
                 self._charge(t, "global", -1, energy, delay_s)
 
-            v_tent = noise_free_step(self.noise_free, topo, self.model, plan.eta) \
-                if self.track_noise_free else self.noise_free
-            if t == capture_t and self.track_noise_free:
-                v_snapshot = v_tent.global_model(topo)
-
             sync = t == t_end
             if sync and snapshot is None:
                 raise SnapshotError("synchronization without a captured snapshot")
@@ -398,9 +411,8 @@ class Protocol:
                 for c in np.flatnonzero(theta).tolist():
                     energy, delay_s = self.cost_model.local_event(t, c)
                     self._charge(t, "local", c, energy, delay_s)
-            if self.track_noise_free:
-                self.noise_free = noise_free_sync(v_tent, plan.alpha, v_snapshot) \
-                    if sync else v_tent
+            if companions is not None:
+                self.noise_free = next(companions)
             if sync:
                 self._pending_snapshot = None
 

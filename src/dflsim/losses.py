@@ -162,22 +162,6 @@ def full_gradient(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarr
     return _gradients(model, dataset.features, _targets(model, dataset.labels), w)
 
 
-def point_gradients(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    """Per-point gradients, one row per data point (includes the L2 term)."""
-    w = model.check_vector(w)
-    model.check_dataset(dataset)
-    require_nonempty(dataset, "point_gradients")
-    X = dataset.features
-    targets = _targets(model, dataset.labels)
-    if model.kind == RIDGE:
-        grads = (X @ w - targets)[:, None] * X
-    else:
-        coeff = -2.0 * (targets * _svm_margins(model, X, targets, w))   # (n, C)
-        grads = coeff[:, :, None] * X[:, None, :]                       # (n, C, m)
-        grads = grads.reshape(dataset.n, -1)
-    return grads + model.regularization * w[None, :]
-
-
 def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
     """The minibatch of one uniform key per point: the positions of the
     ``batch_size`` smallest keys along the last axis, in key order (the

@@ -18,13 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
-    NoiseFreeState,
     alpha_limit,
     compute_constants,
     eigen_system,
     error_terms,
-    noise_free_step,
-    noise_free_sync,
     one_step_bounds,
     proposition_step,
     theorem_bound,
@@ -39,7 +36,8 @@ from .control import (
     subnet_contributions,
 )
 from .data import Dataset, make_blobs, make_shared_design
-from .engine import IntervalPlan, TrainingSchedule, run_baseline, run_training
+from .engine import (IntervalPlan, TrainingSchedule, noise_free_interval, run_baseline,
+                     run_training)
 from .errors import InfeasibleError
 from .fleet import FleetTopology, HeterogeneityParams, build_topology, partition_label_skew
 from .losses import RIDGE, SVM, LossModel, full_gradient
@@ -231,24 +229,19 @@ def noise_free_onestep(steps: int) -> tuple[float, float, int]:
     prob = diverse_problem()
     topo, model, params = prob.topology, prob.model, prob.params
     eta = 0.9 * 2.0 / (params.mu + params.beta)
-    tau, delay, alpha = 25, 5, 0.3
-    state = NoiseFreeState(np.zeros((topo.num_subnets, model.model_dim)))
+    plan = IntervalPlan(tau=25, alpha=0.3, eta=eta, delay=5)
+    companions = np.zeros((topo.num_subnets, model.model_dim))
     zeros = np.zeros((topo.num_devices, model.model_dim))
     worst2 = worst3 = math.inf
     checked = 0
-    snapshot = None
     for t in range(1, steps + 1):
-        _, e2, e3 = error_terms(zeros, topo, state, prob.w_star)
+        if (t - 1) % plan.tau == 0:     # an interval starts
+            slots = noise_free_interval(companions, topo, model, plan)
+        _, e2, e3 = error_terms(zeros, topo, companions, prob.w_star)
         _, b2, b3 = one_step_bounds(params, 0.0, e2, e3, eta)
-        step_in = (t - 1) % tau + 1
-        nxt = noise_free_step(state, topo, model, eta)
-        if step_in == tau - delay:
-            snapshot = nxt.global_model(topo)
-        if step_in == tau:
-            state = noise_free_sync(nxt, alpha, snapshot)
-        else:
-            state = nxt
-            _, e2n, e3n = error_terms(zeros, topo, state, prob.w_star)
+        companions = next(slots)
+        if t % plan.tau:                # the slot does not synchronize
+            _, e2n, e3n = error_terms(zeros, topo, companions, prob.w_star)
             worst2 = min(worst2, b2 - e2n)
             worst3 = min(worst3, b3 - e3n)
             checked += 1
@@ -485,20 +478,16 @@ def suite_proposition(draws: int = 100, seed: int = 1) -> list[CheckResult]:
     alpha = 0.5 * compute_constants(prob.params, tau, delay, 0.0, eta_max,
                                     gamma).alpha_star
     worst = math.inf
-    state = NoiseFreeState(np.zeros((topo.num_subnets, model.model_dim)))
+    companions = np.zeros((topo.num_subnets, model.model_dim))
     zeros = np.zeros((topo.num_devices, model.model_dim))
     for k in range(12):
         consts = compute_constants(prob.params, tau, delay, alpha, eta_max, gamma,
                                    e3_init=prob.e3_init)
         eta_k = consts.eta_at(k)
-        _, e2, e3 = error_terms(zeros, topo, state, prob.w_star)
-        snapshot = None
-        for step in range(1, tau + 1):
-            nxt = noise_free_step(state, topo, model, eta_k)
-            if step == tau - delay:
-                snapshot = nxt.global_model(topo)
-            state = noise_free_sync(nxt, alpha, snapshot) if step == tau else nxt
-        _, e2n, e3n = error_terms(zeros, topo, state, prob.w_star)
+        _, e2, e3 = error_terms(zeros, topo, companions, prob.w_star)
+        plan = IntervalPlan(tau=tau, alpha=alpha, eta=eta_k, delay=delay)
+        *_, companions = noise_free_interval(companions, topo, model, plan)
+        _, e2n, e3n = error_terms(zeros, topo, companions, prob.w_star)
         _, t2, t3 = proposition_step(consts, 0.0, e2, e3, eta_k, tight=True)
         _, s2, s3 = proposition_step(consts, 0.0, e2, e3, eta_k, tight=False)
         worst = min(worst, t2 - e2n, t3 - e3n, s2 - t2, s3 - t3)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import mp_reference as mpref
 from dflsim.analysis import (
-    NoiseFreeState,
     compute_constants,
     coupled_dynamics_step,
     eigen_system,
@@ -24,6 +23,7 @@ from dflsim.analysis import (
     theorem_bound,
 )
 from dflsim.control import select_step_size
+from dflsim.engine import IntervalPlan, noise_free_interval
 from dflsim.errors import InfeasibleError
 from dflsim.fleet import HeterogeneityParams
 from dflsim.validate import diverse_problem, random_quadratic_params
@@ -363,9 +363,9 @@ def test_noise_free_fixed_point():
             * np.array([1.0, 0.0]))
         for c in range(topo.num_subnets)
     ])
-    state = NoiseFreeState(fixed)
+    state = fixed
     stepped = noise_free_step(state, topo, model, 0.1)
-    np.testing.assert_allclose(stepped.subnet_models, fixed, atol=1e-12)
+    np.testing.assert_allclose(stepped, fixed, atol=1e-12)
 
 
 def test_noise_free_homogeneous_subnets_stay_identical(rng):
@@ -376,17 +376,17 @@ def test_noise_free_homogeneous_subnets_stay_identical(rng):
     base = Dataset(rng.standard_normal((8, 2)), rng.standard_normal(8))
     topo = build_topology([base] * 4, [2, 2])
     model = LossModel(RIDGE, feature_dim=2, regularization=0.2)
-    state = NoiseFreeState(np.tile(rng.standard_normal(2), (2, 1)))
+    state = np.tile(rng.standard_normal(2), (2, 1))
     for _ in range(10):
         state = noise_free_step(state, topo, model, 0.1)
-    np.testing.assert_array_equal(state.subnet_models[0], state.subnet_models[1])
+    np.testing.assert_array_equal(state[0], state[1])
 
 
 def test_noise_free_recursion_matches_straight_line_oracle():
     prob = diverse_problem()
     topo, model = prob.topology, prob.model
     eta = 0.15
-    state = NoiseFreeState(np.zeros((3, 2)))
+    state = np.zeros((3, 2))
     for _ in range(5):
         state = noise_free_step(state, topo, model, eta)
     # hand-rolled recursion: all points share x=[1,0]; the subnet gradient is
@@ -397,16 +397,16 @@ def test_noise_free_recursion_matches_straight_line_oracle():
     v = np.zeros((3, 2))
     for _ in range(5):
         v = v - eta * ((v @ x - means)[:, None] * x[None, :] + 1.0 * v)
-    np.testing.assert_allclose(state.subnet_models, v, atol=1e-12)
+    np.testing.assert_allclose(state, v, atol=1e-12)
 
 
 def test_noise_free_sync_mirror_cases():
-    tent = NoiseFreeState(np.array([[2.0, 2.0], [4.0, 0.0]]))
+    tent = np.array([[2.0, 2.0], [4.0, 0.0]])
     snap = np.array([0.0, 0.0])
     synced = noise_free_sync(tent, 0.0, snap)
-    np.testing.assert_array_equal(synced.subnet_models, 0.0)
+    np.testing.assert_array_equal(synced, 0.0)
     half = noise_free_sync(tent, 0.5, snap)
-    np.testing.assert_allclose(half.subnet_models, [[1.0, 1.0], [2.0, 0.0]])
+    np.testing.assert_allclose(half, [[1.0, 1.0], [2.0, 0.0]])
 
 
 def test_error_terms_formula_oracle(rng):
@@ -414,7 +414,7 @@ def test_error_terms_formula_oracle(rng):
     topo = prob.topology
     models = rng.standard_normal((topo.num_devices, 2))
     subnet_vals = rng.standard_normal((topo.num_subnets, 2))
-    state = NoiseFreeState(subnet_vals)
+    state = subnet_vals
     e1, e2, e3 = error_terms(models, topo, state, prob.w_star)
     vbar = sum(topo.subnet_weights[c] * subnet_vals[c] for c in range(3))
     e1_ref = math.sqrt(sum(
@@ -432,11 +432,11 @@ def test_error_terms_formula_oracle(rng):
 def test_error_terms_degenerate_cases(rng):
     prob = diverse_problem()
     topo = prob.topology
-    state = NoiseFreeState(np.tile(rng.standard_normal(2), (3, 1)))
+    state = np.tile(rng.standard_normal(2), (3, 1))
     models = np.zeros((topo.num_devices, 2))
     for c in range(3):
         for i in topo.subnets[c]:
-            models[i] = state.subnet_models[c]
+            models[i] = state[c]
     e1, e2, _ = error_terms(models, topo, state, prob.w_star)
     assert e1 == 0.0 and e2 == pytest.approx(0.0, abs=1e-15)
 
@@ -468,7 +468,7 @@ def test_one_step_bounds_with_positive_zeta_variant():
         sgd_noise=0.0, subnet_noise_budget=0.0)
     topo, model = prob.topology, prob.model
     eta = 0.9 * 2.0 / (params.mu + params.beta)
-    state = NoiseFreeState(np.zeros((3, 2)))
+    state = np.zeros((3, 2))
     zeros = np.zeros((topo.num_devices, 2))
     worst = np.inf
     for _ in range(120):
@@ -564,18 +564,14 @@ def test_induction_envelopes_hold_along_noise_free_trajectory():
     consts = compute_constants(params, tau, delay, alpha, eta_max, gamma,
                                e3_init=prob.e3_init)
     zeros = np.zeros((topo.num_devices, model.model_dim))
-    state = NoiseFreeState(np.zeros((topo.num_subnets, model.model_dim)))
+    state = np.zeros((topo.num_subnets, model.model_dim))
     for k in range(30):
         eta_k = consts.eta_at(k)
         _, e2, e3 = error_terms(zeros, topo, state, prob.w_star)
         assert e2 <= consts.y2 * eta_k + 1e-12, (k, e2, consts.y2 * eta_k)
         assert e3 <= consts.y3 * eta_k + 1e-12, (k, e3, consts.y3 * eta_k)
-        snapshot = None
-        for step in range(1, tau + 1):
-            nxt = noise_free_step(state, topo, model, eta_k)
-            if step == tau - delay:
-                snapshot = nxt.global_model(topo)
-            state = noise_free_sync(nxt, alpha, snapshot) if step == tau else nxt
+        plan = IntervalPlan(tau=tau, alpha=alpha, eta=eta_k, delay=delay)
+        *_, state = noise_free_interval(state, topo, model, plan)
 
 
 def _direct_composition(params, consts, tau, delay, alpha, eta, state):

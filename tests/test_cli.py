@@ -140,6 +140,10 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"model.kind": "svm", "dataset.kind": "blobs", "dataset.num_classes": 4,
              "model.num_classes": 4, "topology.labels_per_device": 5},
      "topology.labels_per_device"),
+    ("run", {"schedule.mode": "adaptive", "control.horizon": 40, "schedule.delay": 10,
+             "schedule.up_delay": -1}, "schedule.up_delay"),
+    ("run", {"schedule.mode": "adaptive", "control.horizon": 40, "schedule.delay": 10,
+             "schedule.up_delay": 50}, "schedule.up_delay"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
     blob = json.loads(json.dumps(BASE_INPUTS[command]))
@@ -328,6 +332,13 @@ def test_module_entry_point_runs_the_cli():
     done = run_python("-m", "dflsim", "validate", "facts", "--quick")
     assert done.returncode == 0, done.stderr
     assert "[PASS]" in done.stdout
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # only ``dflsim validate`` needs validate.py; run and sweep do not load it
+    done = run_python("-c", "import sys, dflsim.cli; print('dflsim.validate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("script, csv_name, header", [

@@ -1,5 +1,7 @@
 """Protocol engine: arithmetic cases, clock discipline, oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -295,6 +297,93 @@ def test_engine_equals_oracle_bitwise_on_a_dim1_subnet_of_12():
         engine, oracle = engine_and_oracle(topo, model, seed=seed, batch=2, intervals=3,
                                            tau=4, alpha=0.4, eta=0.05, delay=1, period=2)
         assert np.array_equal(engine, oracle), seed
+
+
+def straight_line_errors(topo, model, seed, batch, plans, w_star):
+    """(e1, e2, e3) at the start and after every slot of a flat reimplementation
+    of the engine beside its noise-free companions: one full-batch descent per
+    subnet each slot, their global model taken at slot tau - delay of every
+    interval and mixed back in by the combiner at slot tau."""
+    I, N, dim = topo.num_devices, topo.num_subnets, model.model_dim
+    w = [np.zeros(dim) for _ in range(I)]
+    v = [np.zeros(dim) for _ in range(N)]
+
+    def global_sum(vectors):
+        out = np.zeros(dim)
+        for c in range(N):
+            out = out + topo.subnet_weights[c] * vectors[c]
+        return out
+
+    def errors():
+        v_bar = global_sum(v)
+        e1_sq = e2 = 0.0
+        for c in range(N):
+            for i in topo.subnets[c]:
+                diff = w[i] - v[c]
+                e1_sq += topo.subnet_weights[c] * topo.device_weights[i] * float(diff @ diff)
+            e2 += topo.subnet_weights[c] * float(np.linalg.norm(v[c] - v_bar))
+        return math.sqrt(e1_sq), e2, float(np.linalg.norm(v_bar - w_star))
+
+    rows = [errors()]
+    t = 0
+    for plan in plans:
+        for step in range(1, plan.tau + 1):
+            t += 1
+            tent = []
+            for i in range(I):
+                gen = stream(seed, TAG_SGD, i)
+                gen.bit_generator.advance((t - 1) * topo.datasets[i].n)
+                g = stochastic_gradient(model, topo.datasets[i], w[i], batch, gen)
+                tent.append(w[i] - plan.eta * g)
+            aggs = []
+            for c in range(N):
+                acc = np.zeros(dim)
+                grad = np.zeros(dim)
+                for i in topo.subnets[c]:
+                    acc = acc + topo.device_weights[i] * tent[i]
+                    grad = grad + topo.device_weights[i] * full_gradient(
+                        model, topo.datasets[i], v[c])
+                aggs.append(acc)
+                v[c] = v[c] - plan.eta * grad
+            if step == plan.tau - plan.delay:
+                snapshot, v_snapshot = global_sum(aggs), global_sum(v)
+            for c in range(N):
+                for i in topo.subnets[c]:
+                    w[i] = aggs[c] if step in plan.local_agg_offsets[c] else tent[i]
+            if step == plan.tau:
+                w = [(1 - plan.alpha) * snapshot + plan.alpha * wi for wi in w]
+                v = [(1 - plan.alpha) * v_snapshot + plan.alpha * vc for vc in v]
+            rows.append(errors())
+    return rows
+
+
+@st.composite
+def companion_runs(draw):
+    """A ragged fleet under one to three intervals, each with its own plan."""
+    case = draw(ragged_runs())
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        tau = draw(st.integers(1, 5))
+        delay = draw(st.integers(0, tau - 1))
+        period = draw(st.one_of(st.none(), st.integers(1, tau)))
+        plans.append(IntervalPlan(
+            tau=tau, alpha=draw(st.sampled_from([0.0, 0.4, 1.0])),
+            eta=draw(st.sampled_from([0.02, 0.05, 0.1])), delay=delay,
+            up_delay=draw(st.one_of(st.none(), st.integers(0, delay))),
+            local_agg_offsets=periodic_offsets(tau, period, case["topo"].num_subnets)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w_star = gen.standard_normal(case["model"].model_dim)
+    return case["topo"], case["model"], case["seed"], case["batch"], plans, w_star
+
+
+@given(companion_runs())
+def test_engine_companion_errors_equal_the_straight_line_loop(case):
+    topo, model, seed, batch, plans, w_star = case
+    res = run_training(topo, model, TrainingSchedule(tuple(plans)), seed=seed,
+                       batch_size=batch, w_star=w_star, allow_alpha_one=True)
+    want = np.array(straight_line_errors(*case))
+    for j, name in enumerate(("e1", "e2", "e3")):
+        assert np.array_equal(res.column(name), want[:, j]), name
 
 
 def test_clock_discipline_snapshot_precedes_sync(rng):

@@ -17,7 +17,6 @@ from dflsim.losses import (
     LossModel,
     full_gradient,
     loss,
-    point_gradients,
     solve_optimum,
     stochastic_gradient,
 )
@@ -88,15 +87,6 @@ def test_gradient_matches_finite_differences(kind, rng):
         fd = (loss(model, ds, w + e) - loss(model, ds, w - e)) / (2 * h)
         denom = max(abs(fd), 1.0)
         assert abs(grad[j] - fd) / denom < 1e-5
-
-
-def test_point_gradients_average_to_full(rng):
-    model = LossModel(SVM, feature_dim=4, regularization=0.1, num_classes=3)
-    ds = Dataset(rng.standard_normal((9, 4)), rng.integers(0, 3, 9).astype(float))
-    w = rng.standard_normal(model.model_dim)
-    np.testing.assert_allclose(
-        point_gradients(model, ds, w).mean(axis=0),
-        full_gradient(model, ds, w), rtol=1e-12, atol=1e-12)
 
 
 def test_stochastic_full_batch_is_exact(rng):

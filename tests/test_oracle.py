@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import losses
-from dflsim.analysis import NoiseFreeState, error_terms, noise_free_step
+from dflsim.analysis import error_terms, noise_free_step
 from dflsim.data import Dataset
 from dflsim.engine import Protocol, TrainingSchedule, run_training
 from dflsim.fleet import (
@@ -250,7 +250,7 @@ def test_norms_are_the_one_dimensional_norm(case):
 def test_companion_step_equals_the_subnet_loop(case):
     topo, model, points, _ = case
     models = points[np.arange(topo.num_subnets) % len(points)]
-    got = noise_free_step(NoiseFreeState(models), topo, model, 0.1).subnet_models
+    got = noise_free_step(models, topo, model, 0.1)
     for c in range(topo.num_subnets):
         want = models[c] - 0.1 * looped_subnet_gradient(topo, model, c, models[c])
         assert np.array_equal(got[c], want)
@@ -265,12 +265,12 @@ def test_error_terms_equal_the_device_loop(sizes, dim, seed):
     topo = build_topology([Dataset(gen.standard_normal((n, dim)), gen.standard_normal(n))
                            for n in counts], sizes)
     device_models = gen.standard_normal((topo.num_devices, dim))
-    state = NoiseFreeState(gen.standard_normal((topo.num_subnets, dim)))
+    state = gen.standard_normal((topo.num_subnets, dim))
     w_star = gen.standard_normal(dim)
-    v_bar = state.global_model(topo)
+    v_bar = topo.global_sums(state)
     e1_sq = e2 = 0.0
     for c in range(topo.num_subnets):
-        vc = state.subnet_models[c]
+        vc = state[c]
         for i in topo.subnets[c]:
             diff = device_models[i] - vc
             e1_sq += topo.subnet_weights[c] * topo.device_weights[i] * float(diff @ diff)
