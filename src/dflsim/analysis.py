@@ -22,8 +22,6 @@ from .errors import InfeasibleError
 from .fleet import FleetTopology, HeterogeneityParams
 from .losses import LossModel, _dots, norms
 
-RECONSTRUCT_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # coupled-dynamics matrix and eigensystem

@@ -118,6 +118,8 @@ def environment() -> dict:
 
 def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
                 workers: int, tag: str = "run") -> dict:
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds: the seed offset makes seed {min(seeds)} negative")
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     if workers > 1:

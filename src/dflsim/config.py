@@ -102,6 +102,8 @@ def _merge(section, defaults: dict, where: str) -> dict:
         if not (_is_a(value, kind) or (value is None and defaults[name] is None)):
             raise ConfigError(
                 f"{where}.{name}: expected {kind.__name__}, got {type(value).__name__}")
+        if name.endswith("seed") and value < 0:
+            raise ConfigError(f"{where}.{name}: expected a nonnegative integer")
         merged[name] = value
     return merged
 
@@ -164,8 +166,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }
     cfg = ExperimentConfig(raw=raw, effective=effective)
     if not isinstance(cfg.seeds, list) or not cfg.seeds \
-            or not all(_is_a(s, int) for s in cfg.seeds):
-        raise ConfigError("seeds: expected a nonempty list of integers")
+            or not all(_is_a(s, int) and s >= 0 for s in cfg.seeds):
+        raise ConfigError("seeds: expected a nonempty list of nonnegative integers")
     if not _is_a(cfg.batch_size, int) or cfg.batch_size < 1:
         raise ConfigError("batch_size: expected a positive integer")
     if not isinstance(cfg.output_dir, str):

@@ -34,6 +34,9 @@ from .fleet import (
 from .losses import LossModel, norms
 from .netcost import TAG_PROBE, CostSnapshot, RadioCostModel, stream
 
+# step size of an interval whose step-size problem is infeasible
+ETA_FALLBACK = 1e-3
+
 
 @dataclass(frozen=True)
 class ControlConfig:
@@ -158,8 +161,7 @@ def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopo
 def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
                         topology: FleetTopology, model: LossModel,
                         zeta_fraction: float, zeta_c_fraction: float,
-                        phi: float, w_star: np.ndarray | None = None,
-                        sigma_floor: float = 0.0) -> HeterogeneityParams:
+                        phi: float, w_star: np.ndarray | None = None) -> HeterogeneityParams:
     """Heterogeneity estimates from one round of uploaded (model, gradient) pairs.
 
     Secant ratios over consecutive uploads give (mu_hat, beta_hat);
@@ -187,11 +189,11 @@ def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
     delta_hat, delta_c_hat = diversity_from_survey(
         topology, subnet_gaps, device_gaps, zeta_hat, zeta_c_hat, distances)
 
-    sigma_hat = sigma_floor
+    sigma_hat = 0.0
     if gradients is not None:
         exact = topology.stack.own_gradients(model, models[:topology.num_devices])
         sigma_hat = float(np.fmax.reduce(
-            norms(np.asarray(gradients, dtype=np.float64) - exact), initial=sigma_floor))
+            norms(np.asarray(gradients, dtype=np.float64) - exact), initial=0.0))
 
     return HeterogeneityParams(
         mu=mu_hat, beta=beta_hat,
@@ -293,7 +295,6 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                  cost_model: RadioCostModel | None = None,
                  w_init: np.ndarray | None = None,
                  w_star="auto",
-                 eta_fallback: float = 1e-3,
                  **engine_kwargs) -> RunResult:
     """Full adaptive run: estimate, re-plan and train interval by interval."""
     if w_init is None:
@@ -317,7 +318,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                                               config.safety, config.gamma_safety)
             eta_k = eta_max / (1.0 + gamma * k)
         except InfeasibleError:
-            eta_k = eta_fallback
+            eta_k = ETA_FALLBACK
         plan = IntervalPlan(tau=tau, alpha=alpha_next, eta=eta_k,
                             delay=delay_eff, up_delay=up_eff)
 

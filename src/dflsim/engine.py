@@ -49,7 +49,6 @@ class IntervalPlan:
     eta: float
     delay: int = 0
     up_delay: int | None = None
-    down_delay: int | None = None
     local_agg_offsets: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
@@ -58,11 +57,10 @@ class IntervalPlan:
         if not 0 <= self.delay <= self.tau - 1:
             raise ScheduleError(f"delay must lie in [0, tau-1], got delay={self.delay}, tau={self.tau}")
         up = self.delay if self.up_delay is None else self.up_delay
-        down = self.delay - up if self.down_delay is None else self.down_delay
-        if up < 0 or down < 0 or up + down != self.delay:
-            raise ScheduleError(f"up_delay must lie in [0, delay], got delay split {up}+{down}")
+        if not 0 <= up <= self.delay:
+            raise ScheduleError(
+                f"up_delay must lie in [0, delay], got delay split {up}+{self.delay - up}")
         object.__setattr__(self, "up_delay", up)
-        object.__setattr__(self, "down_delay", down)
         if not 0.0 <= self.alpha <= 1.0:
             raise ScheduleError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.eta <= 0:
@@ -73,6 +71,11 @@ class IntervalPlan:
                     raise ScheduleError(
                         f"subnet {c}: aggregation offset {off} outside [1, {self.tau}]"
                     )
+
+    @property
+    def down_delay(self) -> int:
+        """Slots from the cloud aggregate to synchronization."""
+        return self.delay - self.up_delay
 
     def indicators(self, num_subnets: int) -> np.ndarray:
         """Scheduled aggregations as a (tau+1, num_subnets) table indexed by offset."""
@@ -159,7 +162,6 @@ class RunResult:
     events: list
     sync_times: np.ndarray
     final_models: np.ndarray
-    final_global: np.ndarray
     w_star: np.ndarray | None
     decisions: list = field(default_factory=list)
 
@@ -314,6 +316,12 @@ class Protocol:
         self.cum_energy += energy
         self.cum_delay += delay
 
+    def _charge_local(self, t: int, subnets) -> None:
+        """Charge one local aggregation in each of ``subnets``, in order, at slot t."""
+        energy, delay = (costs.tolist() for costs in self.cost_model.local_event(t))
+        for c in subnets:
+            self._charge(t, "local", c, energy[c], delay[c])
+
     def _diverged(self, device: int, what: str) -> DivergenceError:
         return DivergenceError(f"t={self.t}, k={self.k}: device {device} {what}; "
                                "the run diverged")
@@ -388,9 +396,7 @@ class Protocol:
                 stale_grads = grads.copy()
                 # uplink: one device-to-edge aggregation per subnet at capture
                 if self.cost_model is not None:
-                    for c in range(n_sub):
-                        energy, delay_s = self.cost_model.local_event(t, c)
-                        self._charge(t, "local", c, energy, delay_s)
+                    self._charge_local(t, range(n_sub))
 
             if t == t_end - plan.down_delay and self.cost_model is not None:
                 # the cloud builds and broadcasts the global model here, one
@@ -407,10 +413,8 @@ class Protocol:
             self.w = (1.0 - plan.alpha) * snapshot + plan.alpha * local if sync else local
             theta_counts += theta
             # a triggered aggregation in the capture slot rides the uplink
-            if self.cost_model is not None and t != capture_t:
-                for c in np.flatnonzero(theta).tolist():
-                    energy, delay_s = self.cost_model.local_event(t, c)
-                    self._charge(t, "local", c, energy, delay_s)
+            if self.cost_model is not None and t != capture_t and theta.any():
+                self._charge_local(t, np.flatnonzero(theta).tolist())
             if companions is not None:
                 self.noise_free = next(companions)
             if sync:
@@ -434,7 +438,6 @@ class Protocol:
             events=list(self.events),
             sync_times=np.asarray(sync_times if sync_times is not None else []),
             final_models=self.w.copy(),
-            final_global=self.global_average(self.w),
             w_star=self.w_star,
             decisions=list(decisions) if decisions else [],
         )

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .losses import DeviceStack, LossModel, minibatch, norms, solve_optimum
 
-WEIGHT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FleetTopology:
@@ -311,31 +309,27 @@ def diversity_from_survey(topology: FleetTopology, subnet_gaps: np.ndarray,
 
 def measure_diversity(topology: FleetTopology, model: LossModel,
                       probe_points: Sequence[np.ndarray], zeta: float,
-                      zeta_c: float, w_star: np.ndarray,
-                      distances: Sequence[float] | None = None):
+                      zeta_c: float, w_star: np.ndarray):
     """Smallest (delta, delta_c) satisfying the diversity bounds on the probes.
 
     delta = max over probes w and subnets c of
     [ ||grad Fbar_c(w) - grad F(w)|| - zeta*||w - w*|| ]_+, and delta_c
-    analogously per device inside subnet c. ``distances`` overrides the
-    exact ||w - w*|| factors (used by the online estimator, which only
-    has the gradient-norm surrogate).
+    analogously per device inside subnet c.
     """
     if len(probe_points) == 0:
         raise EstimationError("measure_diversity needs at least one probe point")
     probes = np.asarray(probe_points, dtype=np.float64)
-    if distances is None:
-        distances = norms(probes - w_star)
     _, subnet_gaps, device_gaps = gradient_survey(topology, model, probes)
     return diversity_from_survey(topology, subnet_gaps, device_gaps, zeta, zeta_c,
-                                 distances)
+                                 norms(probes - w_star))
 
 
 def secant_range(points_a: np.ndarray, points_b: np.ndarray, grads_a: np.ndarray,
-                 grads_b: np.ndarray, min_separation: float = 1e-12):
-    """(smallest, largest) ||grad a - grad b|| / ||a - b|| over the separated pairs."""
+                 grads_b: np.ndarray):
+    """(smallest, largest) ||grad a - grad b|| / ||a - b|| over the pairs more than
+    1e-12 apart."""
     separation = norms(points_a - points_b)
-    kept = ~(separation <= min_separation)
+    kept = ~(separation <= 1e-12)
     if not kept.any():
         raise EstimationError("all probe pairs coincident; secant undefined")
     ratios = (norms(grads_a[kept] - grads_b[kept]) / separation[kept]).tolist()
@@ -343,8 +337,7 @@ def secant_range(points_a: np.ndarray, points_b: np.ndarray, grads_a: np.ndarray
 
 
 def measure_smoothness_convexity(topology: FleetTopology, model: LossModel,
-                                 probe_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                                 min_separation: float = 1e-12):
+                                 probe_pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
     """Secant estimates (mu_hat, beta_hat) of the global loss landscape.
 
     beta_hat is the largest, mu_hat the smallest gradient-difference /
@@ -353,8 +346,7 @@ def measure_smoothness_convexity(topology: FleetTopology, model: LossModel,
     pairs = np.asarray(probe_pairs, dtype=np.float64).reshape(-1, 2, model.model_dim)
     grads = topology.global_gradients(model, pairs.reshape(-1, model.model_dim))
     grads = grads.reshape(pairs.shape)
-    return secant_range(pairs[:, 0], pairs[:, 1], grads[:, 0], grads[:, 1],
-                        min_separation)
+    return secant_range(pairs[:, 0], pairs[:, 1], grads[:, 0], grads[:, 1])
 
 
 def measure_sgd_noise(topology: FleetTopology, model: LossModel,

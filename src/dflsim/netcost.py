@@ -119,20 +119,20 @@ def shannon_rate(radio: RadioConfig, channel_gain, tx_power_w: float):
 
 
 def aggregation_energy(radio: RadioConfig, model_bits: int, rates: np.ndarray,
-                       tx_powers: np.ndarray) -> float:
-    """Joules for one aggregation: sum of bits * power / rate over transmitters."""
+                       tx_power_w: float):
+    """Joules for one aggregation: sum of bits * power / rate over the last axis."""
     rates = np.asarray(rates, dtype=np.float64)
     if (rates <= 0).any():
         raise CostModelError("aggregation energy needs positive rates")
-    return float(np.sum(model_bits * np.asarray(tx_powers, dtype=np.float64) / rates))
+    return np.sum(model_bits * tx_power_w / rates, axis=-1)
 
 
-def aggregation_delay(radio: RadioConfig, model_bits: int, rates: np.ndarray) -> float:
-    """Seconds for one parallel multi-access aggregation: slowest uplink wins."""
+def aggregation_delay(radio: RadioConfig, model_bits: int, rates: np.ndarray):
+    """Seconds for one parallel aggregation: the slowest uplink (last axis) wins."""
     rates = np.asarray(rates, dtype=np.float64)
     if (rates <= 0).any():
         raise CostModelError("aggregation delay needs positive rates")
-    return float(np.max(model_bits / rates))
+    return np.max(model_bits / rates, axis=-1)
 
 
 def global_aggregation_cost(radio: RadioConfig, model_bits: int,
@@ -173,48 +173,49 @@ class RadioCostModel:
     """
 
     def __init__(self, radio: RadioConfig, model_dim: int, num_devices: int,
-                 subnets, seed: int, distances: np.ndarray | None = None):
+                 subnets, seed: int):
         self.radio = radio
         self.model_bits = int(model_dim) * int(radio.bits_per_parameter)
-        self.subnets = [tuple(members) for members in subnets]
-        self.seed = int(seed)
-        if distances is None:
-            distances = place_devices(radio, num_devices, seed)
-        self.distances = np.asarray(distances, dtype=np.float64)
+        self.distances = place_devices(radio, num_devices, seed)
         self._pathloss = np.array([pathloss_gain(radio, d) for d in self.distances.tolist()])
-        self._channels = SlotStreams(self.seed, TAG_CHANNEL, self.distances.size)
-        self._uniforms = np.empty((self.distances.size, CHANNEL_BLOCK))
+        self._channels = SlotStreams(int(seed), TAG_CHANNEL, num_devices)
+        self._uniforms = np.empty((num_devices, CHANNEL_BLOCK))
         self._rates = None
         self._first = None          # first slot of the table
+        subnets = [tuple(members) for members in subnets]
+        self.num_subnets = len(subnets)
+        # (subnet ids, (G, n) member ids) per member count n: row sums equal 1-d sums
+        self.groups = []
+        for n in sorted({len(members) for members in subnets}):
+            ids = [c for c, members in enumerate(subnets) if len(members) == n]
+            self.groups.append((np.array(ids), np.array([subnets[c] for c in ids])))
 
     def device_rates(self, t: int, members) -> np.ndarray:
+        """Uplink rates at slot t of the devices ``members`` (any index shape)."""
         first = t - t % CHANNEL_BLOCK
         if first != self._first:
             self._channels.fill(range(self.distances.size), first, self._uniforms)
             gains = fading_gains(self._pathloss[:, None], self._uniforms)
             self._rates = shannon_rate(self.radio, gains, self.radio.device_tx_power_w)
             self._first = first
-        return self._rates[list(members), t - first]
+        return self._rates[np.asarray(members), t - first]
 
-    def local_event(self, t: int, subnet: int) -> tuple[float, float]:
-        members = self.subnets[subnet]
-        rates = self.device_rates(t, members)
-        powers = np.full(len(members), self.radio.device_tx_power_w)
-        return (aggregation_energy(self.radio, self.model_bits, rates, powers),
-                aggregation_delay(self.radio, self.model_bits, rates))
+    def local_event(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(N,) energy and (N,) delay of one local aggregation in every subnet at slot t."""
+        energy, delay = np.empty((2, self.num_subnets))
+        for subnets, members in self.groups:
+            rates = self.device_rates(t, members)
+            energy[subnets] = aggregation_energy(self.radio, self.model_bits, rates,
+                                                 self.radio.device_tx_power_w)
+            delay[subnets] = aggregation_delay(self.radio, self.model_bits, rates)
+        return energy, delay
 
     def global_event(self, t: int) -> tuple[float, float]:
-        return global_aggregation_cost(self.radio, self.model_bits, len(self.subnets))
+        return global_aggregation_cost(self.radio, self.model_bits, self.num_subnets)
 
-    def snapshot(self, t: int):
+    def snapshot(self, t: int) -> CostSnapshot:
         """Frozen per-subnet costs at time t (controller inputs)."""
-        local = [self.local_event(t, c) for c in range(len(self.subnets))]
-        glob = self.global_event(t)
-        return CostSnapshot(
-            global_energy=glob[0], global_delay=glob[1],
-            local_energy=np.array([e for e, _ in local]),
-            local_delay=np.array([d for _, d in local]),
-        )
+        return CostSnapshot(*self.global_event(t), *self.local_event(t))
 
 
 @dataclass(frozen=True)

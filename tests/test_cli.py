@@ -45,7 +45,8 @@ CONTROL_SNAPSHOT = {
     "t_now": 0,
     "e3_init": 1.0,
 }
-BASE_INPUTS = {"run": MINIMAL, "bounds": BOUNDS_PARAMS, "control": CONTROL_SNAPSHOT}
+BASE_INPUTS = {"run": MINIMAL, "sweep": MINIMAL, "bounds": BOUNDS_PARAMS,
+               "control": CONTROL_SNAPSHOT}
 DROP = object()
 
 
@@ -144,9 +145,16 @@ def test_unknown_field_named(tmp_path, capsys):
              "schedule.up_delay": -1}, "schedule.up_delay"),
     ("run", {"schedule.mode": "adaptive", "control.horizon": 40, "schedule.delay": 10,
              "schedule.up_delay": 50}, "schedule.up_delay"),
+    ("run", {"seeds": [0, -1]}, "seeds"),
+    ("run", {"dataset.seed": -1}, "dataset.seed"),
+    ("run", {"topology.partition_seed": -1}, "topology.partition_seed"),
+    ("run", {"radio.placement_seed": -1}, "radio.placement_seed"),
+    ("run --seed-offset -1", {}, "seeds"),
+    ("sweep --axis schedule.tau --values 6 --seed-offset -1", {}, "seeds"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
-    blob = json.loads(json.dumps(BASE_INPUTS[command]))
+    argv = command.split()      # the subcommand, then any flags
+    blob = json.loads(json.dumps(BASE_INPUTS[argv[0]]))
     for dotted, value in overrides.items():
         *parents, leaf = dotted.split(".")
         node = blob
@@ -158,7 +166,7 @@ def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, fi
             node[leaf] = value
     path = tmp_path / "input.json"
     path.write_text(json.dumps(blob))
-    assert cli.main([command, str(path)]) == 2
+    assert cli.main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
 

@@ -181,7 +181,8 @@ def test_rates_positive_under_default_radio():
                                 seed=3)
     rates = cost_model.device_rates(7, (0, 1, 2))
     assert (rates > 0).all()
-    e, d = cost_model.local_event(7, 0)
+    energy, delay = cost_model.local_event(7)
+    e, d = energy[0], delay[0]
     assert e > 0 and d > 0
 
 

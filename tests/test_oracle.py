@@ -33,6 +33,8 @@ from dflsim.netcost import (
     TAG_SGD,
     RadioConfig,
     RadioCostModel,
+    aggregation_delay,
+    aggregation_energy,
     pathloss_gain,
     stream,
 )
@@ -218,22 +220,33 @@ def test_channel_table_equals_the_device_streams(num_devices, seed, slots):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 11), st.integers(1, 4), st.integers(0, 2**16))
-def test_snapshot_prices_the_capture_events(tau, delay, period, seed):
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(1, 4), st.integers(0, 2**16),
+       st.lists(st.integers(1, 10), min_size=1, max_size=5))
+def test_snapshot_prices_the_capture_events(tau, delay, period, seed, sizes):
     delay = min(delay, tau - 1)
     gen = np.random.default_rng(seed)
-    parts = [Dataset(gen.standard_normal((6, 2)), gen.standard_normal(6)) for _ in range(5)]
-    topo = build_topology(parts, [2, 3])
+    parts = [Dataset(gen.standard_normal((6, 2)), gen.standard_normal(6))
+             for _ in range(sum(sizes))]
+    topo = build_topology(parts, sizes)
     model = LossModel(RIDGE, feature_dim=2, regularization=0.2)
-    cost = RadioCostModel(RadioConfig(), model.model_dim, 5, topo.subnets, seed)
+    radio = RadioConfig()
+    cost = RadioCostModel(radio, model.model_dim, topo.num_devices, topo.subnets, seed)
     sched = TrainingSchedule.uniform(12, tau, alpha=0.3, eta=0.05, delay=delay,
-                                     local_agg_period=period, num_subnets=2)
+                                     local_agg_period=period, num_subnets=len(sizes))
     res = run_training(topo, model, sched, seed=seed, batch_size=3, cost_model=cost,
                        w_star=None)
-    for capture in (sched.sync_times - delay)[::-1].tolist():   # the table steps back
+    # every local event is the one-subnet energy sum and delay maximum
+    bits = model.model_dim * radio.bits_per_parameter
+    for ev in reversed(res.events):     # the table steps back
+        if ev.kind == "local":
+            rates = cost.device_rates(ev.t, topo.subnets[ev.subnet])
+            assert ev.energy_j == aggregation_energy(radio, bits, rates,
+                                                     radio.device_tx_power_w)
+            assert ev.delay_s == aggregation_delay(radio, bits, rates)
+    for capture in (sched.sync_times - delay)[::-1].tolist():
         snap = cost.snapshot(capture)
         charged = [ev for ev in res.events if ev.t == capture and ev.kind == "local"]
-        assert sorted(ev.subnet for ev in charged) == [0, 1]
+        assert sorted(ev.subnet for ev in charged) == list(range(len(sizes)))
         for ev in charged:
             assert (snap.local_energy[ev.subnet], snap.local_delay[ev.subnet]) \
                 == (ev.energy_j, ev.delay_s)
