@@ -27,8 +27,8 @@ from .analysis import compute_constants, feasibility_limits, theorem_bound
 from .control import run_adaptive, solve_p
 from .engine import METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
-from .fleet import HeterogeneityParams
-from .netcost import CostSnapshot
+from .fleet import HeterogeneityParams, partition_manifest
+from .netcost import CostSnapshot, RadioCostModel
 
 
 def _write_metrics_csv(path: Path, result: RunResult) -> None:
@@ -77,37 +77,27 @@ def _summarize(result: RunResult) -> dict:
     return out
 
 
-def execute_single(effective: dict, seed: int) -> tuple:
-    """One full run of an effective config for one seed (worker-safe)."""
-    cfg = cfgmod.ExperimentConfig(raw=effective, effective=effective)
-    dataset = cfgmod.build_dataset(cfg)
-    model = cfgmod.build_model(cfg, dataset)
-    topology = cfgmod.build_fleet(cfg, dataset, model)
-    del dataset         # the topology holds its own copy of the points
-    cost_model = cfgmod.build_cost_model(cfg, model, topology)
-    sched_cfg = cfg.effective["schedule"]
-    w_star = "auto" if sched_cfg["track_optimality"] else None
-    if cfg.mode == "fixed":
-        schedule = cfgmod.build_schedule(cfg, topology.num_subnets)
-        result = run_training(
-            topology, model, schedule, seed=seed, batch_size=cfg.batch_size,
-            cost_model=cost_model, w_star=w_star,
-            allow_alpha_one=bool(sched_cfg["alpha_ablation"]),
-            track_noise_free=bool(sched_cfg["track_noise_free"]),
-            metrics_every=int(sched_cfg["metrics_every"]),
-        )
-    else:
-        control = cfgmod.build_control(cfg)
-        result = run_adaptive(
-            topology, model, control, seed=seed, batch_size=cfg.batch_size,
-            delay=int(sched_cfg["delay"]), up_delay=sched_cfg["up_delay"],
-            cost_model=cost_model, w_star=w_star,
-            track_noise_free=bool(sched_cfg["track_noise_free"]),
-            metrics_every=int(sched_cfg["metrics_every"]),
-        )
-    from .fleet import partition_manifest
+def execute_single(cfg: cfgmod.ExperimentConfig, seed: int) -> tuple:
+    """One run of a parsed config for one seed (worker-safe).
 
-    return result, _summarize(result), partition_manifest(topology)
+    Only the radio cost model (its rate table is mutable) and the protocol
+    state are built per seed; every other input comes from ``cfg``.
+    """
+    sched = cfg.effective["schedule"]
+    fleet = cfg.fleet
+    cost_model = None if cfg.radio is None else RadioCostModel(
+        cfg.radio, cfg.model.model_dim, fleet.num_devices, fleet.subnets,
+        cfg.effective["radio"]["placement_seed"])
+    kwargs = dict(seed=seed, batch_size=cfg.batch_size, cost_model=cost_model,
+                  w_star="auto" if sched["track_optimality"] else None,
+                  track_noise_free=bool(sched["track_noise_free"]),
+                  metrics_every=int(sched["metrics_every"]))
+    if cfg.schedule is not None:
+        result = run_training(fleet, cfg.model, cfg.schedule, **kwargs)
+    else:
+        result = run_adaptive(fleet, cfg.model, cfg.control, delay=int(sched["delay"]),
+                              up_delay=sched["up_delay"], **kwargs)
+    return result, _summarize(result)
 
 
 def environment() -> dict:
@@ -124,24 +114,23 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
     results = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(execute_single, cfg.effective, seed)
-                       for seed in seeds}
+            futures = {seed: pool.submit(execute_single, cfg, seed) for seed in seeds}
             for seed, fut in futures.items():
                 results[seed] = fut.result()
     else:
         for seed in seeds:
-            results[seed] = execute_single(cfg.effective, seed)
+            results[seed] = execute_single(cfg, seed)
 
     manifest = {
         "environment": environment(),
         "config_hash": cfg.config_hash(),
         "effective_config": cfg.effective,
         "seeds": seeds,
-        "partition": next(iter(results.values()))[2],
+        "partition": partition_manifest(cfg.fleet),
         "outputs": {},
         "summary": {},
     }
-    for seed, (result, summary, _) in results.items():
+    for seed, (result, summary) in results.items():
         base = f"{tag}_seed{seed}"
         metrics_path = out_dir / f"{base}_metrics.csv"
         events_path = out_dir / f"{base}_events.csv"

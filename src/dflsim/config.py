@@ -7,6 +7,12 @@ echoed back into the effective config that lands in the run manifest, so
 the manifest hash changes exactly when an effective value changes.
 The ``control``/``radio`` defaults are those of ``ControlConfig``/
 ``RadioConfig``; the runtime constructors validate the values.
+
+``parse_config`` is the one place a config is checked. It builds every
+input that does not depend on the seed once -- the loss model, the fleet,
+the fixed schedule or the controller config, the radio config -- so a
+fault that shows only once the data exists is a ConfigError naming its
+field too, raised before any output is written.
 """
 
 from __future__ import annotations
@@ -24,15 +30,24 @@ from .engine import IntervalPlan, TrainingSchedule
 from .errors import ConfigError, DFLError
 from .fleet import FleetTopology, build_topology, partition_label_skew
 from .losses import SVM, LossModel
-from .netcost import RadioConfig, RadioCostModel, stream
+from .netcost import RadioConfig, stream
 
 TAG_DATA = 7
 
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
+    """A checked config: its effective values and the inputs every seed shares.
+
+    ``schedule`` is the fixed mode's schedule and None in adaptive mode.
+    """
+
     effective: dict
+    model: LossModel
+    fleet: FleetTopology
+    schedule: TrainingSchedule | None
+    control: ControlConfig | None
+    radio: RadioConfig | None
 
     @property
     def seeds(self) -> list[int]:
@@ -45,10 +60,6 @@ class ExperimentConfig:
     @property
     def output_dir(self) -> str:
         return self.effective["output_dir"]
-
-    @property
-    def mode(self) -> str:
-        return self.effective["schedule"]["mode"]
 
     def config_hash(self) -> str:
         blob = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
@@ -151,61 +162,75 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = [key for key in raw if key not in TOP_LEVEL_KEYS]
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown top-level key")
+    control = None if raw.get("control") is None else control_config(raw["control"])
     effective = {
         "dataset": _merge(raw.get("dataset"), DATASET_DEFAULTS, "dataset"),
         "model": _merge(raw.get("model"), MODEL_DEFAULTS, "model"),
         "topology": _merge(raw.get("topology"), TOPOLOGY_DEFAULTS, "topology"),
         "schedule": _merge(raw.get("schedule"), SCHEDULE_DEFAULTS, "schedule"),
-        "control": None if raw.get("control") is None
-        else asdict(control_config(raw["control"])),
+        "control": None if control is None else asdict(control),
         "radio": None if raw.get("radio") is None
         else _merge(raw["radio"], {**asdict(RadioConfig()), "placement_seed": 3}, "radio"),
         "seeds": raw.get("seeds", [0]),
         "batch_size": raw.get("batch_size", 10),
         "output_dir": raw.get("output_dir", "runs"),
     }
-    cfg = ExperimentConfig(raw=raw, effective=effective)
-    if not isinstance(cfg.seeds, list) or not cfg.seeds \
-            or not all(_is_a(s, int) and s >= 0 for s in cfg.seeds):
+    seeds, batch_size = effective["seeds"], effective["batch_size"]
+    if not isinstance(seeds, list) or not seeds \
+            or not all(_is_a(s, int) and s >= 0 for s in seeds):
         raise ConfigError("seeds: expected a nonempty list of nonnegative integers")
-    if not _is_a(cfg.batch_size, int) or cfg.batch_size < 1:
+    if not _is_a(batch_size, int) or batch_size < 1:
         raise ConfigError("batch_size: expected a positive integer")
-    if not isinstance(cfg.output_dir, str):
+    if not isinstance(effective["output_dir"], str):
         raise ConfigError("output_dir: expected a string")
 
-    ds = effective["dataset"]
+    ds, topo, sched = effective["dataset"], effective["topology"], effective["schedule"]
     if ds["kind"] not in ("blobs", "ridge-cloud", "csv", "idx"):
         raise ConfigError(f"dataset.kind: unknown kind {ds['kind']!r}")
     files = {"csv": ("path",), "idx": ("path", "labels_path")}.get(ds["kind"], ())
     for fld in files:
         if ds[fld] is None or not Path(ds[fld]).is_file():
             raise ConfigError(f"dataset.{fld}: no such file {ds[fld]!r}")
+    sizes = subnet_sizes(topo)
 
-    sizes = subnet_sizes(effective["topology"])
-    checked("model", lambda: _loss_model(effective["model"], ds["feature_dim"]))
-    if effective["model"]["kind"] == SVM and ds["kind"] == "blobs":
-        check_labels_per_device(effective["topology"], ds["num_classes"])
-
-    sched = effective["schedule"]
     if sched["mode"] not in ("fixed", "adaptive"):
         raise ConfigError(f"schedule.mode: expected 'fixed' or 'adaptive', got {sched['mode']!r}")
     if sched["metrics_every"] < 1:
         raise ConfigError("schedule.metrics_every: expected a positive integer")
-    if cfg.mode == "fixed":
-        checked("schedule", lambda: build_schedule(cfg, len(sizes)))
+    schedule = None
+    if sched["mode"] == "fixed":
         if sched["alpha"] == 1 and not sched["alpha_ablation"]:
             raise ConfigError("schedule.alpha: 1.0 requires schedule.alpha_ablation=true")
+        schedule = checked("schedule", lambda: TrainingSchedule.uniform(
+            num_intervals=sched["num_intervals"], tau=sched["tau"],
+            alpha=float(sched["alpha"]), eta=float(sched["eta"]), delay=sched["delay"],
+            up_delay=sched["up_delay"], local_agg_period=sched["local_agg_period"],
+            num_subnets=len(sizes)))
     else:
-        if effective["control"] is None:
+        if control is None:
             raise ConfigError("control: required when schedule.mode='adaptive'")
         if sched["delay"] < 0:
             raise ConfigError("schedule.delay: expected a nonnegative integer")
         # the delay split rule of every interval, on the shortest that holds the delay
         checked("schedule", lambda: IntervalPlan(tau=sched["delay"] + 1, alpha=0.0, eta=1.0,
                                                  delay=sched["delay"], up_delay=sched["up_delay"]))
-    if effective["radio"] is not None:
-        checked("radio", lambda: _radio_config(effective["radio"]))
-    return cfg
+    radio = None if effective["radio"] is None else checked("radio", lambda: RadioConfig(
+        **{k: v for k, v in effective["radio"].items() if k != "placement_seed"}))
+
+    # the data last: every check above is cheaper than building it
+    dataset = checked("dataset", lambda: build_dataset(ds))
+    mdl = effective["model"]
+    model = checked("model", lambda: LossModel(
+        kind=mdl["kind"], feature_dim=dataset.feature_dim,
+        regularization=float(mdl["regularization"]),
+        num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1))
+    fleet = checked("topology", lambda: build_fleet(topo, sizes, dataset, model))
+    checked("model", lambda: fleet.stack.targets(model))    # the labels suit the model
+    smallest = int(fleet.stack.counts.min())
+    if batch_size > smallest:
+        raise ConfigError(f"batch_size: {batch_size} exceeds {smallest}, "
+                          "the point count of the smallest device")
+    return ExperimentConfig(effective, model, fleet, schedule, control, radio)
 
 
 def subnet_sizes(topo: dict) -> list[int]:
@@ -227,8 +252,8 @@ def subnet_sizes(topo: dict) -> list[int]:
 # assembly
 
 
-def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    ds = cfg.effective["dataset"]
+def build_dataset(ds: dict) -> Dataset:
+    """The dataset of a merged ``dataset`` section."""
     rng = stream(ds["seed"], TAG_DATA)
     if ds["kind"] == "blobs":
         return make_blobs(ds["num_classes"], ds["points_per_class"],
@@ -242,60 +267,18 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_idx(ds["path"], ds["labels_path"], limit=ds["limit"])
 
 
-def _loss_model(mdl: dict, feature_dim: int) -> LossModel:
-    return LossModel(
-        kind=mdl["kind"], feature_dim=feature_dim,
-        regularization=float(mdl["regularization"]),
-        num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1,
-    )
-
-
-def build_model(cfg: ExperimentConfig, dataset: Dataset) -> LossModel:
-    return _loss_model(cfg.effective["model"], dataset.feature_dim)
-
-
-def check_labels_per_device(topo: dict, num_labels: int) -> None:
-    """The label-skew partition needs 1 <= labels_per_device <= the data's label count."""
-    if not 1 <= topo["labels_per_device"] <= num_labels:
-        raise ConfigError(
-            f"topology.labels_per_device: {topo['labels_per_device']} outside "
-            f"[1, {num_labels}], the label count of the dataset")
-
-
-def build_fleet(cfg: ExperimentConfig, dataset: Dataset, model: LossModel) -> FleetTopology:
-    topo = cfg.effective["topology"]
+def build_fleet(topo: dict, sizes: list[int], dataset: Dataset,
+                model: LossModel) -> FleetTopology:
+    """``dataset`` dealt to the devices of a merged ``topology`` section: label
+    skew for the svm, an even random split otherwise. Messages name the field."""
+    if topo["num_devices"] > dataset.n:
+        raise ValueError(f"num_devices: {topo['num_devices']} devices for "
+                         f"{dataset.n} data points")
     rng = stream(topo["partition_seed"], TAG_DATA, 1)
     if model.kind == SVM:
-        check_labels_per_device(topo, np.unique(dataset.labels).size)
         parts = partition_label_skew(dataset, topo["num_devices"],
                                      topo["labels_per_device"], rng)
     else:
         idx = rng.permutation(dataset.n)
         parts = [dataset.subset(chunk) for chunk in np.array_split(idx, topo["num_devices"])]
-    return build_topology(parts, subnet_sizes(topo))
-
-
-def build_schedule(cfg: ExperimentConfig, num_subnets: int) -> TrainingSchedule:
-    s = cfg.effective["schedule"]
-    return TrainingSchedule.uniform(
-        num_intervals=s["num_intervals"], tau=s["tau"], alpha=float(s["alpha"]),
-        eta=float(s["eta"]), delay=s["delay"], up_delay=s["up_delay"],
-        local_agg_period=s["local_agg_period"], num_subnets=num_subnets,
-    )
-
-
-def build_control(cfg: ExperimentConfig) -> ControlConfig:
-    return ControlConfig(**cfg.effective["control"])
-
-
-def _radio_config(r: dict) -> RadioConfig:
-    return RadioConfig(**{k: v for k, v in r.items() if k != "placement_seed"})
-
-
-def build_cost_model(cfg: ExperimentConfig, model: LossModel,
-                     topology: FleetTopology) -> RadioCostModel | None:
-    r = cfg.effective["radio"]
-    if r is None:
-        return None
-    return RadioCostModel(_radio_config(r), model.model_dim, topology.num_devices,
-                          topology.subnets, r["placement_seed"])
+    return build_topology(parts, sizes)

@@ -343,7 +343,9 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
         grad_norms = norms(topology.global_gradients(model, points))
         e3_init = float(grad_norms[0]) / params_hat.mu
         gap_estimates = grad_norms[1:] / params_hat.mu
-        cost = cost_model.snapshot(outcome.capture_t) if cost_model is not None \
+        # the capture uplinks at the prices the engine charged for them
+        cost = CostSnapshot(*cost_model.global_event(outcome.capture_t),
+                            *outcome.capture_prices) if cost_model is not None \
             else CostSnapshot(0.0, 0.0, np.zeros(topology.num_subnets),
                               np.zeros(topology.num_subnets))
         try:

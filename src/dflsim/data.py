@@ -137,6 +137,13 @@ def load_idx(image_path, label_path, limit: int | None = None) -> Dataset:
 # synthetic generators
 
 
+def _require_positive(**sizes) -> None:
+    """Generator sizes; a message starts with the parameter's name."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name}: expected a positive integer, got {value}")
+
+
 def make_blobs(num_classes: int, points_per_class: int, feature_dim: int,
                spread: float, rng: np.random.Generator,
                center_scale: float = 1.0,
@@ -147,10 +154,13 @@ def make_blobs(num_classes: int, points_per_class: int, feature_dim: int,
     feature_dim >= num_classes), making the classes linearly separable with
     wide margins.
     """
+    _require_positive(num_classes=num_classes, points_per_class=points_per_class,
+                      feature_dim=feature_dim)
+    if orthogonal_centers and feature_dim < num_classes:
+        raise ValueError(f"orthogonal_centers: need feature_dim >= num_classes, "
+                         f"got {feature_dim} < {num_classes}")
     centers = rng.standard_normal((num_classes, feature_dim))
     if orthogonal_centers:
-        if feature_dim < num_classes:
-            raise ValueError("orthogonal centers need feature_dim >= num_classes")
         q, _ = np.linalg.qr(centers.T)
         centers = q[:, :num_classes].T
     centers *= center_scale / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
@@ -163,12 +173,13 @@ def make_blobs(num_classes: int, points_per_class: int, feature_dim: int,
     return Dataset(np.concatenate(feats)[order], np.concatenate(labs)[order])
 
 
-def make_ridge_cloud(n: int, feature_dim: int, noise: float,
+def make_ridge_cloud(num_points: int, feature_dim: int, noise: float,
                      rng: np.random.Generator) -> Dataset:
     """Linear-response regression cloud y = w0.x + noise."""
+    _require_positive(num_points=num_points, feature_dim=feature_dim)
     w0 = rng.standard_normal(feature_dim)
-    feats = rng.standard_normal((n, feature_dim))
-    labs = feats @ w0 + noise * rng.standard_normal(n)
+    feats = rng.standard_normal((num_points, feature_dim))
+    labs = feats @ w0 + noise * rng.standard_normal(num_points)
     return Dataset(feats, labs)
 
 

@@ -28,7 +28,6 @@ from .analysis import error_terms, noise_free_step, noise_free_sync
 from .errors import (
     BatchSizeError,
     DivergenceError,
-    InfeasibleError,
     ScheduleError,
     SnapshotError,
     WeightSumError,
@@ -148,12 +147,13 @@ class CostEvent:
 class IntervalOutcome:
     """What the cloud sees at one global aggregation."""
 
-    k: int
     capture_t: int
     snapshot: np.ndarray
     stale_models: np.ndarray
     stale_gradients: np.ndarray
     theta_counts: np.ndarray
+    # (N,) energy and (N,) delay charged for the uplinks at capture; None unpriced
+    capture_prices: tuple[np.ndarray, np.ndarray] | None
 
 
 @dataclass
@@ -237,7 +237,6 @@ class Protocol:
                  batch_size: int, w_init: np.ndarray | None = None,
                  cost_model: RadioCostModel | None = None,
                  w_star="auto",
-                 allow_alpha_one: bool = False,
                  track_noise_free: bool = True,
                  metrics_every: int = 1):
         self.topology = topology
@@ -245,7 +244,6 @@ class Protocol:
         self.seed = int(seed)
         self.batch_size = int(batch_size)
         self.cost_model = cost_model
-        self.allow_alpha_one = allow_alpha_one
         self.track_noise_free = track_noise_free
         if metrics_every < 1:
             raise ScheduleError(f"metrics_every must be >= 1, got {metrics_every}")
@@ -316,9 +314,10 @@ class Protocol:
         self.cum_energy += energy
         self.cum_delay += delay
 
-    def _charge_local(self, t: int, subnets) -> None:
-        """Charge one local aggregation in each of ``subnets``, in order, at slot t."""
-        energy, delay = (costs.tolist() for costs in self.cost_model.local_event(t))
+    def _charge_local(self, t: int, subnets, prices) -> None:
+        """Charge one local aggregation in each of ``subnets``, in order, at slot t,
+        at ``prices``, the (N,) energy and delay of ``local_event(t)``."""
+        energy, delay = (costs.tolist() for costs in prices)
         for c in subnets:
             self._charge(t, "local", c, energy[c], delay[c])
 
@@ -360,18 +359,13 @@ class Protocol:
 
     def run_interval(self, plan: IntervalPlan,
                      theta_policy: ThetaPolicy | None = None) -> IntervalOutcome:
-        if plan.alpha >= 1.0 and not self.allow_alpha_one:
-            raise InfeasibleError(
-                "alpha = 1 never synchronizes with the global model; "
-                "enable allow_alpha_one for ablation runs"
-            )
         topo = self._check_weights()
         n_sub = topo.num_subnets
         t0 = self.t
         t_end = t0 + plan.tau
         capture_t = t_end - plan.delay
         snapshot = None
-        stale_models = stale_grads = None
+        stale_models = stale_grads = capture_prices = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
         scheduled = plan.indicators(n_sub) if theta_policy is None else None
         companions = noise_free_interval(self.noise_free, topo, self.model, plan) \
@@ -396,7 +390,8 @@ class Protocol:
                 stale_grads = grads.copy()
                 # uplink: one device-to-edge aggregation per subnet at capture
                 if self.cost_model is not None:
-                    self._charge_local(t, range(n_sub))
+                    capture_prices = self.cost_model.local_event(t)
+                    self._charge_local(t, range(n_sub), capture_prices)
 
             if t == t_end - plan.down_delay and self.cost_model is not None:
                 # the cloud builds and broadcasts the global model here, one
@@ -414,7 +409,8 @@ class Protocol:
             theta_counts += theta
             # a triggered aggregation in the capture slot rides the uplink
             if self.cost_model is not None and t != capture_t and theta.any():
-                self._charge_local(t, np.flatnonzero(theta).tolist())
+                self._charge_local(t, np.flatnonzero(theta).tolist(),
+                                   self.cost_model.local_event(t))
             if companions is not None:
                 self.noise_free = next(companions)
             if sync:
@@ -426,9 +422,9 @@ class Protocol:
 
         self.k += 1
         return IntervalOutcome(
-            k=self.k - 1, capture_t=capture_t, snapshot=snapshot,
-            stale_models=stale_models, stale_gradients=stale_grads,
-            theta_counts=theta_counts,
+            capture_t=capture_t, snapshot=snapshot, stale_models=stale_models,
+            stale_gradients=stale_grads, theta_counts=theta_counts,
+            capture_prices=capture_prices,
         )
 
     def result(self, sync_times=None, decisions=None) -> RunResult:

@@ -217,15 +217,13 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
     for lab in labels:
         devs = holders[lab]
         if not devs:
-            raise PartitionError(
-                f"label {lab} has no holder; need num_devices*labels_per_device >= num_labels"
-            )
+            raise PartitionError(f"labels_per_device: label {lab} has no holder; "
+                                 "need num_devices*labels_per_device >= num_labels")
         idx = np.flatnonzero(dataset.labels == lab)
         idx = idx[rng.permutation(idx.size)]
         if idx.size < len(devs):
             raise PartitionError(
-                f"label {lab}: {idx.size} points for {len(devs)} holders"
-            )
+                f"num_devices: label {lab} has {idx.size} points for {len(devs)} holders")
         chunks = np.array_split(idx, len(devs))
         for dev, chunk in zip(devs, chunks):
             per_device_idx[dev].extend(int(i) for i in chunk)

@@ -78,7 +78,8 @@ class LossModel:
         if self.kind == SVM:
             labs = dataset.labels
             if ((labs < 0) | (labs >= self.num_classes) | (labs != np.round(labs))).any():
-                raise ValueError("svm labels must be integers in [0, num_classes)")
+                raise ValueError(
+                    "num_classes: svm labels must be integers in [0, num_classes)")
 
 
 def _targets(model: LossModel, labels: np.ndarray) -> np.ndarray:

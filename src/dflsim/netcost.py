@@ -167,9 +167,8 @@ class RadioCostModel:
 
     Every device's uplink rate is kept in one (devices, CHANNEL_BLOCK)
     table covering an aligned block of slots; an event outside the block
-    refills the table from the channel streams. ``local_event`` and
-    ``snapshot`` both read the table, so a snapshot at t prices exactly
-    the events charged at t.
+    refills the table from the channel streams, so an event at t is priced
+    the same whenever it is asked for.
     """
 
     def __init__(self, radio: RadioConfig, model_dim: int, num_devices: int,
@@ -212,10 +211,6 @@ class RadioCostModel:
 
     def global_event(self, t: int) -> tuple[float, float]:
         return global_aggregation_cost(self.radio, self.model_bits, self.num_subnets)
-
-    def snapshot(self, t: int) -> CostSnapshot:
-        """Frozen per-subnet costs at time t (controller inputs)."""
-        return CostSnapshot(*self.global_event(t), *self.local_event(t))
 
 
 @dataclass(frozen=True)

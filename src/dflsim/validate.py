@@ -365,8 +365,7 @@ def ordering_experiment(seeds, eta: float = 0.03,
                     intervals, tau, alpha=alpha, eta=eta, delay=delay,
                     local_agg_period=5, num_subnets=topo.num_subnets)
                 res = run_training(topo, model, sched, seed=seed, batch_size=batch,
-                                   w_star=None, metrics_every=tau,
-                                   allow_alpha_one=(alpha == 1.0))
+                                   w_star=None, metrics_every=tau)
             finals.append(float(res.column("loss")[-1]))
         rows.append((label, float(np.mean(finals)), float(np.std(finals))))
     return rows

@@ -151,10 +151,25 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"radio.placement_seed": -1}, "radio.placement_seed"),
     ("run --seed-offset -1", {}, "seeds"),
     ("sweep --axis schedule.tau --values 6 --seed-offset -1", {}, "seeds"),
+    # faults that show only once the data is built: 60 points, 15 on each device
+    ("run", {"batch_size": 16}, "batch_size"),
+    ("run", {"topology.num_devices": 80}, "topology.num_devices"),
+    ("run", {"dataset.num_points": -3}, "dataset.num_points"),
+    ("run", {"dataset.feature_dim": 0}, "dataset.feature_dim"),
+    ("run", {"dataset.kind": "blobs", "dataset.num_classes": 4,
+             "dataset.orthogonal_centers": True}, "dataset.orthogonal_centers"),
+    ("run", {"model.kind": "svm", "dataset.kind": "blobs",
+             "dataset.points_per_class": 0}, "dataset.points_per_class"),
+    ("run", {"dataset.kind": "blobs", "dataset.num_classes": 0}, "dataset.num_classes"),
+    ("run", {"model.kind": "svm", "dataset.kind": "blobs", "dataset.num_classes": 4,
+             "model.num_classes": 3, "topology.labels_per_device": 2}, "model.num_classes"),
+    ("run", {"schedule.alpha": 1.0}, "schedule.alpha"),     # the one alpha = 1 guard
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
     argv = command.split()      # the subcommand, then any flags
     blob = json.loads(json.dumps(BASE_INPUTS[argv[0]]))
+    if argv[0] in ("run", "sweep"):
+        blob["output_dir"] = str(tmp_path / "out")
     for dotted, value in overrides.items():
         *parents, leaf = dotted.split(".")
         node = blob
@@ -169,6 +184,7 @@ def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, fi
     assert cli.main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "out").exists()      # nothing is written
 
 
 def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):
@@ -182,6 +198,21 @@ def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: topology.labels_per_device") and "[1, 3]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_multi_seed_run_builds_the_data_once(tmp_path, monkeypatch):
+    from dflsim import config
+
+    calls = {"build_dataset": 0, "build_fleet": 0}
+    for name, build in [(name, getattr(config, name)) for name in calls]:
+        def counted(*args, _name=name, _build=build):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(config, name, counted)
+    path = write_config(tmp_path, seeds=[0, 1, 2, 3, 4])
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"build_dataset": 1, "build_fleet": 1}
 
 
 @pytest.mark.parametrize("command, key, value, internal", [

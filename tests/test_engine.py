@@ -17,7 +17,7 @@ from dflsim.engine import (
     run_baseline,
     run_training,
 )
-from dflsim.errors import InfeasibleError, ScheduleError, WeightSumError
+from dflsim.errors import ScheduleError, WeightSumError
 from dflsim.fleet import build_topology
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
 from dflsim.netcost import TAG_SGD, stream
@@ -52,15 +52,6 @@ def test_plan_validation():
 def test_periodic_offsets():
     assert periodic_offsets(20, 5, 2) == ((5, 10, 15, 20), (5, 10, 15, 20))
     assert periodic_offsets(7, None, 1) == ((),)
-
-
-def test_alpha_one_needs_ablation_flag(rng):
-    topo, model = small_fleet(rng)
-    sched = TrainingSchedule.uniform(1, 4, alpha=1.0, eta=0.05, delay=1,
-                                     num_subnets=2)
-    with pytest.raises(InfeasibleError):
-        run_training(topo, model, sched, seed=0, batch_size=4)
-    run_training(topo, model, sched, seed=0, batch_size=4, allow_alpha_one=True)
 
 
 def test_metrics_every_below_one_is_refused(rng):
@@ -380,7 +371,7 @@ def companion_runs(draw):
 def test_engine_companion_errors_equal_the_straight_line_loop(case):
     topo, model, seed, batch, plans, w_star = case
     res = run_training(topo, model, TrainingSchedule(tuple(plans)), seed=seed,
-                       batch_size=batch, w_star=w_star, allow_alpha_one=True)
+                       batch_size=batch, w_star=w_star)
     want = np.array(straight_line_errors(*case))
     for j, name in enumerate(("e1", "e2", "e3")):
         assert np.array_equal(res.column(name), want[:, j]), name

@@ -244,12 +244,11 @@ def test_snapshot_prices_the_capture_events(tau, delay, period, seed, sizes):
                                                      radio.device_tx_power_w)
             assert ev.delay_s == aggregation_delay(radio, bits, rates)
     for capture in (sched.sync_times - delay)[::-1].tolist():
-        snap = cost.snapshot(capture)
+        energy, delay_s = cost.local_event(capture)
         charged = [ev for ev in res.events if ev.t == capture and ev.kind == "local"]
         assert sorted(ev.subnet for ev in charged) == list(range(len(sizes)))
         for ev in charged:
-            assert (snap.local_energy[ev.subnet], snap.local_delay[ev.subnet]) \
-                == (ev.energy_j, ev.delay_s)
+            assert (energy[ev.subnet], delay_s[ev.subnet]) == (ev.energy_j, ev.delay_s)
 
 
 @given(fleets())
