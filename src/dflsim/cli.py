@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import config as cfgmod
 from .analysis import compute_constants, feasibility_limits, theorem_bound
-from .control import run_adaptive, solve_p
+from .control import run_adaptive, select_step_size, solve_p
 from .engine import METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
 from .fleet import HeterogeneityParams, partition_manifest
@@ -89,8 +89,7 @@ def execute_single(cfg: cfgmod.ExperimentConfig, seed: int) -> tuple:
         cfg.radio, cfg.model.model_dim, fleet.num_devices, fleet.subnets,
         cfg.effective["radio"]["placement_seed"])
     kwargs = dict(seed=seed, batch_size=cfg.batch_size, cost_model=cost_model,
-                  w_star="auto" if sched["track_optimality"] else None,
-                  track_noise_free=bool(sched["track_noise_free"]),
+                  w_star=cfg.w_star, track_noise_free=bool(sched["track_noise_free"]),
                   metrics_every=int(sched["metrics_every"]))
     if cfg.schedule is not None:
         result = run_training(fleet, cfg.model, cfg.schedule, **kwargs)
@@ -111,15 +110,12 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
     if min(seeds) < 0:
         raise ConfigError(f"seeds: the seed offset makes seed {min(seeds)} negative")
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {seed: pool.submit(execute_single, cfg, seed) for seed in seeds}
-            for seed, fut in futures.items():
-                results[seed] = fut.result()
+            results = {seed: fut.result() for seed, fut in futures.items()}
     else:
-        for seed in seeds:
-            results[seed] = execute_single(cfg, seed)
+        results = {seed: execute_single(cfg, seed) for seed in seeds}
 
     manifest = {
         "environment": environment(),
@@ -154,12 +150,16 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
 
 
 def _set_path(raw: dict, dotted: str, value) -> dict:
-    out = json.loads(json.dumps(raw))
-    node = out
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
+    """A copy of a config document with the field at ``dotted`` set to ``value``."""
+    out = node = json.loads(json.dumps(raw))
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
+        if not isinstance(node, dict):
+            raise ConfigError(f"{dotted}: {part} is not a JSON object")
+    node[leaf] = value
     return out
 
 
@@ -173,24 +173,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    raw = cfgmod.read_json(args.config)
     values = json.loads(f"[{args.values}]")
     if not values:
         raise ConfigError("sweep: empty values list")
-    seeds = [s + args.seed_offset for s in cfg.seeds]
-    out_root = Path(args.output or cfg.output_dir)
     axis_slug = args.axis.replace(".", "_")
-    rows = []
+    rows, out_root = [], None
     for value in values:
-        sub = cfgmod.parse_config(_set_path(cfg.effective, args.axis, value))
-        sub_dir = out_root / f"sweep_{axis_slug}_{value}"
-        manifest = _run_config(sub, seeds, sub_dir, args.workers,
-                               tag=f"{axis_slug}_{value}")
+        # parsed once, run with its own seeds; the table goes under the first root
+        sub = cfgmod.parse_config(_set_path(raw, args.axis, value))
+        root = Path(args.output or sub.output_dir)
+        out_root = out_root or root
+        seeds = [s + args.seed_offset for s in sub.seeds]
+        manifest = _run_config(sub, seeds, root / f"sweep_{axis_slug}_{value}",
+                               args.workers, tag=f"{axis_slug}_{value}")
         for seed_key, summary in manifest["summary"].items():
             for metric, metric_value in summary.items():
                 rows.append((args.axis, value, int(seed_key), metric, metric_value))
-    table_path = out_root / f"sweep_{axis_slug}.csv"
-    out_root.mkdir(parents=True, exist_ok=True)
+    table_path = out_root / f"sweep_{axis_slug}.csv"     # out_root holds the first run
     with table_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["axis", "value", "seed", "metric", "metric_value"])
@@ -229,8 +229,6 @@ def cmd_bounds(args) -> int:
     tau, delay = cfgmod.checked("", lambda: (int(blob["tau"]), int(blob["delay"])))
     eta_max, gamma = blob.get("eta_max"), blob.get("gamma")
     if eta_max is None or gamma is None:
-        from .control import select_step_size
-
         eta_max, gamma = select_step_size(params, tau, delay,
                                           blob.get("safety", 0.9))
     consts = compute_constants(params, tau, delay, float(blob.get("alpha", 0.0)),

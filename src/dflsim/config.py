@@ -39,7 +39,8 @@ TAG_DATA = 7
 class ExperimentConfig:
     """A checked config: its effective values and the inputs every seed shares.
 
-    ``schedule`` is the fixed mode's schedule and None in adaptive mode.
+    ``schedule`` is the fixed mode's schedule and None in adaptive mode;
+    ``w_star`` is the fleet's optimum, None unless ``track_optimality``.
     """
 
     effective: dict
@@ -48,6 +49,7 @@ class ExperimentConfig:
     schedule: TrainingSchedule | None
     control: ControlConfig | None
     radio: RadioConfig | None
+    w_star: np.ndarray | None
 
     @property
     def seeds(self) -> list[int]:
@@ -230,7 +232,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if batch_size > smallest:
         raise ConfigError(f"batch_size: {batch_size} exceeds {smallest}, "
                           "the point count of the smallest device")
-    return ExperimentConfig(effective, model, fleet, schedule, control, radio)
+    # last, after every check: a solve that does not converge is a runtime error
+    w_star = fleet.optimum(model) if sched["track_optimality"] else None
+    return ExperimentConfig(effective, model, fleet, schedule, control, radio, w_star)
 
 
 def subnet_sizes(topo: dict) -> list[int]:

@@ -293,21 +293,16 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                  config: ControlConfig, seed: int, batch_size: int,
                  delay: int, up_delay: int | None = None,
                  cost_model: RadioCostModel | None = None,
-                 w_init: np.ndarray | None = None,
-                 w_star="auto",
                  **engine_kwargs) -> RunResult:
-    """Full adaptive run: estimate, re-plan and train interval by interval."""
-    if w_init is None:
-        w_init = np.zeros(model.model_dim)
-    proto = Protocol(topology, model, seed, batch_size, w_init=w_init,
-                     cost_model=cost_model, w_star=w_star, **engine_kwargs)
-    params_hat = bootstrap_estimates(topology, model, w_init, seed, config, batch_size)
-    params_hat = replace(params_hat, subnet_noise_budget=config.phi)
+    """Full adaptive run: estimate, re-plan and train interval by interval.
+    ``engine_kwargs`` go to the ``Protocol``; the bootstrap probes its start."""
+    proto = Protocol(topology, model, seed, batch_size, cost_model=cost_model,
+                     **engine_kwargs)
+    params_hat = bootstrap_estimates(topology, model, proto.w[0], seed, config, batch_size)
 
     decisions: list[ControlDecision] = []
     sync_times: list[int] = []
     tau_next, alpha_next = config.initial_tau, 0.0
-    k = 0
     while proto.t < config.horizon:
         remaining = config.horizon - proto.t
         tau = min(tau_next, remaining)
@@ -316,7 +311,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
         try:
             eta_max, gamma = select_step_size(params_hat, tau, delay_eff,
                                               config.safety, config.gamma_safety)
-            eta_k = eta_max / (1.0 + gamma * k)
+            eta_k = eta_max / (1.0 + gamma * proto.k)
         except InfeasibleError:
             eta_k = ETA_FALLBACK
         plan = IntervalPlan(tau=tau, alpha=alpha_next, eta=eta_k,
@@ -328,7 +323,6 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
 
         outcome = proto.run_interval(plan, theta_policy=theta_policy)
         sync_times.append(proto.t)
-        k += 1
 
         reused = False
         try:

@@ -12,11 +12,15 @@ IDX / ubyte
     unsigned pixel bytes in row-major order. Label file: magic
     ``0x00000801``, one 4-byte count, then ``count`` label bytes.
     Images are flattened to vectors and scaled to [0, 1].
+
+A loader fault names the parameter of the file, then the file:
+``path: points.csv:3: expected 2 fields, got 1``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,24 +75,22 @@ def require_nonempty(dataset: Dataset, where: str) -> None:
 
 def load_csv(path) -> Dataset:
     """Read a ``y,x1,...,xm`` CSV into a Dataset."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "y":
-            raise ValueError(f"{path}: expected header row starting with 'y'")
-        m = len(header) - 1
-        ys, xs = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != m + 1:
-                raise DimensionMismatchError(
-                    f"{path}:{row_no}: expected {m + 1} fields, got {len(row)}"
-                )
-            ys.append(float(row[0]))
-            xs.append([float(v) for v in row[1:]])
-    if not ys:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(np.array(xs), np.array(ys))
+    where = f"path: {path}"
+    with Path(path).open(newline="") as handle:
+        header, *rows = list(csv.reader(handle)) or [[]]
+    if not header or header[0].strip() != "y":
+        raise ValueError(f"{where}: expected header row starting with 'y'")
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DimensionMismatchError(
+                f"{where}:{row_no}: expected {len(header)} fields, got {len(row)}")
+    if not rows:
+        raise EmptyDatasetError(f"{where}: no data rows")
+    try:       # a field that is not a number, or not finite
+        table = np.array([[float(v) for v in row] for row in rows])
+        return Dataset(table[:, 1:], table[:, 0])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -104,29 +106,35 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def load_idx_images(path) -> np.ndarray:
+def _read_idx(name: str, path, magic: int, dims: int, kind: str):
+    """The ``dims`` sizes and the byte payload of the IDX ``kind`` file at ``path``."""
     raw = Path(path).read_bytes()
-    if len(raw) < 16 or struct.unpack(">I", raw[:4])[0] != _IDX_IMAGE_MAGIC:
-        raise ValueError(f"{path}: not an IDX image file")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
+    header = 4 + 4 * dims
+    if len(raw) < header or struct.unpack(">I", raw[:4])[0] != magic:
+        raise ValueError(f"{name}: {path}: not an IDX {kind} file")
+    sizes = struct.unpack(f">{dims}I", raw[4:header])
+    if len(raw) - header < math.prod(sizes):
+        raise ValueError(f"{name}: {path}: {len(raw) - header} bytes for "
+                         f"{math.prod(sizes)} values")
+    return sizes, np.frombuffer(raw, dtype=np.uint8, count=math.prod(sizes), offset=header)
+
+
+def load_idx_images(path) -> np.ndarray:
+    (count, rows, cols), pixels = _read_idx("path", path, _IDX_IMAGE_MAGIC, 3, "image")
     return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
-def load_idx_labels(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or struct.unpack(">I", raw[:4])[0] != _IDX_LABEL_MAGIC:
-        raise ValueError(f"{path}: not an IDX label file")
-    magic, count = struct.unpack(">II", raw[:8])
-    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=8).astype(np.float64)
+def load_idx_labels(labels_path) -> np.ndarray:
+    _, labels = _read_idx("labels_path", labels_path, _IDX_LABEL_MAGIC, 1, "label")
+    return labels.astype(np.float64)
 
 
-def load_idx(image_path, label_path, limit: int | None = None) -> Dataset:
-    feats = load_idx_images(image_path)
-    labs = load_idx_labels(label_path)
+def load_idx(path, labels_path, limit: int | None = None) -> Dataset:
+    feats = load_idx_images(path)
+    labs = load_idx_labels(labels_path)
     if feats.shape[0] != labs.shape[0]:
         raise DimensionMismatchError(
-            f"image count {feats.shape[0]} != label count {labs.shape[0]}"
+            f"labels_path: {labels_path}: {labs.shape[0]} labels for {feats.shape[0]} images"
         )
     if limit is not None:
         feats, labs = feats[:limit], labs[:limit]

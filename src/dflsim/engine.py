@@ -77,9 +77,13 @@ class IntervalPlan:
         return self.delay - self.up_delay
 
     def indicators(self, num_subnets: int) -> np.ndarray:
-        """Scheduled aggregations as a (tau+1, num_subnets) table indexed by offset."""
+        """Scheduled aggregations as a (tau+1, num_subnets) table indexed by offset;
+        the offsets hold one entry per subnet, or none (never aggregate)."""
+        if self.local_agg_offsets and len(self.local_agg_offsets) != num_subnets:
+            raise ScheduleError(f"local_agg_offsets has {len(self.local_agg_offsets)} "
+                                f"entries for {num_subnets} subnets")
         table = np.zeros((self.tau + 1, num_subnets), dtype=bool)
-        for c, offsets in enumerate(self.local_agg_offsets[:num_subnets]):
+        for c, offsets in enumerate(self.local_agg_offsets):
             table[list(offsets), c] = True
         return table
 
@@ -125,8 +129,8 @@ class TrainingSchedule:
     @staticmethod
     def uniform(num_intervals: int, tau: int, alpha: float, eta: float,
                 delay: int = 0, up_delay: int | None = None,
-                local_agg_period: int | None = None,
-                num_subnets: int = 1) -> "TrainingSchedule":
+                local_agg_period: int | None = None, *,
+                num_subnets: int) -> "TrainingSchedule":
         plan = IntervalPlan(
             tau=tau, alpha=alpha, eta=eta, delay=delay, up_delay=up_delay,
             local_agg_offsets=periodic_offsets(tau, local_agg_period, num_subnets),
@@ -162,7 +166,6 @@ class RunResult:
     events: list
     sync_times: np.ndarray
     final_models: np.ndarray
-    w_star: np.ndarray | None
     decisions: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
@@ -236,7 +239,7 @@ class Protocol:
     def __init__(self, topology: FleetTopology, model: LossModel, seed: int,
                  batch_size: int, w_init: np.ndarray | None = None,
                  cost_model: RadioCostModel | None = None,
-                 w_star="auto",
+                 w_star: np.ndarray | None = None,
                  track_noise_free: bool = True,
                  metrics_every: int = 1):
         self.topology = topology
@@ -244,22 +247,15 @@ class Protocol:
         self.seed = int(seed)
         self.batch_size = int(batch_size)
         self.cost_model = cost_model
-        self.track_noise_free = track_noise_free
         if metrics_every < 1:
             raise ScheduleError(f"metrics_every must be >= 1, got {metrics_every}")
         self.metrics_every = int(metrics_every)
 
-        dim = model.model_dim
-        if w_init is None:
-            w_init = np.zeros(dim)
-        w_init = np.asarray(w_init, dtype=np.float64)
-        # w_star: "auto" solves the global optimum; None skips optimality
-        # metrics entirely (gap and companion errors become NaN)
-        if isinstance(w_star, str) and w_star == "auto":
-            w_star = topology.optimum(model)
-        if w_star is None:
-            self.track_noise_free = False
+        w_init = np.zeros(model.model_dim) if w_init is None \
+            else np.asarray(w_init, dtype=np.float64)
+        # the global optimum; None leaves gap and the companion errors NaN
         self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
+        self.track_noise_free = track_noise_free and w_star is not None
 
         self._checked_weights = None
         self._check_weights()
@@ -434,7 +430,6 @@ class Protocol:
             events=list(self.events),
             sync_times=np.asarray(sync_times if sync_times is not None else []),
             final_models=self.w.copy(),
-            w_star=self.w_star,
             decisions=list(decisions) if decisions else [],
         )
 

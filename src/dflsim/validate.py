@@ -359,13 +359,13 @@ def ordering_experiment(seeds, eta: float = 0.03,
             if protocol == "fedavg":
                 res = run_baseline("fedavg", topo, model, num_intervals=intervals,
                                    tau=tau, eta=eta, delay=delay, seed=seed,
-                                   batch_size=batch, w_star=None, metrics_every=tau)
+                                   batch_size=batch, metrics_every=tau)
             else:
                 sched = TrainingSchedule.uniform(
                     intervals, tau, alpha=alpha, eta=eta, delay=delay,
                     local_agg_period=5, num_subnets=topo.num_subnets)
                 res = run_training(topo, model, sched, seed=seed, batch_size=batch,
-                                   w_star=None, metrics_every=tau)
+                                   metrics_every=tau)
             finals.append(float(res.column("loss")[-1]))
         rows.append((label, float(np.mean(finals)), float(np.std(finals))))
     return rows
@@ -395,7 +395,7 @@ def controller_trends(seeds) -> list[TrendPoint]:
         topo, model = trend_fleet(labels)
         kept = [d for seed in seeds
                 for d in run_adaptive(topo, model, config, seed=seed, batch_size=10,
-                                      delay=delay, w_star=None, metrics_every=60).decisions
+                                      delay=delay, metrics_every=60).decisions
                 if not d.fallback]
         out.append(TrendPoint(
             axis, value, float(np.mean([d.alpha_next for d in kept])),

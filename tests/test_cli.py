@@ -4,9 +4,11 @@ import json
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -48,6 +50,19 @@ CONTROL_SNAPSHOT = {
 BASE_INPUTS = {"run": MINIMAL, "sweep": MINIMAL, "bounds": BOUNDS_PARAMS,
                "control": CONTROL_SNAPSHOT}
 DROP = object()
+REPO = Path(__file__).resolve().parents[1]
+
+
+class File(NamedTuple):
+    """A data file the test writes under its working directory; the field names it."""
+
+    name: str
+    data: bytes
+
+
+# 60 images of 1x3 pixels and their 60 labels, the shape of MINIMAL's data
+IDX_IMAGES = File("imgs.idx", struct.pack(">IIII", 0x803, 60, 1, 3) + bytes(180))
+IDX_LABELS = File("labs.idx", struct.pack(">II", 0x801, 60) + bytes(60))
 
 
 def write_config(tmp_path, overrides=None, **top):
@@ -164,8 +179,27 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"model.kind": "svm", "dataset.kind": "blobs", "dataset.num_classes": 4,
              "model.num_classes": 3, "topology.labels_per_device": 2}, "model.num_classes"),
     ("run", {"schedule.alpha": 1.0}, "schedule.alpha"),     # the one alpha = 1 guard
+    # a faulty data file: the field, then the file
+    ("run", {"dataset.kind": "csv", "dataset.path": File("bad.csv", b"x,y\n1,2\n")},
+     "dataset.path: bad.csv: expected header row starting with 'y'"),
+    ("run", {"dataset.kind": "csv", "dataset.path": File("ragged.csv", b"y,x1\n1,2\n3\n")},
+     "dataset.path: ragged.csv:3: expected 2 fields, got 1"),
+    ("run", {"dataset.kind": "csv", "dataset.path": File("empty.csv", b"y,x1\n")},
+     "dataset.path: empty.csv: no data rows"),
+    ("run", {"dataset.kind": "csv", "dataset.path": File("nan.csv", b"y,x1\n1,nan\n")},
+     "dataset.path: nan.csv: dataset contains non-finite entries"),
+    ("run", {"dataset.kind": "idx", "dataset.path": IDX_LABELS,
+             "dataset.labels_path": IDX_LABELS}, "dataset.path: labs.idx: not an IDX image"),
+    ("run", {"dataset.kind": "idx", "dataset.path": IDX_IMAGES,
+             "dataset.labels_path": IDX_IMAGES},
+     "dataset.labels_path: imgs.idx: not an IDX label file"),
+    ("run", {"dataset.kind": "idx", "dataset.path": IDX_IMAGES,
+             "dataset.labels_path": File("short.idx", IDX_LABELS.data[:-1])},
+     "dataset.labels_path: short.idx: 59 bytes for 60 values"),
 ], ids=lambda v: v if isinstance(v, str) else None)
-def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, field):
+def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
+                                        field):
+    monkeypatch.chdir(tmp_path)     # where a File override is written
     argv = command.split()      # the subcommand, then any flags
     blob = json.loads(json.dumps(BASE_INPUTS[argv[0]]))
     if argv[0] in ("run", "sweep"):
@@ -177,6 +211,9 @@ def test_bad_input_exits_2_naming_field(tmp_path, capsys, command, overrides, fi
             node = node.setdefault(part, {})
         if value is DROP:
             del node[leaf]
+        elif isinstance(value, File):
+            Path(value.name).write_bytes(value.data)
+            node[leaf] = value.name
         else:
             node[leaf] = value
     path = tmp_path / "input.json"
@@ -204,15 +241,72 @@ def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):
 def test_a_multi_seed_run_builds_the_data_once(tmp_path, monkeypatch):
     from dflsim import config
 
-    calls = {"build_dataset": 0, "build_fleet": 0}
-    for name, build in [(name, getattr(config, name)) for name in calls]:
-        def counted(*args, _name=name, _build=build):
-            calls[_name] += 1
-            return _build(*args)
-        monkeypatch.setattr(config, name, counted)
+    calls = count_calls(monkeypatch, config, "build_dataset", "build_fleet")
     path = write_config(tmp_path, seeds=[0, 1, 2, 3, 4])
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
     assert calls == {"build_dataset": 1, "build_fleet": 1}
+
+
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Call counts of ``module``'s functions ``names``, wrapped in place."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_multi_seed_run_solves_the_optimum_once(tmp_path, monkeypatch):
+    from dflsim import fleet
+
+    calls = count_calls(monkeypatch, fleet, "solve_optimum")
+    blob = json.loads((REPO / "configs" / "minimal_ridge.json").read_text())
+    blob["seeds"] = [0, 1, 2, 3, 4]
+    path = tmp_path / "ridge.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"solve_optimum": 1}
+    assert len(list((tmp_path / "out").glob("*_metrics.csv"))) == 5
+
+
+def test_an_optimum_that_does_not_converge_exits_1_before_any_output(tmp_path, monkeypatch,
+                                                                     capsys):
+    from dflsim import fleet
+    from dflsim.errors import ConvergenceError
+
+    def stuck(*args):
+        raise ConvergenceError("no convergence; gradient norm 1.0")
+
+    monkeypatch.setattr(fleet, "solve_optimum", stuck)
+    path = write_config(tmp_path)
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("ConvergenceError: no convergence")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_builds_each_swept_config_once(tmp_path, monkeypatch):
+    from dflsim import config
+
+    calls = count_calls(monkeypatch, config, "build_dataset", "build_fleet")
+    argv = ["sweep", str(REPO / "configs" / "minimal_ridge.json"), "--axis",
+            "schedule.delay", "--values", "0,4", "--output", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert calls == {"build_dataset": 2, "build_fleet": 2}
+
+
+def test_a_seeds_sweep_runs_the_swept_seeds(tmp_path):
+    path = write_config(tmp_path, seeds=[0, 1])
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--axis", "seeds", "--values", "[3]",
+                     "--output", str(out)]) == 0
+    sub = out / "sweep_seeds_[3]"
+    manifest = json.loads((sub / "seeds_[3]_manifest.json").read_text())
+    assert manifest["seeds"] == manifest["effective_config"]["seeds"] == [3]
+    assert sorted(p.name for p in sub.glob("*_metrics.csv")) == ["seeds_[3]_seed3_metrics.csv"]
+    rows = (out / "sweep_seeds.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[2] for row in rows} == {"3"}
 
 
 @pytest.mark.parametrize("command, key, value, internal", [

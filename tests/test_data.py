@@ -1,5 +1,6 @@
 """Dataset container, CSV/IDX ingestion round trips, generators."""
 
+import re
 import struct
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_idx_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(ds.labels, labels[:5].astype(float))
     with pytest.raises(ValueError):
         load_idx(lab_path, lab_path)
+
+
+def test_loader_faults_name_the_parameter_then_the_file(tmp_path):
+    text = tmp_path / "text.csv"
+    text.write_text("y,x1\n1,2\n0,abc\n")
+    with pytest.raises(ValueError, match=f"^path: {re.escape(str(text))}: could not convert"):
+        load_csv(text)
+    images, labels = tmp_path / "imgs.ubyte", tmp_path / "labs.ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(7))     # one byte short
+    labels.write_bytes(struct.pack(">II", 0x801, 3) + bytes(3))
+    with pytest.raises(ValueError, match=f"^path: {re.escape(str(images))}: 7 bytes for 8 values"):
+        load_idx(images, labels)
+    images.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(8))
+    with pytest.raises(DimensionMismatchError, match=f"^labels_path: {re.escape(str(labels))}: 3 labels for 2"):
+        load_idx(images, labels)
 
 
 def test_blobs_shapes_and_labels(rng):

@@ -54,6 +54,25 @@ def test_periodic_offsets():
     assert periodic_offsets(7, None, 1) == ((),)
 
 
+@pytest.mark.parametrize("offsets", [((3, 6),), ((3, 6),) * 3])
+def test_offsets_for_another_subnet_count_are_refused(rng, offsets):
+    # one entry for a 2-subnet fleet left subnet 1 never aggregating; a third
+    # entry was dropped
+    topo, model = small_fleet(rng)
+    proto = Protocol(topo, model, seed=0, batch_size=4)
+    plan = IntervalPlan(tau=6, alpha=0.2, eta=0.05, local_agg_offsets=offsets)
+    with pytest.raises(ScheduleError, match=f"has {len(offsets)} entries for 2 subnets"):
+        proto.run_interval(plan)
+    assert proto.t == 0 and proto.result().metrics["t"].tolist() == [0]    # no slot ran
+    sched = TrainingSchedule.uniform(2, 6, alpha=0.2, eta=0.05, local_agg_period=3,
+                                     num_subnets=len(offsets))
+    with pytest.raises(ScheduleError):
+        run_training(topo, model, sched, seed=0, batch_size=4)
+    # no offsets at all (never aggregate) suits any fleet
+    proto.run_interval(IntervalPlan(tau=6, alpha=0.2, eta=0.05))
+    assert proto.t == 6
+
+
 def test_metrics_every_below_one_is_refused(rng):
     topo, model = small_fleet(rng)
     with pytest.raises(ScheduleError, match="metrics_every"):
@@ -130,7 +149,8 @@ def test_full_batch_homogeneous_consensus(rng):
     model = LossModel(RIDGE, feature_dim=2, regularization=0.2)
     sched = TrainingSchedule.uniform(3, 6, alpha=0.4, eta=0.05, delay=2,
                                      local_agg_period=2, num_subnets=2)
-    res = run_training(topo, model, sched, seed=1, batch_size=10)
+    res = run_training(topo, model, sched, seed=1, batch_size=10,
+                       w_star=topo.optimum(model))
     # identical data + full batch: every device stays identical, e1 = e2 = 0
     assert np.ptp(res.final_models, axis=0).max() == 0.0
     np.testing.assert_allclose(res.column("e1"), 0.0, atol=1e-12)
@@ -141,11 +161,22 @@ def test_two_runs_bit_identical(rng):
     topo, model = small_fleet(rng)
     sched = TrainingSchedule.uniform(4, 5, alpha=0.3, eta=0.05, delay=2,
                                      local_agg_period=2, num_subnets=2)
-    a = run_training(topo, model, sched, seed=7, batch_size=3)
-    b = run_training(topo, model, sched, seed=7, batch_size=3)
+    w_star = topo.optimum(model)
+    a = run_training(topo, model, sched, seed=7, batch_size=3, w_star=w_star)
+    b = run_training(topo, model, sched, seed=7, batch_size=3, w_star=w_star)
     for name in a.metrics:
         np.testing.assert_array_equal(a.metrics[name], b.metrics[name])
     np.testing.assert_array_equal(a.final_models, b.final_models)
+
+
+def test_without_an_optimum_the_optimality_columns_are_nan(rng):
+    topo, model = small_fleet(rng)
+    sched = TrainingSchedule.uniform(2, 5, alpha=0.3, eta=0.05, delay=2,
+                                     local_agg_period=2, num_subnets=2)
+    res = run_training(topo, model, sched, seed=7, batch_size=3)
+    for name in ("gap", "e1", "e2", "e3"):
+        assert np.isnan(res.column(name)).all()
+    assert np.isfinite(res.column("loss")).all()
 
 
 def test_convex_combination_coordinate_bounds(rng):
@@ -400,12 +431,13 @@ def test_duplicate_and_missing_snapshot_guards(rng):
 
 def test_hier_fedavg_is_alpha_zero(rng):
     topo, model = small_fleet(rng)
+    w_star = topo.optimum(model)
     base = run_baseline("hier-fedavg", topo, model, num_intervals=3, tau=6,
                         eta=0.05, delay=2, local_agg_period=3, seed=9,
-                        batch_size=4)
+                        batch_size=4, w_star=w_star)
     sched = TrainingSchedule.uniform(3, 6, alpha=0.0, eta=0.05, delay=2,
                                      local_agg_period=3, num_subnets=2)
-    direct = run_training(topo, model, sched, seed=9, batch_size=4)
+    direct = run_training(topo, model, sched, seed=9, batch_size=4, w_star=w_star)
     for name in base.metrics:
         np.testing.assert_array_equal(base.metrics[name], direct.metrics[name])
 
@@ -447,7 +479,8 @@ def test_metrics_decimation_keeps_sync_rows(rng):
     sched = TrainingSchedule.uniform(3, 8, alpha=0.1, eta=0.04, delay=2,
                                      num_subnets=2)
     res = run_training(topo, model, sched, seed=2, batch_size=3,
-                       metrics_every=8, track_noise_free=False)
+                       metrics_every=8, track_noise_free=False,
+                       w_star=topo.optimum(model))
     logged = set(int(t) for t in res.column("t"))
     for t_sync in (8, 16, 24):
         assert t_sync in logged
