@@ -50,16 +50,6 @@ def _write_events_csv(path: Path, result: RunResult) -> None:
                              repr(float(ev.energy_j)), repr(float(ev.delay_s))])
 
 
-def read_metrics_csv(path) -> dict:
-    """Lossless reload of a metrics CSV into column arrays."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    table = np.asarray(rows)
-    return {name: table[:, i] for i, name in enumerate(header)}
-
-
 def _summarize(result: RunResult) -> dict:
     out = {
         "final_loss": float(result.metrics["loss"][-1]),
@@ -174,9 +164,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = cfgmod.read_json(args.config)
-    values = json.loads(f"[{args.values}]")
+    try:
+        values = json.loads(f"[{args.values}]")
+    except json.JSONDecodeError:
+        raise ConfigError(f"--values: {args.values!r} is not a comma-separated "
+                          "list of JSON values") from None
     if not values:
-        raise ConfigError("sweep: empty values list")
+        raise ConfigError("--values: empty list")
     axis_slug = args.axis.replace(".", "_")
     rows, out_root = [], None
     for value in values:

@@ -93,15 +93,6 @@ def load_csv(path) -> Dataset:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y"] + [f"x{i + 1}" for i in range(dataset.feature_dim)])
-        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
-            writer.writerow([repr(y)] + [repr(v) for v in x])
-
-
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 

@@ -195,8 +195,10 @@ class Minibatches:
     (seed, TAG_SGD, i), and its minibatch is the b smallest of them
     (``losses.minibatch``); a device whose data is one batch uses all of
     it and draws nothing. The keys of an aligned block of S slots are drawn
-    at once, one read per device and one sort per group of equal-n
-    devices, into one reused buffer. The keys and their sort order take
+    at once, one read per device, into one reused buffer, and each group
+    of equal-n devices takes one ``minibatch`` call: one fast argsort of
+    every (device, slot) row, with a stable sort only for the rows tied at
+    or below the b-th key. The keys and their sort order take
     at most CHUNK_ELEMENTS elements together (groups are cut into pieces
     that do), unless one device's keys of one slot do not: S is as large
     as that allows, at most SLOT_BLOCK and at least 1.

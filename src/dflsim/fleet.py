@@ -127,9 +127,6 @@ class FleetTopology:
                 self.stack.gradients(model, points[s:s + step])))
         return out
 
-    def subnet_gradient(self, model: LossModel, c: int, w: np.ndarray) -> np.ndarray:
-        return self.subnet_sums(self.stack.gradients(model, np.asarray(w)[None]))[0, c]
-
     def global_gradient(self, model: LossModel, w: np.ndarray) -> np.ndarray:
         return self.global_gradients(model, np.asarray(w)[None])[0]
 

@@ -165,9 +165,23 @@ def full_gradient(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarr
 
 def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
     """The minibatch of one uniform key per point: the positions of the
-    ``batch_size`` smallest keys along the last axis, in key order (the
-    sort is stable, so equal keys keep their point order)."""
-    return np.argsort(keys, axis=-1, kind="stable")[..., :batch_size]
+    ``batch_size`` smallest keys along the last axis, in key order, equal
+    keys in point order; bit for bit ``np.argsort(keys, axis=-1,
+    kind="stable")[..., :batch_size]``.
+
+    Every row is sorted with numpy's default (unstable, SIMD where the host
+    has it) argsort. A row whose first ``batch_size + 1`` sorted keys rise
+    strictly has distinct smallest keys, all below the rest, so any sort
+    picks the same positions in the same order; every other row (a tie, or
+    a NaN, at or below the cut) is sorted again stably. The result thus
+    does not depend on which sort kernel numpy dispatches to.
+    """
+    order = np.argsort(keys, axis=-1)
+    head = np.take_along_axis(keys, order[..., :batch_size + 1], axis=-1)
+    tied = ~np.all(head[..., 1:] > head[..., :-1], axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=-1, kind="stable")
+    return order[..., :batch_size]
 
 
 def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,

@@ -1,5 +1,6 @@
 """CLI harness: run/sweep/bounds/control/validate, manifests, round trips."""
 
+import csv
 import json
 import os
 import platform
@@ -51,6 +52,16 @@ BASE_INPUTS = {"run": MINIMAL, "sweep": MINIMAL, "bounds": BOUNDS_PARAMS,
                "control": CONTROL_SNAPSHOT}
 DROP = object()
 REPO = Path(__file__).resolve().parents[1]
+
+
+def read_metrics_csv(path) -> dict:
+    """Lossless reload of a metrics CSV into column arrays."""
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    table = np.asarray(rows)
+    return {name: table[:, i] for i, name in enumerate(header)}
 
 
 class File(NamedTuple):
@@ -196,6 +207,9 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"dataset.kind": "idx", "dataset.path": IDX_IMAGES,
              "dataset.labels_path": File("short.idx", IDX_LABELS.data[:-1])},
      "dataset.labels_path: short.idx: 59 bytes for 60 values"),
+    # a malformed or empty sweep list, before any output is written
+    ("sweep --axis schedule.delay --values 0,abc", {}, "--values: '0,abc' is not"),
+    ("sweep --axis schedule.delay --values=", {}, "--values: empty list"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -352,11 +366,9 @@ def test_metrics_csv_round_trip(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "rt"
     cli.main(["run", str(path), "--output", str(out)])
-    table = cli.read_metrics_csv(out / "run_seed0_metrics.csv")
+    table = read_metrics_csv(out / "run_seed0_metrics.csv")
     again = out / "again.csv"
     # rewrite from the parsed columns and compare byte-for-byte
-    import csv
-
     with again.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(table))

@@ -1,5 +1,6 @@
 """Dataset container, CSV/IDX ingestion round trips, generators."""
 
+import csv
 import re
 import struct
 
@@ -12,9 +13,17 @@ from dflsim.data import (
     load_idx,
     make_blobs,
     make_shared_design,
-    save_csv,
 )
 from dflsim.errors import DimensionMismatchError, EmptyDatasetError
+
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a dataset in the layout ``load_csv`` reads: label first, repr floats."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["y"] + [f"x{i + 1}" for i in range(dataset.feature_dim)])
+        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            writer.writerow([repr(y)] + [repr(v) for v in x])
 
 
 def test_dataset_validation():
