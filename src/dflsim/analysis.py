@@ -74,18 +74,6 @@ class EigenSystem:
     def g6(self) -> float:
         return float(self.basis[1, 1] * self.basis_inv[1, 0] / self.eig_minus)
 
-    def _m_coeffs(self) -> tuple[float, float, float, float, float, float]:
-        # dispersion-row analogues of g1..g6; internal to the tight recursion
-        U, Ui = self.basis, self.basis_inv
-        return (
-            float(U[0, 0] * Ui[0, 1]),
-            float(U[0, 1] * Ui[1, 1]),
-            float(U[0, 0] * Ui[0, 0]),
-            float(U[0, 1] * Ui[1, 0]),
-            float(U[0, 0] * Ui[0, 0] / self.eig_plus),
-            float(U[0, 1] * Ui[1, 0] / self.eig_minus),
-        )
-
 
 def eigen_system(mu_over_beta: float, omega: float) -> EigenSystem:
     if not 0.0 < mu_over_beta < 1.0:
@@ -404,27 +392,6 @@ def proposition_step(constants: BoundConstants, e1_sq: float, e2: float,
         + ((1.0 - alpha) * (eig.g5 * (pi_p_cap - 1.0) + eig.g6 * (pi_m_cap - 1.0))
            + alpha * (eig.g5 * (pi_p_tau - 1.0) + eig.g6 * (pi_m_tau - 1.0))) * delta / beta
     return b1, b2, b3
-
-
-def coupled_dynamics_step(constants: BoundConstants, e2: float, e3: float,
-                          eta_k: float, steps: int):
-    """Exact eigen-solution of the linear (e2, e3) envelope after ``steps`` slots.
-
-    Internal m/g coefficients come straight from the eigendecomposition;
-    used as the reference for the tight recursion.
-    """
-    c = constants
-    eig = c.eigen
-    m1, m2, m3, m4, m5, m6 = eig._m_coeffs()
-    pi_p = c.pi_plus(eta_k, steps)
-    pi_m = c.pi_minus(eta_k, steps)
-    d_over_b = c.delta / c.beta
-    e2_out = (m1 * pi_p + m2 * pi_m) * e3 + (m3 * pi_p + m4 * pi_m) * e2 \
-        + (m5 * (pi_p - 1.0) + m6 * (pi_m - 1.0)) * d_over_b
-    e3_out = (eig.g1 * pi_p + eig.g2 * pi_m) * e3 \
-        + (eig.g3 * pi_p + eig.g4 * pi_m) * e2 \
-        + (eig.g5 * (pi_p - 1.0) + eig.g6 * (pi_m - 1.0)) * d_over_b
-    return e2_out, e3_out
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,10 @@ class ControlConfig:
 
     def __post_init__(self):
         for name in ("energy_weight", "delay_weight", "bound_weight", "phi"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not self.probe_scale > 0:
+            raise ValueError("probe_scale must be positive")
         if max(self.energy_weight, self.delay_weight, self.bound_weight) <= 0:
             raise ValueError("bound_weight must be positive when the other cost weights are 0")
         if not 0.0 < self.alpha_step < 1.0:
@@ -150,10 +152,24 @@ def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopo
     Subnet optimality gaps are monitored through strong convexity:
     ||grad F(w)|| >= mu*||w - w*||, so gap_c is estimated as
     ||grad F(aggregate_c)|| / mu_hat.
+
+    grad F is evaluated only at the open subnets, whose floor (contribution
+    at gap 0) is at most phi^2; a closed subnet keeps its floor. The marks
+    equal those of evaluating every gap, bit for bit: + and * are monotone
+    on nonnegative floats, so no contribution is below its floor, and any
+    unmarked set holding a closed subnet sums above the budget. The greedy
+    therefore marks every closed subnet and stops at the same suffix of
+    open subnets, whose gaps are computed point by point and summed in the
+    same order. One edge differs: a closed subnet with a NaN gradient norm
+    (its aggregate already beyond about 1e154) sorted last and made every
+    subnet fire; now it fires and the open subnets are chosen by their gaps.
     """
     if mu_hat <= 0:
         raise InfeasibleError("trigger needs a positive strong-convexity estimate")
-    gaps = norms(topology.global_gradients(model, subnet_aggregates)) / mu_hat
+    gaps = np.zeros(topology.num_subnets)
+    open_ = ~(subnet_contributions(gaps, topology.subnet_weights, params) > phi * phi)
+    if open_.any():
+        gaps[open_] = norms(topology.global_gradients(model, subnet_aggregates[open_])) / mu_hat
     return aggregation_indicators(
         subnet_contributions(gaps, topology.subnet_weights, params), phi)
 

@@ -62,7 +62,7 @@ class IntervalPlan:
         object.__setattr__(self, "up_delay", up)
         if not 0.0 <= self.alpha <= 1.0:
             raise ScheduleError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ScheduleError(f"eta must be positive, got {self.eta}")
         for c, offsets in enumerate(self.local_agg_offsets):
             for off in offsets:

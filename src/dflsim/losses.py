@@ -43,7 +43,7 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in (RIDGE, SVM):
             raise ValueError(f"kind: expected {RIDGE!r} or {SVM!r}, got {self.kind!r}")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise ValueError("regularization must be nonnegative")
         if self.kind == SVM and self.num_classes < 2:
             raise ValueError("num_classes must be >= 2 for svm")

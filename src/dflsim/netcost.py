@@ -80,11 +80,11 @@ class RadioConfig:
         for name in ("device_tx_power_w", "edge_tx_power_w", "bandwidth_hz",
                      "ref_distance_m", "pathloss_exponent", "edge_cloud_rate_bps",
                      "processing_rate_hz", "field_size_m"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.bits_per_parameter < 1 or self.bits_per_parameter != int(self.bits_per_parameter):
             raise ValueError("bits_per_parameter must be a positive integer")
-        if self.edge_cloud_latency_s < 0:
+        if not self.edge_cloud_latency_s >= 0:
             raise ValueError("edge_cloud_latency_s must be nonnegative")
 
     @property

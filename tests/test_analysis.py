@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import mp_reference as mpref
 from dflsim.analysis import (
     compute_constants,
-    coupled_dynamics_step,
     eigen_system,
     error_terms,
     eta_max_limit,
@@ -28,6 +27,36 @@ from dflsim.errors import InfeasibleError
 from dflsim.fleet import HeterogeneityParams
 from dflsim.validate import diverse_problem, random_quadratic_params
 from dflsim.netcost import stream
+
+
+def m_coeffs(eig):
+    """Dispersion-row analogues of ``EigenSystem.g1``..``g6``."""
+    U, Ui = eig.basis, eig.basis_inv
+    return (
+        float(U[0, 0] * Ui[0, 1]),
+        float(U[0, 1] * Ui[1, 1]),
+        float(U[0, 0] * Ui[0, 0]),
+        float(U[0, 1] * Ui[1, 0]),
+        float(U[0, 0] * Ui[0, 0] / eig.eig_plus),
+        float(U[0, 1] * Ui[1, 0] / eig.eig_minus),
+    )
+
+
+def coupled_dynamics_step(constants, e2, e3, eta_k, steps):
+    """Exact eigen-solution of the linear (e2, e3) envelope after ``steps`` slots:
+    the reference for the tight recursion."""
+    c = constants
+    eig = c.eigen
+    m1, m2, m3, m4, m5, m6 = m_coeffs(eig)
+    pi_p = c.pi_plus(eta_k, steps)
+    pi_m = c.pi_minus(eta_k, steps)
+    d_over_b = c.delta / c.beta
+    e2_out = (m1 * pi_p + m2 * pi_m) * e3 + (m3 * pi_p + m4 * pi_m) * e2 \
+        + (m5 * (pi_p - 1.0) + m6 * (pi_m - 1.0)) * d_over_b
+    e3_out = (eig.g1 * pi_p + eig.g2 * pi_m) * e3 \
+        + (eig.g3 * pi_p + eig.g4 * pi_m) * e2 \
+        + (eig.g5 * (pi_p - 1.0) + eig.g6 * (pi_m - 1.0)) * d_over_b
+    return e2_out, e3_out
 
 
 def make_params(mu=0.5, beta=2.0, omega=0.1, delta=0.3, sigma=0.5, phi=0.2):
@@ -73,7 +102,7 @@ def test_coefficient_closed_forms(ratio, omega):
     assert eig.g5 >= 0 and eig.g6 >= 0
     assert eig.g5 == pytest.approx(1 / (eig.eig_plus * root), rel=1e-12)
     assert eig.g6 == pytest.approx(-1 / (eig.eig_minus * root), rel=1e-12)
-    m1, m2, m3, m4, m5, m6 = eig._m_coeffs()
+    m1, m2, m3, m4, m5, m6 = m_coeffs(eig)
     assert m2 == pytest.approx(-m1, abs=1e-12)
     assert m4 == pytest.approx(1 - m3, abs=1e-12)
     assert m1 == pytest.approx(2 * omega / root, abs=1e-12)
@@ -650,7 +679,7 @@ def test_dispersion_diversity_coefficient_defect_documented():
     assert tight[2] >= direct[2] - 1e-12
     assert tight[1] < direct[1]
     # the derivation-consistent coefficient (m5 - m6) restores domination
-    m = consts.eigen._m_coeffs()
+    m = m_coeffs(consts.eigen)
     pi_p = consts.pi_plus(eta, tau)
     corrected = tight[1] + alpha * (
         (m[4] - m[5]) - params.mu / (-params.beta * consts.eigen.eig_plus

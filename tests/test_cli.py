@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import platform
 import re
@@ -210,6 +211,17 @@ def test_unknown_field_named(tmp_path, capsys):
     # a malformed or empty sweep list, before any output is written
     ("sweep --axis schedule.delay --values 0,abc", {}, "--values: '0,abc' is not"),
     ("sweep --axis schedule.delay --values=", {}, "--values: empty list"),
+    # NaN fails every range check: each is written so that a comparison with NaN rejects
+    ("run", {"radio.bandwidth_hz": math.nan}, "radio.bandwidth_hz"),
+    ("run", {"control.phi": math.nan}, "control.phi"),
+    ("run", {"control.energy_weight": math.nan}, "control.energy_weight"),
+    ("run", {"control.delay_weight": math.nan}, "control.delay_weight"),
+    ("run", {"control.bound_weight": math.nan, "control.energy_weight": 1.0},
+     "control.bound_weight"),
+    ("run", {"control.probe_scale": math.nan}, "control.probe_scale"),
+    ("run", {"control.probe_scale": 0}, "control.probe_scale"),
+    ("run", {"schedule.eta": math.nan}, "schedule.eta"),
+    ("run", {"model.regularization": math.nan}, "model.regularization"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -586,6 +598,40 @@ def test_adaptive_manifest_records_realized_aggregations(tmp_path, monkeypatch):
     assert [d["theta_counts"] for d in decisions] == realized
     assert realized[0] == [8, 6]
     assert [d["delay_eff"] for d in decisions] == [2] * len(decisions)
+
+
+def test_a_trigger_whose_floors_exceed_the_budget_evaluates_no_gradient(tmp_path,
+                                                                       monkeypatch):
+    from dflsim import control
+    from dflsim.fleet import FleetTopology
+
+    triggers = count_calls(monkeypatch, control, "trigger_local_aggregation")
+    gradients = count_calls(monkeypatch, FleetTopology, "global_gradients")
+    blob = {
+        "dataset": {"kind": "blobs", "num_classes": 4, "points_per_class": 40,
+                    "feature_dim": 4, "spread": 0.5, "seed": 3},
+        "model": {"kind": "ridge", "regularization": 2.0},
+        "topology": {"num_devices": 4, "num_subnets": 2, "labels_per_device": 2,
+                     "partition_seed": 5},
+        "schedule": {"mode": "adaptive", "delay": 2, "track_noise_free": False,
+                     "track_optimality": False, "metrics_every": 10},
+        # no budget: every floor 2*varrho_c*delta_c^2 exceeds it, as each
+        # delta_c estimate, from these probes on, is positive
+        "control": {"phi": 0.0, "tau_max": 8, "tau_min": 8, "horizon": 32,
+                    "initial_tau": 8, "probe_scale": 0.2},
+        "seeds": [0],
+        "batch_size": 5,
+    }
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
+    # the trigger ran in every slot and fired every subnet, without grad F:
+    # the one global_gradients call per interval is the controller's gap points
+    assert triggers == {"trigger_local_aggregation": 32}
+    assert [d["theta_counts"] for d in decisions] == [[8, 8]] * 4
+    assert gradients == {"global_gradients": len(decisions)}
 
 
 def test_idx_dataset_end_to_end(tmp_path):

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dflsim.analysis import alpha_limit, compute_constants, eta_max_limit, gamma_limit, theorem_bound
 from dflsim.control import (
@@ -20,8 +23,8 @@ from dflsim.control import (
 )
 from dflsim.data import Dataset
 from dflsim.errors import EstimationError, InfeasibleError
-from dflsim.fleet import build_topology, measure_diversity
-from dflsim.losses import RIDGE, LossModel, full_gradient
+from dflsim.fleet import HeterogeneityParams, build_topology, measure_diversity
+from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, norms
 from dflsim.netcost import CostSnapshot, stream
 from dflsim.validate import diverse_problem, theorem_problem
 
@@ -94,6 +97,107 @@ def test_trigger_uses_strong_convexity_gap():
     theta_tight = trigger_local_aggregation(aggregates, topo, model, params,
                                             params.mu, 0.0)
     assert theta_tight.all()
+
+
+def test_an_infinite_budget_is_a_valid_config():
+    assert ControlConfig(phi=math.inf).phi == math.inf      # never aggregate
+
+
+def reference_contributions(aggregates, topo, model, params, mu_hat):
+    """Every subnet's contribution, from grad F at every subnet aggregate."""
+    gaps = norms(topo.global_gradients(model, aggregates)) / mu_hat
+    return subnet_contributions(gaps, topo.subnet_weights, params)
+
+
+def at_budget(topo, params, subnets):
+    """(params, phi) with the floors of ``subnets`` (of equal weights) at phi^2.
+
+    Steps their delta_c up until the floor is the square of a float; if
+    none of 64 steps gives one, phi^2 is within a few ulps of the floor.
+    """
+    delta = params.intra_delta.copy()
+    for _ in range(64):
+        trial = replace(params, intra_delta=delta.copy())
+        floor = subnet_contributions(np.zeros(delta.size), topo.subnet_weights,
+                                     trial)[subnets[0]]
+        root = math.sqrt(floor)
+        for phi in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            if phi * phi == floor:
+                return trial, phi
+        delta[subnets] = np.nextafter(delta[subnets], np.inf)
+    return trial, root
+
+
+@st.composite
+def trigger_cases(draw):
+    """A ragged ridge or svm fleet, its subnet aggregates, estimates and a budget.
+
+    Each subnet's floor (its contribution at gap 0) is 0 or lies below, at
+    or above phi^2; phi is also 0 or inf. A planted tie gives subnets 0 and
+    1 equal weights, aggregates and estimates: equal contributions.
+    """
+    kind = draw(st.sampled_from([RIDGE, SVM]))
+    dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 3)) if kind == SVM else 1
+    counts = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                           min_size=1, max_size=6))
+    tie = len(counts) > 1 and draw(st.booleans())
+    if tie:
+        counts[1] = list(counts[0])
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for n in itertools.chain.from_iterable(counts):
+        labels = gen.integers(0, classes, n).astype(float) if kind == SVM \
+            else gen.standard_normal(n)
+        datasets.append(Dataset(gen.standard_normal((n, dim)), labels))
+    model = LossModel(kind, feature_dim=dim, regularization=0.05, num_classes=classes)
+    topo = build_topology(datasets, [len(c) for c in counts])
+    num = topo.num_subnets
+    # from near the optimum, where gaps are small, to far from it
+    aggregates = topo.optimum(model) + draw(st.sampled_from([0.01, 0.1, 1.0, 10.0])) \
+        * gen.standard_normal((num, model.model_dim))
+    zeta_c = gen.uniform(0.0, 4.0, num)
+    if tie:
+        aggregates[1], zeta_c[1] = aggregates[0], zeta_c[0]
+    params = HeterogeneityParams(mu=0.1, beta=2.0, inter_delta=0.1, inter_zeta=0.1,
+                                 intra_delta=np.zeros(num), intra_zeta=zeta_c,
+                                 sgd_noise=0.0, subnet_noise_budget=0.0)
+    # phi^2 on the scale of the gap terms, so open subnets split on their gaps
+    gap_terms = reference_contributions(aggregates, topo, model, params, params.mu)
+    level = draw(st.sampled_from([0.05, 0.3, 1.0])) * float(gap_terms.sum()) + 1e-3
+    places = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=num, max_size=num))
+    if tie:
+        places[1] = places[0]
+    params = replace(params, intra_delta=np.sqrt(
+        level * np.array(places) / (2.0 * topo.subnet_weights)))
+    budget = draw(st.sampled_from([0.0, math.inf, math.sqrt(level)]))
+    if 0.0 < budget < math.inf and 1.0 in places:
+        at = [0, 1] if tie and places[0] == 1.0 else [places.index(1.0)]
+        params, budget = at_budget(topo, params, at)
+    return topo, model, aggregates, params, budget
+
+
+@given(trigger_cases())
+def test_trigger_skips_only_gradients_that_cannot_change_its_decision(case):
+    topo, model, aggregates, params, phi = case
+    got = trigger_local_aggregation(aggregates, topo, model, params, params.mu, phi)
+    want = aggregation_indicators(
+        reference_contributions(aggregates, topo, model, params, params.mu), phi)
+    assert np.array_equal(got, want)
+
+
+VALUES = st.sampled_from([0.0, 0.25, 1.0, 4.0, math.inf]) | st.floats(0.0, 8.0)
+
+
+@given(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 3.0))
+def test_closed_subnets_at_their_floors_leave_the_greedy_unchanged(pairs, phi):
+    contributions = np.array([max(p) for p in pairs])
+    floors = np.array([min(p) for p in pairs])
+    closed = floors > phi * phi
+    pruned = np.where(closed, floors, contributions)
+    assert np.array_equal(aggregation_indicators(pruned, phi),
+                          aggregation_indicators(contributions, phi))
 
 
 # -- estimation ---------------------------------------------------------------
