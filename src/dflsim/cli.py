@@ -15,7 +15,6 @@ import csv
 import json
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -101,6 +100,8 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
         raise ConfigError(f"seeds: the seed offset makes seed {min(seeds)} negative")
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded for parallel runs only
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {seed: pool.submit(execute_single, cfg, seed) for seed in seeds}
             results = {seed: fut.result() for seed, fut in futures.items()}

@@ -227,7 +227,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         regularization=float(mdl["regularization"]),
         num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1))
     fleet = checked("topology", lambda: build_fleet(topo, sizes, dataset, model))
-    checked("model", lambda: fleet.stack.targets(model))    # the labels suit the model
+    checked("model", lambda: fleet.stack.layout(model))    # the labels suit the model
     smallest = int(fleet.stack.counts.min())
     if batch_size > smallest:
         raise ConfigError(f"batch_size: {batch_size} exceeds {smallest}, "

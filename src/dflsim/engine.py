@@ -236,7 +236,8 @@ class Minibatches:
 
 
 class Protocol:
-    """Mutable protocol state advanced one interval at a time."""
+    """Mutable protocol state advanced one interval at a time. Checked here, once: the
+    model vectors, data and batch size (the weights once per array); slots only compute."""
 
     def __init__(self, topology: FleetTopology, model: LossModel, seed: int,
                  batch_size: int, w_init: np.ndarray | None = None,
@@ -253,15 +254,14 @@ class Protocol:
             raise ScheduleError(f"metrics_every must be >= 1, got {metrics_every}")
         self.metrics_every = int(metrics_every)
 
-        w_init = np.zeros(model.model_dim) if w_init is None \
-            else np.asarray(w_init, dtype=np.float64)
+        w_init = np.zeros(model.model_dim) if w_init is None else model.check_vector(w_init)
         # the global optimum; None leaves gap and the companion errors NaN
-        self.w_star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
+        self.w_star = None if w_star is None else model.check_vector(w_star)
         self.track_noise_free = track_noise_free and w_star is not None
 
         self._checked_weights = None
         self._check_weights()
-        topology.stack.targets(model)      # checks the data against the model once
+        topology.stack.layout(model)       # checks the data against the model once
         smallest = int(topology.stack.counts.min())
         if not 1 <= self.batch_size <= smallest:
             raise BatchSizeError(f"batch_size {self.batch_size} outside [1, {smallest}]")
@@ -362,6 +362,7 @@ class Protocol:
         t0 = self.t
         t_end = t0 + plan.tau
         capture_t = t_end - plan.delay
+        global_t = None if self.cost_model is None else t_end - plan.down_delay
         snapshot = None
         stale_models = stale_grads = capture_prices = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
@@ -378,6 +379,7 @@ class Protocol:
                 theta = np.asarray(theta_policy(t, tentative, aggregates), dtype=bool)
             else:
                 theta = scheduled[step]
+            fired = np.count_nonzero(theta)     # subnets that aggregate in this slot
 
             if t == capture_t:
                 if snapshot is not None or self._pending_snapshot is not None:
@@ -391,7 +393,7 @@ class Protocol:
                     capture_prices = self.cost_model.local_event(t)
                     self._charge_local(t, range(n_sub), capture_prices)
 
-            if t == t_end - plan.down_delay and self.cost_model is not None:
+            if t == global_t:
                 # the cloud builds and broadcasts the global model here, one
                 # downlink delay before synchronization
                 energy, delay_s = self.cost_model.global_event(t)
@@ -400,13 +402,18 @@ class Protocol:
             sync = t == t_end
             if sync and snapshot is None:
                 raise SnapshotError("synchronization without a captured snapshot")
-            local = np.where(theta[topo.subnet_of][:, None],
-                             aggregates[topo.subnet_of], tentative)
+            if fired == n_sub:
+                local = aggregates[topo.subnet_of]
+            elif fired:
+                local = np.where(theta[topo.subnet_of][:, None],
+                                 aggregates[topo.subnet_of], tentative)
+            else:
+                local = tentative
             # the combiner applies at synchronization only
             self.w = (1.0 - plan.alpha) * snapshot + plan.alpha * local if sync else local
             theta_counts += theta
             # a triggered aggregation in the capture slot rides the uplink
-            if self.cost_model is not None and t != capture_t and theta.any():
+            if self.cost_model is not None and t != capture_t and fired:
                 self._charge_local(t, np.flatnonzero(theta).tolist(),
                                    self.cost_model.local_event(t))
             if companions is not None:

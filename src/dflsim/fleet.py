@@ -23,6 +23,14 @@ from .errors import (
 from .losses import DeviceStack, LossModel, minibatch, norms, solve_optimum
 
 
+def _index(ids: list[int]) -> slice | np.ndarray:
+    """The ids as a slice (a view of the same elements) if evenly rising, else an index array."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    if step > 0 and ids == list(range(ids[0], ids[-1] + 1, step)):
+        return slice(ids[0], ids[-1] + 1, step)
+    return np.array(ids, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FleetTopology:
     """Subnet membership, per-device datasets and aggregation weights.
@@ -35,7 +43,9 @@ class FleetTopology:
     of it. Subnet and global sums and the weighted device total, the
     fleet's only reductions, add device by device within a subnet, then
     subnet by subnet: the order of the single-point loops, so a batched
-    sum equals the looped one bit for bit.
+    sum equals the looped one bit for bit. Their index layouts and the
+    global weights in that order are built once, at construction; the
+    reductions take arrays of the shapes they document, unchecked.
     """
 
     subnets: tuple[tuple[int, ...], ...]
@@ -46,8 +56,9 @@ class FleetTopology:
     stack: DeviceStack = field(init=False, repr=False, compare=False)
     # (subnet rows, member ids) of member j of every subnet that has one, j = 0, 1, ...
     positions: tuple = field(init=False, repr=False, compare=False)
-    # the device ids subnet by subnet, members in order
-    order: np.ndarray = field(init=False, repr=False, compare=False)
+    # the device ids subnet by subnet, members in order, and their global weights
+    order: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    ordered_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -70,11 +81,11 @@ class FleetTopology:
         positions = []
         for j in range(max(len(m) for m in self.subnets)):
             subnets = [c for c, m in enumerate(self.subnets) if len(m) > j]
-            rows = slice(None) if len(subnets) == len(self.subnets) else np.array(subnets)
-            positions.append((rows, np.array([self.subnets[c][j] for c in subnets])))
+            positions.append((_index(subnets), _index([self.subnets[c][j] for c in subnets])))
         object.__setattr__(self, "positions", tuple(positions))
-        object.__setattr__(self, "order", np.concatenate(
-            [np.asarray(m, dtype=np.int64) for m in self.subnets]))
+        order = [i for members in self.subnets for i in members]
+        object.__setattr__(self, "order", _index(order))
+        object.__setattr__(self, "ordered_weights", self.global_weights()[order])
         stack = DeviceStack(self.datasets)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "datasets", stack.datasets())
@@ -98,8 +109,8 @@ class FleetTopology:
     def device_total(self, values: np.ndarray) -> float:
         """(D,) -> sum_i global_weight(i) * values[i], added one device at a
         time from zero, subnet by subnet, members in order."""
-        order = self.order
-        return float(np.add.accumulate(self.global_weights()[order] * values[order])[-1])
+        # 0.0 + the sum: the loop's start at zero, which makes an all -0.0 sum 0.0
+        return float(0.0 + np.add.accumulate(self.ordered_weights * values[self.order])[-1])
 
     def subnet_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
@@ -112,9 +123,10 @@ class FleetTopology:
 
     def global_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., N, M) -> (..., M): varrho-weighted sum over the subnets."""
+        weighted = self.subnet_weights[:, None] * values
         out = np.zeros(values.shape[:-2] + values.shape[-1:])
         for c in range(self.num_subnets):
-            out += self.subnet_weights[c] * values[..., c, :]
+            out += weighted[..., c, :]
         return out
 
     def global_gradients(self, model: LossModel, points) -> np.ndarray:
@@ -165,10 +177,10 @@ class HeterogeneityParams:
         if not 0 < self.mu < self.beta:
             raise ValueError(f"mu must lie in (0, beta), got mu={self.mu}, beta={self.beta}")
         for name in ("inter_delta", "inter_zeta", "sgd_noise", "subnet_noise_budget"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("intra_delta", "intra_zeta"):
-            if (getattr(self, name) < 0).any():
+            if not (getattr(self, name) >= 0).all():
                 raise ValueError(f"{name} must be nonnegative")
         if self.omega > 1.0 + 1e-12:
             raise ValueError(f"omega = zeta/(2 beta) = {self.omega} exceeds 1")

@@ -216,10 +216,12 @@ class DeviceStack:
 
     Rows are stored device after device, the devices sorted by point count,
     so each group of equal ``n`` is one ``(G, n, m)`` block: nothing is
-    padded. The kernel targets of a loss model (the labels, or the +-1 rows
-    of the svm) are built and checked once per model. Every method runs
-    ``_gradients`` (or ``_losses``) on whole blocks, and slice i of a result
-    equals the single-device call for device i bit for bit.
+    padded. A loss model's layout, its kernel targets (the labels, or the
+    +-1 rows of the svm) and their block views, is built and the data
+    checked once per model. Every method runs ``_gradients`` (or
+    ``_losses``) on whole blocks, and slice i of a result equals the
+    single-device call for device i bit for bit. Model vectors come
+    checked: per call by the fleet's public functions, once by ``Protocol``.
     """
 
     def __init__(self, datasets: Sequence[Dataset]):
@@ -236,7 +238,9 @@ class DeviceStack:
         for n in sorted(set(self.counts.tolist())):   # np.unique would import numpy.ma
             devices = order[self.counts[order] == n]
             self.groups.append((devices, int(self.offsets[devices[0]]), n))
-        self._targets: dict = {}
+        # every device's first row and the fewest points, the default minibatch rows
+        self._every_device = (self.offsets[:, None], int(self.counts.min()))
+        self._layouts: dict = {}
 
     @property
     def num_devices(self) -> int:
@@ -247,48 +251,48 @@ class DeviceStack:
         return tuple(Dataset(self.features[o:o + n], self.labels[o:o + n])
                      for o, n in zip(self.offsets.tolist(), self.counts.tolist()))
 
-    def targets(self, model: LossModel) -> np.ndarray:
-        """Kernel targets of every row for ``model``; the data is checked on first use."""
-        if model not in self._targets:
-            model.check_dataset(Dataset(self.features, self.labels))
-            if (self.counts == 0).any():
-                raise EmptyDatasetError(
-                    f"device {int(np.argmin(self.counts))}: dataset is empty")
-            self._targets[model] = _targets(model, self.labels)
-        return self._targets[model]
+    def layout(self, model: LossModel):
+        """(targets, blocks) of ``model``, built on first use: the kernel targets
+        of every row, and (device ids, (G, n, m) features, targets) blocks of
+        at most CHUNK_ELEMENTS targets."""
+        if model not in self._layouts:
+            self._layouts[model] = self._build_layout(model)
+        return self._layouts[model]
 
-    def _blocks(self, model: LossModel):
-        """(device ids, (G, n, m) features, targets) blocks of at most CHUNK_ELEMENTS targets."""
-        targets = self.targets(model)
+    def _build_layout(self, model: LossModel):
+        model.check_dataset(Dataset(self.features, self.labels))
+        if (self.counts == 0).any():
+            raise EmptyDatasetError(f"device {int(np.argmin(self.counts))}: dataset is empty")
+        targets = _targets(model, self.labels)
         width = targets[:1].size
+        blocks = []
         for devices, first, n in self.groups:
             per_block = max(1, CHUNK_ELEMENTS // (n * width))
             for s in range(0, devices.size, per_block):
                 block = devices[s:s + per_block]
                 rows = slice(first + s * n, first + (s + block.size) * n)
-                yield (block, self.features[rows].reshape(block.size, n, -1),
-                       targets[rows].reshape((block.size, n) + targets.shape[1:]))
+                blocks.append((block, self.features[rows].reshape(block.size, n, -1),
+                               targets[rows].reshape((block.size, n) + targets.shape[1:])))
+        return targets, tuple(blocks)
 
     def points_per_chunk(self, model: LossModel) -> int:
         """Points per ``gradients`` call for a caller that sums and differences
         the (P, D, M) result: its few arrays of that shape fit one budget."""
         return max(1, CHUNK_ELEMENTS // (4 * self.num_devices * model.model_dim))
 
-    def gradients(self, model: LossModel, W) -> np.ndarray:
+    def gradients(self, model: LossModel, W: np.ndarray) -> np.ndarray:
         """(P, M) points -> (P, D, M): the gradient of every device at every point."""
-        W = model.check_points(W)
         out = np.empty((W.shape[0], self.num_devices, model.model_dim))
-        for devices, X, targets in self._blocks(model):
+        for devices, X, targets in self.layout(model)[1]:
             step = max(1, CHUNK_ELEMENTS // targets.size)   # points per kernel call
             for s in range(0, W.shape[0], step):
                 out[s:s + step, devices] = _gradients(model, X, targets, W[s:s + step, None])
         return out
 
-    def own_gradients(self, model: LossModel, W) -> np.ndarray:
+    def own_gradients(self, model: LossModel, W: np.ndarray) -> np.ndarray:
         """(D, M) -> (D, M): the gradient of device i at its own point W[i]."""
-        W = model.check_points(W)
         out = np.empty_like(W)
-        for devices, X, targets in self._blocks(model):
+        for devices, X, targets in self.layout(model)[1]:
             out[devices] = _gradients(model, X, targets, W[devices])
         return out
 
@@ -299,21 +303,19 @@ class DeviceStack:
         over its points ``idx[j]`` at ``W[j]``, the value of
         ``full_gradient`` on ``dataset.subset(idx[j])``.
         """
-        W = model.check_points(W)
-        targets = self.targets(model)
-        devices = np.arange(self.num_devices) if devices is None else np.asarray(devices)
+        targets = self.layout(model)[0]
         idx = np.asarray(idx, dtype=np.int64)
-        smallest = int(self.counts[devices].min(initial=idx.shape[1]))
+        first_rows, smallest = self._every_device if devices is None else (
+            self.offsets[devices, None], int(self.counts[devices].min(initial=idx.shape[1])))
         if not 1 <= idx.shape[1] <= smallest:
             raise BatchSizeError(f"batch_size {idx.shape[1]} outside [1, {smallest}]")
-        rows = self.offsets[devices, None] + idx
+        rows = first_rows + idx
         return _gradients(model, self.features[rows], targets[rows], W)
 
-    def losses(self, model: LossModel, w) -> np.ndarray:
+    def losses(self, model: LossModel, w: np.ndarray) -> np.ndarray:
         """(M,) -> (D,): every device's objective at w."""
-        w = model.check_vector(w)
         out = np.empty(self.num_devices)
-        for devices, X, targets in self._blocks(model):
+        for devices, X, targets in self.layout(model)[1]:
             out[devices] = _losses(model, X, targets, w)
         return out
 

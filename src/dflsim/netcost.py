@@ -15,7 +15,7 @@ reaches any draw index directly (``SlotStreams``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class RadioConfig:
     field_size_m: float = 30.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("device_tx_power_w", "edge_tx_power_w", "bandwidth_hz",
                      "ref_distance_m", "pathloss_exponent", "edge_cloud_rate_bps",
                      "processing_rate_hz", "field_size_m"):

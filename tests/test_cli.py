@@ -222,6 +222,11 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"control.probe_scale": 0}, "control.probe_scale"),
     ("run", {"schedule.eta": math.nan}, "schedule.eta"),
     ("run", {"model.regularization": math.nan}, "model.regularization"),
+    # every radio value is finite, the two dB levels included
+    ("run", {"radio.noise_density_dbm_hz": math.nan}, "radio.noise_density_dbm_hz"),
+    ("run", {"radio.pathloss_ref_db": -math.inf}, "radio.pathloss_ref_db"),
+    ("run", {"radio.bandwidth_hz": math.inf}, "radio.bandwidth_hz"),
+    ("run", {"radio.edge_cloud_latency_s": math.inf}, "radio.edge_cloud_latency_s"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -312,6 +317,25 @@ def test_an_optimum_that_does_not_converge_exits_1_before_any_output(tmp_path, m
     assert not (tmp_path / "out").exists()
 
 
+def test_a_replica_run_builds_its_layout_once_and_checks_no_slot(monkeypatch):
+    from dflsim.engine import IntervalPlan, TrainingSchedule, run_training
+    from dflsim.losses import DeviceStack, LossModel
+    from dflsim.validate import theorem_problem
+
+    layouts = count_calls(monkeypatch, DeviceStack, "_build_layout")
+    prob = theorem_problem(batch_size=1)
+    every_slot = tuple(range(1, 7))
+    plan = IntervalPlan(tau=6, alpha=0.5, eta=0.05, delay=2,
+                        local_agg_offsets=(every_slot, every_slot))
+    checks = count_calls(monkeypatch, LossModel, "check_points", "check_vector")
+    res = run_training(prob.topology, prob.model, TrainingSchedule((plan,) * 50), seed=0,
+                       batch_size=1, w_star=prob.w_star, metrics_every=6)
+    assert res.metrics["t"][-1] == 300
+    assert layouts == {"_build_layout": 1}
+    # Protocol checks w_star once; no slot and no metrics row checks a model vector
+    assert checks == {"check_points": 0, "check_vector": 1}
+
+
 def test_a_sweep_builds_each_swept_config_once(tmp_path, monkeypatch):
     from dflsim import config
 
@@ -342,6 +366,9 @@ def test_a_seeds_sweep_runs_the_swept_seeds(tmp_path):
     ("bounds", "zeta", -1.0, "inter_zeta"),
     ("control", "params.delta_c", [-0.1, 0.1], "intra_delta"),
     ("control", "params.zeta_c", [-0.1, 0.0], "intra_zeta"),
+    # NaN fails the range checks too
+    ("bounds", "delta", math.nan, "inter_delta"),
+    ("control", "params.delta_c", [math.nan, 0.1], "intra_delta"),
 ])
 def test_param_file_errors_name_the_file_keys(tmp_path, capsys, command, key, value,
                                               internal):
@@ -494,6 +521,14 @@ def test_module_entry_point_runs_the_cli():
 def test_cli_import_leaves_the_suites_unloaded():
     # only ``dflsim validate`` needs validate.py; run and sweep do not load it
     done = run_python("-c", "import sys, dflsim.cli; print('dflsim.validate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only ``--workers`` above 1 needs the process pool
+    done = run_python("-c", "import sys, dflsim.cli; "
+                            "print('concurrent.futures.process' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 

@@ -13,6 +13,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from dflsim import losses
 from dflsim.analysis import error_terms, noise_free_step
 from dflsim.data import Dataset
 from dflsim.engine import Protocol, TrainingSchedule, run_training
+from dflsim.errors import BatchSizeError
 from dflsim.fleet import (
     FleetTopology,
     build_topology,
@@ -138,6 +140,82 @@ def test_global_loss_equals_the_loop_on_shuffled_ragged_subnets(case, data):
             looped += subnet_weights[c] * device_weights[i] \
                 * loss(model, topo.datasets[i], points[0])
     assert topo.global_loss(model, points[0]) == looped
+
+
+@st.composite
+def reductions(draw):
+    """A fleet of one-point devices, in consecutive equal-size subnets (strided
+    member positions) or shuffled ragged ones (index positions), with random
+    weights and (P, D, M) values holding planted -0.0 and infinities."""
+    num_subnets = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 4))] * num_subnets
+        ids = list(range(sum(sizes)))
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=num_subnets, max_size=num_subnets))
+        ids = draw(st.permutations(range(sum(sizes))))
+    cuts = np.cumsum([0] + sizes).tolist()
+    subnets = tuple(tuple(ids[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+    num = len(ids)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = gen.uniform(0.1, 1.0, num)
+    device_weights = np.empty(num)
+    for members in subnets:
+        device_weights[list(members)] = raw[list(members)] / raw[list(members)].sum()
+    subnet_weights = gen.uniform(0.1, 1.0, num_subnets)
+    subnet_weights /= subnet_weights.sum()
+    datasets = tuple(Dataset(np.zeros((1, 1)), np.zeros(1)) for _ in range(num))
+    topo = FleetTopology(subnets, datasets, device_weights, subnet_weights)
+    values = gen.standard_normal((draw(st.integers(1, 3)), num, draw(st.integers(1, 3))))
+    plant = gen.random(values.shape)
+    values[plant < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    values[plant > 1.0 - draw(st.sampled_from([0.0, 0.05]))] = np.inf
+    values[plant > 1.0 - draw(st.sampled_from([0.0, 0.05]))] *= -1.0
+    return topo, values
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(got, want, equal_nan=True) \
+        and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(reductions())
+def test_reductions_equal_the_scalar_loops(case):
+    topo, values = case
+    num_points, _, dim = values.shape
+    subnet = np.zeros((num_points, topo.num_subnets, dim))
+    glob = np.zeros((num_points, dim))
+    for p in range(num_points):
+        for m in range(dim):
+            for c, members in enumerate(topo.subnets):
+                for i in members:
+                    subnet[p, c, m] += topo.device_weights[i] * values[p, i, m]
+                glob[p, m] += topo.subnet_weights[c] * subnet[p, c, m]
+    assert same_bits(topo.subnet_sums(values), subnet)
+    assert same_bits(topo.global_sums(subnet), glob)
+    total = 0.0
+    for c, members in enumerate(topo.subnets):
+        for i in members:
+            total += topo.subnet_weights[c] * topo.device_weights[i] * values[0, i, 0]
+    assert same_bits(topo.device_total(values[0, :, 0]), total)
+
+
+@given(fleets(), st.integers(0, 2**32 - 1))
+def test_default_devices_equal_the_explicit_ones(case, seed):
+    topo, model, points, _ = case
+    stack = topo.stack
+    gen = np.random.default_rng(seed)
+    smallest = int(stack.counts.min())
+    batch = int(gen.integers(1, smallest + 1))
+    idx = np.stack([gen.permutation(n)[:batch] for n in stack.counts.tolist()])
+    W = points[np.arange(topo.num_devices) % len(points)]
+    every = np.arange(topo.num_devices)
+    assert same_bits(stack.minibatch_gradients(model, W, idx),
+                     stack.minibatch_gradients(model, W, idx, every))
+    for bad in (0, smallest + 1):
+        for devices in (None, every):
+            with pytest.raises(BatchSizeError, match=f"batch_size {bad} outside"):
+                stack.minibatch_gradients(model, W, np.zeros((topo.num_devices, bad)), devices)
 
 
 @given(fleets(), st.integers(0, 50), st.integers(1, 9))
