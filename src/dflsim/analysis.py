@@ -413,15 +413,22 @@ def noise_free_sync(companions: np.ndarray, alpha: float,
 
 def error_terms(device_models: np.ndarray, topology: FleetTopology,
                 companions: np.ndarray, w_star: np.ndarray):
-    """Per-slot (e1, e2, e3) sample from device models and their companions.
+    """Per-slot (e1, e2, e3) samples from device models and their companions.
 
     e1 is the square-rooted weighted mean squared device deviation from
     the subnet companion (single-run sample of the expectation), e2 the
     weighted companion dispersion, e3 the companion optimality gap.
+    ``(..., D, M)`` models with ``(..., N, M)`` companions give three
+    ``(...)`` arrays, one sample per leading index, each equal to its
+    ``(D, M)`` call, which gives three floats.
     """
     v_bar = topology.global_sums(companions)
     # the running sums add the terms one at a time, as a loop over the devices would
-    e1_sq = topology.device_total(_dots(device_models - companions[topology.subnet_of]))
-    e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar))[-1]
-    e3 = float(np.linalg.norm(v_bar - w_star))
-    return math.sqrt(e1_sq), float(e2), e3
+    e1_sq = topology.device_total(
+        _dots(device_models - companions[..., topology.subnet_of, :]))
+    e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar[..., None, :]),
+                           axis=-1)[..., -1]
+    e3 = norms(v_bar - w_star)
+    if device_models.ndim == 2:
+        return math.sqrt(e1_sq), float(e2), float(e3)
+    return np.sqrt(e1_sq), e2, e3

@@ -181,6 +181,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(seeds, list) or not seeds \
             or not all(_is_a(s, int) and s >= 0 for s in seeds):
         raise ConfigError("seeds: expected a nonempty list of nonnegative integers")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds: {seeds} repeats a seed; each seed runs once")
     if not _is_a(batch_size, int) or batch_size < 1:
         raise ConfigError("batch_size: expected a positive integer")
     if not isinstance(effective["output_dir"], str):

@@ -18,7 +18,6 @@ not depend on the topology around it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -237,7 +236,18 @@ class Minibatches:
 
 class Protocol:
     """Mutable protocol state advanced one interval at a time. Checked here, once: the
-    model vectors, data and batch size (the weights once per array); slots only compute."""
+    model vectors, data and batch size (the weights once per array); slots only compute.
+
+    A slot that logs only records its state, ``(t, k, w, noise_free, cum_energy,
+    cum_delay)``; the arrays are kept by reference, since every slot binds new
+    ``w`` and ``noise_free`` arrays and nothing writes into them. ``_log_row``
+    computes the rows of every recorded slot at once, over a leading row axis: at
+    construction (the t=0 row), whenever the pending rows fill a piece of
+    ``max(1, CHUNK_ELEMENTS // (4*D*M))`` rows, and at the end of every interval,
+    before its outcome is returned. A slot row equals the one computed alone, bit
+    for bit, and a diverging run stops at the flush holding its first non-finite
+    row, naming that row's slot, interval and device.
+    """
 
     def __init__(self, topology: FleetTopology, model: LossModel, seed: int,
                  batch_size: int, w_init: np.ndarray | None = None,
@@ -274,7 +284,10 @@ class Protocol:
         self.cum_delay = 0.0
         self.events: list[CostEvent] = []
         self._rows: dict[str, list] = {name: [] for name in METRIC_COLUMNS}
+        self._piece = topology.stack.points_per_chunk(model)     # rows per flush
+        self._pending = [self._state()]      # recorded slots whose rows are not computed
         self._pending_snapshot: np.ndarray | None = None
+        self._indicators: dict = {}     # (tau, local_agg_offsets) -> its read-only table
         self._log_row()
 
     # -- state helpers ------------------------------------------------
@@ -319,42 +332,63 @@ class Protocol:
         for c in subnets:
             self._charge(t, "local", c, energy[c], delay[c])
 
-    def _diverged(self, device: int, what: str) -> DivergenceError:
-        return DivergenceError(f"t={self.t}, k={self.k}: device {device} {what}; "
-                               "the run diverged")
+    def _scheduled(self, plan: IntervalPlan) -> np.ndarray:
+        """``plan``'s indicator table, built once per (tau, offsets) of a run: the
+        plans of a schedule often differ in eta or alpha only."""
+        key = (plan.tau, plan.local_agg_offsets)
+        if key not in self._indicators:
+            table = plan.indicators(self.topology.num_subnets)
+            table.flags.writeable = False
+            self._indicators[key] = table
+        return self._indicators[key]
+
+    def _state(self) -> tuple:
+        """What a logged slot's row is computed from, in the order of ``_log_row``."""
+        return self.t, self.k, self.w, self.noise_free, self.cum_energy, self.cum_delay
+
+    @staticmethod
+    def _diverged(t: int, k: int, device: int, what: str) -> DivergenceError:
+        return DivergenceError(f"t={t}, k={k}: device {device} {what}; the run diverged")
 
     def _log_row(self):
+        """Compute and append the rows of the pending slots, all at once.
+
+        Rows are checked in slot order, each its squared norms before its loss:
+        the rows before the first bad one are appended, then it raises.
+        """
+        t, k, models, companions, energy, delay = zip(*self._pending)
+        self._pending = []
+        W = np.stack(models)
         # a model whose squared norm overflows leaves every metric inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            sq_norms = _dots(self.w)
+            sq_norms = _dots(W)
         finite = np.isfinite(sq_norms)
-        if not finite.all():
-            raise self._diverged(int(np.argmin(finite)), "has a non-finite squared norm")
-        w_bar = self.global_average(self.w)
-        if self.w_star is None:
-            gap = float("nan")
-        else:
-            diff = w_bar - self.w_star
-            gap = float(diff @ diff)
-        row = {
-            "t": self.t, "k": self.k,
-            "loss": self.topology.global_loss(self.model, w_bar),
-            "gap": gap,
-            "cum_energy": self.cum_energy, "cum_delay": self.cum_delay,
-        }
-        if self.track_noise_free:
-            e1, e2, e3 = error_terms(self.w, self.topology, self.noise_free, self.w_star)
-        else:
-            e1 = e2 = e3 = float("nan")
-        row.update(e1=e1, e2=e2, e3=e3)
-        if not math.isfinite(row["loss"]):
-            raise self._diverged(int(np.argmax(sq_norms)),
+        bad = ~finite.all(axis=1)
+        rows = int(np.argmax(bad)) if bad.any() else len(t)
+        W = W[:rows]        # the rows computed: those before the first non-finite norm
+        w_bar = self.global_average(W)
+        loss = self.topology.global_loss(self.model, w_bar)
+        nan = np.full(rows, np.nan)
+        gap = nan if self.w_star is None else _dots(w_bar - self.w_star)
+        errors = error_terms(W, self.topology, np.stack(companions)[:rows], self.w_star) \
+            if self.track_noise_free else (nan, nan, nan)
+        lossy = ~np.isfinite(loss)
+        good = int(np.argmax(lossy)) if lossy.any() else rows
+        columns = (t, k, loss, gap, *errors, energy, delay)
+        for name, values in zip(METRIC_COLUMNS, columns):
+            self._rows[name].extend(np.asarray(values)[:good].tolist())
+        if good < rows:
+            raise self._diverged(t[good], k[good], int(np.argmax(sq_norms[good])),
                                  "has the largest model and the loss is not finite")
-        for name in METRIC_COLUMNS:
-            self._rows[name].append(row[name])
+        if rows < len(t):
+            raise self._diverged(t[rows], k[rows], int(np.argmin(finite[rows])),
+                                 "has a non-finite squared norm")
 
     # -- the protocol -------------------------------------------------
 
+    # a diverging model runs on to the flush that reports it: its overflow in the
+    # slot arithmetic is not news, and the flush checks every row it computes
+    @np.errstate(over="ignore", invalid="ignore")
     def run_interval(self, plan: IntervalPlan,
                      theta_policy: ThetaPolicy | None = None) -> IntervalOutcome:
         topo = self._check_weights()
@@ -366,7 +400,7 @@ class Protocol:
         snapshot = None
         stale_models = stale_grads = capture_prices = None
         theta_counts = np.zeros(n_sub, dtype=np.int64)
-        scheduled = plan.indicators(n_sub) if theta_policy is None else None
+        scheduled = self._scheduled(plan) if theta_policy is None else None
         companions = noise_free_interval(self.noise_free, topo, self.model, plan) \
             if self.track_noise_free else None
 
@@ -423,7 +457,12 @@ class Protocol:
 
             self.t = t
             if t == t_end or t == capture_t or t % self.metrics_every == 0:
-                self._log_row()
+                self._pending.append(self._state())
+                if len(self._pending) == self._piece:
+                    self._log_row()
+
+        if self._pending:
+            self._log_row()
 
         self.k += 1
         return IntervalOutcome(

@@ -106,11 +106,14 @@ class FleetTopology:
     def global_weights(self) -> np.ndarray:
         return self.subnet_weights[self.subnet_of] * self.device_weights
 
-    def device_total(self, values: np.ndarray) -> float:
-        """(D,) -> sum_i global_weight(i) * values[i], added one device at a
-        time from zero, subnet by subnet, members in order."""
+    def device_total(self, values: np.ndarray):
+        """(..., D) -> (...,): sum_i global_weight(i) * values[..., i], added one
+        device at a time from zero, subnet by subnet, members in order; a float
+        for a (D,) call."""
+        weighted = self.ordered_weights * values[..., self.order]
         # 0.0 + the sum: the loop's start at zero, which makes an all -0.0 sum 0.0
-        return float(0.0 + np.add.accumulate(self.ordered_weights * values[self.order])[-1])
+        total = 0.0 + np.add.accumulate(weighted, axis=-1)[..., -1]
+        return float(total) if values.ndim == 1 else total
 
     def subnet_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
@@ -142,8 +145,9 @@ class FleetTopology:
     def global_gradient(self, model: LossModel, w: np.ndarray) -> np.ndarray:
         return self.global_gradients(model, np.asarray(w)[None])[0]
 
-    def global_loss(self, model: LossModel, w: np.ndarray) -> float:
-        return self.device_total(self.stack.losses(model, w))
+    def global_loss(self, model: LossModel, W: np.ndarray):
+        """(..., M) -> (...,): F at every point; a float for a (M,) call."""
+        return self.device_total(self.stack.losses(model, W))
 
     def optimum(self, model: LossModel) -> np.ndarray:
         return solve_optimum(model, list(self.datasets), self.global_weights())

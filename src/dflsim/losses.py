@@ -312,20 +312,22 @@ class DeviceStack:
         rows = first_rows + idx
         return _gradients(model, self.features[rows], targets[rows], W)
 
-    def losses(self, model: LossModel, w: np.ndarray) -> np.ndarray:
-        """(M,) -> (D,): every device's objective at w."""
-        out = np.empty(self.num_devices)
+    def losses(self, model: LossModel, W: np.ndarray) -> np.ndarray:
+        """(..., M) points -> (..., D): the objective of every device at every point."""
+        points = W.reshape(-1, W.shape[-1])
+        out = np.empty((points.shape[0], self.num_devices))
         for devices, X, targets in self.layout(model)[1]:
-            out[devices] = _losses(model, X, targets, w)
-        return out
+            step = max(1, CHUNK_ELEMENTS // targets.size)   # points per kernel call
+            for s in range(0, points.shape[0], step):
+                out[s:s + step, devices] = _losses(model, X, targets, points[s:s + step, None])
+        return out.reshape(W.shape[:-1] + (self.num_devices,))
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_i weights[i] * values[i], added one term at a time from zero."""
-    out = np.zeros(values.shape[1:])
-    for wt, value in zip(weights, values):
-        out += wt * value
-    return out
+    products = weights.reshape(weights.shape + (1,) * (values.ndim - 1)) * values
+    # 0.0 + the running sum: the loop's start at zero, which makes an all -0.0 sum 0.0
+    return 0.0 + np.add.accumulate(products, axis=0)[-1]
 
 
 GRAD_TOL = 1e-10

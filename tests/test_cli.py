@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -227,6 +228,8 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"radio.pathloss_ref_db": -math.inf}, "radio.pathloss_ref_db"),
     ("run", {"radio.bandwidth_hz": math.inf}, "radio.bandwidth_hz"),
     ("run", {"radio.edge_cloud_latency_s": math.inf}, "radio.edge_cloud_latency_s"),
+    # a repeated seed would run twice and write one output pair
+    ("run", {"seeds": [1, 0, 1]}, "seeds"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -501,6 +504,21 @@ def test_divergent_run_exits_1_naming_slot_and_device(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"DivergenceError: t=\d+, k=\d+: device \d+ ", err)
     assert not list(out.glob("*.csv"))
+
+
+def test_divergent_run_names_its_first_non_finite_row_without_warnings(tmp_path, capsys):
+    # slot 84 sits inside the rows of interval 8, computed together at slot 90
+    blob = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "minimal_ridge.json").read_text())
+    blob["schedule"]["eta"] = 50
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("DivergenceError: t=84, k=8: device 1 has a "
+                                       "non-finite squared norm; the run diverged\n")
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def run_python(*args):

@@ -1,13 +1,20 @@
 """Protocol engine: arithmetic cases, clock discipline, oracle equivalence."""
 
+import contextlib
 import math
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dflsim import engine, losses
 from dflsim.analysis import one_step_bounds
+from dflsim.config import load_config
+from dflsim.control import trigger_local_aggregation
 from dflsim.data import Dataset
 from dflsim.engine import (
     IntervalPlan,
@@ -17,11 +24,11 @@ from dflsim.engine import (
     run_baseline,
     run_training,
 )
-from dflsim.errors import ScheduleError, WeightSumError
-from dflsim.fleet import build_topology
-from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, stochastic_gradient
+from dflsim.errors import DivergenceError, ScheduleError, WeightSumError
+from dflsim.fleet import HeterogeneityParams, build_topology
+from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, loss, stochastic_gradient
 from dflsim.netcost import TAG_SGD, stream
-from dflsim.validate import diverse_problem
+from dflsim.validate import diverse_problem, theorem_problem
 
 
 def small_fleet(rng, n_devices=4, subnets=(2, 2), points=12, dim=3, reg=0.3):
@@ -406,6 +413,123 @@ def test_engine_companion_errors_equal_the_straight_line_loop(case):
     want = np.array(straight_line_errors(*case))
     for j, name in enumerate(("e1", "e2", "e3")):
         assert np.array_equal(res.column(name), want[:, j]), name
+
+
+@contextlib.contextmanager
+def pieces_of(budget):
+    """Metric rows computed ``budget // (4*D*M)`` at a time, or one at a time."""
+    with mock.patch.object(losses, "CHUNK_ELEMENTS", budget), \
+            mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
+        yield
+
+
+@given(companion_runs(), st.integers(1, 6), st.sampled_from([1, 40, 300]))
+def test_logged_loss_and_gap_equal_the_straight_line_loop(case, every, budget):
+    # each logged row from the models of its slot, copied when the slot logs:
+    # the fleet average and the loss added from zero, device by device in
+    # subnet order, and the squared gap as one dot product
+    topo, model, seed, batch, plans, w_star = case
+    schedule = TrainingSchedule(tuple(plans))
+    models = {}
+    state = Protocol._state
+
+    def copying(proto):
+        models[proto.t] = proto.w.copy()
+        return state(proto)
+
+    with mock.patch.object(Protocol, "_state", copying):
+        res = run_training(topo, model, schedule, seed=seed, batch_size=batch,
+                           w_star=w_star, metrics_every=every)
+    logged = {0}
+    t0 = 0
+    for plan in plans:
+        logged |= {t for t in range(t0 + 1, t0 + plan.tau + 1) if t % every == 0}
+        t0 += plan.tau
+        logged |= {t0, t0 - plan.delay}
+    assert res.column("t").tolist() == sorted(logged) == sorted(models)
+    want_loss, want_gap = [], []
+    for t in sorted(logged):
+        w_bar = np.zeros(model.model_dim)
+        for c, members in enumerate(topo.subnets):
+            acc = np.zeros(model.model_dim)
+            for i in members:
+                acc = acc + topo.device_weights[i] * models[t][i]
+            w_bar = w_bar + topo.subnet_weights[c] * acc
+        total = 0.0
+        for c, members in enumerate(topo.subnets):
+            for i in members:
+                total += topo.subnet_weights[c] * topo.device_weights[i] \
+                    * loss(model, topo.datasets[i], w_bar)
+        diff = w_bar - w_star
+        want_loss.append(total)
+        want_gap.append(float(diff @ diff))
+    assert np.array_equal(res.column("loss"), want_loss)
+    assert np.array_equal(res.column("gap"), want_gap)
+    # rows computed in smaller pieces, down to one at a time, are the same rows
+    with pieces_of(budget):
+        other = run_training(topo, model, schedule, seed=seed, batch_size=batch,
+                             w_star=w_star, metrics_every=every)
+    for name in res.metrics:
+        assert np.array_equal(other.column(name), res.column(name)), name
+
+
+def test_the_indicator_table_is_built_once_per_schedule_shape(monkeypatch):
+    # the 50 plans of the theorem schedule differ only in eta; their table is shared
+    prob = theorem_problem(batch_size=1)
+    num_subnets = prob.topology.num_subnets
+    every_slot = tuple(tuple(range(1, 7)) for _ in range(num_subnets))
+    schedule = TrainingSchedule(tuple(
+        IntervalPlan(tau=6, alpha=0.3, eta=0.01 / (1 + k), delay=2,
+                     local_agg_offsets=every_slot) for k in range(50)))
+    tables = []
+    build = IntervalPlan.indicators
+    monkeypatch.setattr(IntervalPlan, "indicators",
+                        lambda plan, n: tables.append(build(plan, n)) or tables[-1])
+    proto = Protocol(prob.topology, prob.model, seed=0, batch_size=1, w_star=prob.w_star,
+                     track_noise_free=False, metrics_every=6)
+    for plan in schedule.intervals:
+        proto.run_interval(plan)
+    assert len(tables) == 1 and tables[0][1:].all()
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0][1, 0] = False
+
+
+@pytest.mark.parametrize("eta, bad_t, message", [
+    (20.0, 113, "t=113, k=11: device 0 has a non-finite squared norm; the run diverged"),
+    (50.0, 87, "t=87, k=8: device 0 has the largest model and the loss is not finite; "
+               "the run diverged"),
+])
+def test_divergence_mid_piece_under_the_trigger_names_its_first_row(eta, bad_t, message):
+    # the rows of a 10-slot interval are one piece; the run goes on past its first
+    # non-finite model to the end of the interval, with the trigger evaluating
+    # grad F at aggregates that overflow, yet raises only the DivergenceError
+    # of that row, with no warning, as a flush after every slot does
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "minimal_ridge.json")
+    topo, model = cfg.fleet, cfg.model
+    params = HeterogeneityParams(
+        mu=0.1, beta=2.0, inter_delta=0.0, inter_zeta=0.0,
+        intra_delta=np.zeros(topo.num_subnets), intra_zeta=np.ones(topo.num_subnets),
+        sgd_noise=0.0, subnet_noise_budget=0.5)
+
+    def trigger(t, tentative, aggregates):
+        return trigger_local_aggregation(aggregates, topo, model, params, params.mu, 0.5)
+
+    def diverge() -> Protocol:
+        proto = Protocol(topo, model, seed=0, batch_size=5, w_star=cfg.w_star)
+        plan = IntervalPlan(tau=10, alpha=0.3, eta=eta, delay=4)
+        with pytest.raises(DivergenceError) as info:
+            for _ in range(30):
+                proto.run_interval(plan, theta_policy=trigger)
+        assert str(info.value) == message
+        return proto
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proto = diverge()
+        assert proto._piece >= 10 and proto.t == bad_t // 10 * 10 + 10    # the interval end
+        with pieces_of(1):
+            proto = diverge()
+        assert proto._piece == 1 and proto.t == bad_t
 
 
 def test_clock_discipline_snapshot_precedes_sync(rng):

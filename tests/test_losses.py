@@ -15,6 +15,7 @@ from dflsim.losses import (
     RIDGE,
     SVM,
     LossModel,
+    _weighted_sum,
     full_gradient,
     loss,
     solve_optimum,
@@ -206,3 +207,20 @@ def test_gradient_step_contraction(seed, frac):
     moved = (w1 - w2) - eta * (full_gradient(model, ds, w1) - full_gradient(model, ds, w2))
     slack = (1 - mu * eta) * np.linalg.norm(w1 - w2) - np.linalg.norm(moved)
     assert slack >= -1e-12
+
+
+@given(st.integers(1, 12), st.sampled_from([(), (1,), (3,)]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]))
+def test_weighted_sum_equals_the_loop_from_zero(devices, shape, seed, zeros):
+    # the solver's objective (D,) and gradient (D, M) sums, with planted -0.0
+    # terms: an all -0.0 sum is 0.0, as the loop's start at zero makes it
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(0.0, 1.0, devices)
+    values = gen.standard_normal((devices,) + shape)
+    values[gen.random(values.shape) < zeros] = -0.0
+    want = np.zeros(shape)
+    for wt, value in zip(weights, values):
+        want += wt * value
+    got = _weighted_sum(weights, values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -101,6 +101,20 @@ def test_every_slice_equals_the_single_device_call(case):
 
 
 @given(fleets())
+def test_stacked_losses_equal_the_single_device_call(case):
+    # the logged rows' loss: (P, M) points -> (P, D), and F at every point
+    topo, model, points, budget = case
+    with mock.patch.object(losses, "CHUNK_ELEMENTS", budget):
+        device_losses = topo.stack.losses(model, points)
+        global_losses = topo.global_loss(model, points)
+    assert device_losses.shape == (len(points), topo.num_devices)
+    for p, w in enumerate(points):
+        for i, ds in enumerate(topo.datasets):
+            assert device_losses[p, i] == loss(model, ds, w)
+        assert global_losses[p] == topo.global_loss(model, w)
+
+
+@given(fleets())
 def test_subnet_and_global_sums_equal_the_loops(case):
     topo, model, points, budget = case
     with mock.patch.object(losses, "CHUNK_ELEMENTS", budget):
@@ -198,6 +212,15 @@ def test_reductions_equal_the_scalar_loops(case):
         for i in members:
             total += topo.subnet_weights[c] * topo.device_weights[i] * values[0, i, 0]
     assert same_bits(topo.device_total(values[0, :, 0]), total)
+
+
+@given(reductions())
+def test_device_total_over_leading_axes_equals_the_row_calls(case):
+    topo, values = case
+    rows = topo.device_total(np.swapaxes(values, 1, 2))     # (P, M, D) -> (P, M)
+    for p in range(values.shape[0]):
+        for m in range(values.shape[2]):
+            assert same_bits(rows[p, m], topo.device_total(values[p, :, m]))
 
 
 @given(fleets(), st.integers(0, 2**32 - 1))
@@ -389,6 +412,18 @@ def test_error_terms_equal_the_device_loop(sizes, dim, seed):
         e2 += topo.subnet_weights[c] * float(np.linalg.norm(vc - v_bar))
     want = (math.sqrt(e1_sq), e2, float(np.linalg.norm(v_bar - w_star)))
     assert error_terms(device_models, topo, state, w_star) == want
+
+
+@given(fleets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_error_terms_over_a_row_axis_equal_the_row_calls(case, num_rows, seed):
+    topo, model, points, _ = case
+    gen = np.random.default_rng(seed)
+    models = gen.standard_normal((num_rows, topo.num_devices, model.model_dim))
+    companions = gen.standard_normal((num_rows, topo.num_subnets, model.model_dim))
+    stacked = error_terms(models, topo, companions, points[0])
+    for r in range(num_rows):
+        assert tuple(e[r] for e in stacked) == error_terms(models[r], topo, companions[r],
+                                                           points[0])
 
 
 @given(fleets(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
