@@ -318,9 +318,12 @@ def compute_constants(params: HeterogeneityParams, tau: int, delay: int,
 
 
 def theorem_bound(constants: BoundConstants, k: int) -> float:
-    """Optimality-gap envelope nu_k = 2*Y1^2*eta_k + 2*Y3^2*eta_k^2."""
+    """Optimality-gap envelope nu_k = 2*Y1^2*eta_k + 2*Y3^2*eta_k^2; inf when it overflows."""
     eta_k = constants.eta_at(k)
-    return 2.0 * constants.y1 ** 2 * eta_k + 2.0 * constants.y3 ** 2 * eta_k ** 2
+    try:
+        return 2.0 * constants.y1 ** 2 * eta_k + 2.0 * constants.y3 ** 2 * eta_k ** 2
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

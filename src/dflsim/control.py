@@ -10,6 +10,7 @@ search over a weighted energy + delay + gap-bound objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,10 @@ class ControlConfig:
             raise ValueError("tau_max must be >= 2")
         if not 1 <= self.tau_min <= self.tau_max:
             raise ValueError("tau_min must lie in [1, tau_max]")
+        if self.initial_tau < 1:
+            raise ValueError("initial_tau must be >= 1")
+        if self.probe_count < 2:
+            raise ValueError("probe_count must be >= 2")
         for name in ("safety", "zeta_fraction", "zeta_c_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
@@ -190,9 +195,14 @@ def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
     models = np.asarray(models, dtype=np.float64)
     if models.ndim != 2 or models.shape[0] < 2:
         raise EstimationError("need at least two uploaded models")
-    global_grads, subnet_gaps, device_gaps = gradient_survey(topology, model, models)
-    mu_hat, beta_hat = secant_range(models[:-1], models[1:],
-                                    global_grads[:-1], global_grads[1:])
+    # uploads too far out to measure leave the secants inf or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        global_grads, subnet_gaps, device_gaps = gradient_survey(topology, model, models)
+        mu_hat, beta_hat = secant_range(models[:-1], models[1:],
+                                        global_grads[:-1], global_grads[1:])
+    if not np.isfinite([mu_hat, beta_hat]).all():
+        raise EstimationError(f"secant estimates are not finite: mu_hat={mu_hat}, "
+                              f"beta_hat={beta_hat}")
     # the analysis needs mu < beta strictly; nudge degenerate (isotropic) cases
     beta_hat = max(beta_hat, mu_hat * (1.0 + 1e-9))
     zeta_hat = zeta_fraction * 2.0 * beta_hat
@@ -243,8 +253,9 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     T - t_now)] and combiner weights on the alpha_step grid below the
     per-tau feasibility ceiling; the gap bound is evaluated at the end of
     the remaining horizon (K = floor((T - t_now)/tau) decay steps). Ties
-    break toward smaller tau, then smaller alpha. Raises InfeasibleError
-    when no grid point is feasible.
+    break toward smaller tau, then smaller alpha; a point whose objective is
+    not finite (its bound overflowed) is skipped. Raises InfeasibleError
+    when no grid point is left.
     """
     horizon_left = config.horizon - t_now
     tau_hi = min(config.tau_max, horizon_left)
@@ -277,7 +288,7 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
             nu = theorem_bound(consts, k_end)
             objective = config.energy_weight * energy \
                 + config.delay_weight * delay_cost + config.bound_weight * nu
-            if best is None or objective < best.objective:
+            if math.isfinite(objective) and (best is None or objective < best.objective):
                 best = ControlDecision(
                     tau_next=tau, alpha_next=alpha, alpha_cap=alpha_cap,
                     eta_max=eta_max, gamma=gamma,

@@ -243,10 +243,12 @@ class Protocol:
     ``w`` and ``noise_free`` arrays and nothing writes into them. ``_log_row``
     computes the rows of every recorded slot at once, over a leading row axis: at
     construction (the t=0 row), whenever the pending rows fill a piece of
-    ``max(1, CHUNK_ELEMENTS // (4*D*M))`` rows, and at the end of every interval,
-    before its outcome is returned. A slot row equals the one computed alone, bit
-    for bit, and a diverging run stops at the flush holding its first non-finite
-    row, naming that row's slot, interval and device.
+    ``max(1, CHUNK_ELEMENTS // (4*D*M))`` rows, across interval ends, and in
+    ``result``. An interval that a ``theta_policy`` drives also computes its rows
+    at its end, before its outcome is returned, so that a controller never reads
+    an interval that diverged. A slot row equals the one computed alone, bit for
+    bit, and a diverging run stops at the flush holding its first non-finite row,
+    naming that row's slot, interval and device.
     """
 
     def __init__(self, topology: FleetTopology, model: LossModel, seed: int,
@@ -350,6 +352,8 @@ class Protocol:
     def _diverged(t: int, k: int, device: int, what: str) -> DivergenceError:
         return DivergenceError(f"t={t}, k={k}: device {device} {what}; the run diverged")
 
+    # a model whose squared norm or loss overflows is reported by the checks below
+    @np.errstate(over="ignore", invalid="ignore")
     def _log_row(self):
         """Compute and append the rows of the pending slots, all at once.
 
@@ -359,9 +363,7 @@ class Protocol:
         t, k, models, companions, energy, delay = zip(*self._pending)
         self._pending = []
         W = np.stack(models)
-        # a model whose squared norm overflows leaves every metric inf or NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq_norms = _dots(W)
+        sq_norms = _dots(W)
         finite = np.isfinite(sq_norms)
         bad = ~finite.all(axis=1)
         rows = int(np.argmax(bad)) if bad.any() else len(t)
@@ -461,7 +463,7 @@ class Protocol:
                 if len(self._pending) == self._piece:
                     self._log_row()
 
-        if self._pending:
+        if theta_policy is not None and self._pending:
             self._log_row()
 
         self.k += 1
@@ -472,6 +474,8 @@ class Protocol:
         )
 
     def result(self, sync_times=None, decisions=None) -> RunResult:
+        if self._pending:
+            self._log_row()
         metrics = {name: np.asarray(vals) for name, vals in self._rows.items()}
         return RunResult(
             metrics=metrics,

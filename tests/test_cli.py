@@ -230,6 +230,10 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"radio.edge_cloud_latency_s": math.inf}, "radio.edge_cloud_latency_s"),
     # a repeated seed would run twice and write one output pair
     ("run", {"seeds": [1, 0, 1]}, "seeds"),
+    # the first interval and the bootstrap probes of the controller
+    ("run", {"control.initial_tau": 0}, "control.initial_tau"),
+    ("run", {"control.initial_tau": -1}, "control.initial_tau"),
+    ("run", {"control.probe_count": 1}, "control.probe_count"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -507,7 +511,7 @@ def test_divergent_run_exits_1_naming_slot_and_device(tmp_path, capsys):
 
 
 def test_divergent_run_names_its_first_non_finite_row_without_warnings(tmp_path, capsys):
-    # slot 84 sits inside the rows of interval 8, computed together at slot 90
+    # slot 84 sits inside the 100 rows after t=0, one piece, computed when the run ends
     blob = json.loads((Path(__file__).resolve().parents[1] / "configs"
                        / "minimal_ridge.json").read_text())
     blob["schedule"]["eta"] = 50
@@ -519,6 +523,43 @@ def test_divergent_run_names_its_first_non_finite_row_without_warnings(tmp_path,
     assert capsys.readouterr().err == ("DivergenceError: t=84, k=8: device 1 has a "
                                        "non-finite squared norm; the run diverged\n")
     assert not list((tmp_path / "out").glob("*"))
+
+
+def adaptive_demo(tmp_path, section: str, field: str, value) -> Path:
+    """``configs/adaptive_demo.json`` for seed 0 with one value replaced."""
+    blob = json.loads((REPO / "configs" / "adaptive_demo.json").read_text())
+    blob[section][field] = value
+    blob["seeds"] = [0]
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+@pytest.mark.parametrize("section, field", [("control", "probe_scale"),
+                                            ("model", "regularization")])
+def test_non_finite_bootstrap_estimates_exit_1_with_an_estimation_error(
+        tmp_path, capsys, section, field):
+    # probes or gradients beyond the floats leave the secant estimates inf or NaN
+    path = adaptive_demo(tmp_path, section, field, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("EstimationError: secant estimates are not finite")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_an_overflowing_gap_bound_takes_the_fallback_decision(tmp_path):
+    # phi = 1e300 overflows every bound the solver scans: no grid point is left
+    path = adaptive_demo(tmp_path, "control", "phi", 1e300)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    text = (out / "run_manifest.json").read_text()
+    assert "Infinity" not in text
+    decisions = json.loads(text)["decisions"]["0"]
+    assert decisions and all(d["fallback"] for d in decisions)
 
 
 def run_python(*args):

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -387,11 +388,11 @@ def straight_line_errors(topo, model, seed, batch, plans, w_star):
 
 
 @st.composite
-def companion_runs(draw):
-    """A ragged fleet under one to three intervals, each with its own plan."""
+def companion_runs(draw, num_plans=(1, 3)):
+    """A ragged fleet under ``num_plans`` (a range) intervals, each with its own plan."""
     case = draw(ragged_runs())
     plans = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(*num_plans))):
         tau = draw(st.integers(1, 5))
         delay = draw(st.integers(0, tau - 1))
         period = draw(st.one_of(st.none(), st.integers(1, tau)))
@@ -473,14 +474,18 @@ def test_logged_loss_and_gap_equal_the_straight_line_loop(case, every, budget):
         assert np.array_equal(other.column(name), res.column(name)), name
 
 
+def theorem_schedule(prob) -> TrainingSchedule:
+    """50 intervals of 6 slots, aggregating in every slot: the shape of the theorem suite."""
+    every_slot = tuple(tuple(range(1, 7)) for _ in range(prob.topology.num_subnets))
+    return TrainingSchedule(tuple(
+        IntervalPlan(tau=6, alpha=0.3, eta=0.01 / (1 + k), delay=2,
+                     local_agg_offsets=every_slot) for k in range(50)))
+
+
 def test_the_indicator_table_is_built_once_per_schedule_shape(monkeypatch):
     # the 50 plans of the theorem schedule differ only in eta; their table is shared
     prob = theorem_problem(batch_size=1)
-    num_subnets = prob.topology.num_subnets
-    every_slot = tuple(tuple(range(1, 7)) for _ in range(num_subnets))
-    schedule = TrainingSchedule(tuple(
-        IntervalPlan(tau=6, alpha=0.3, eta=0.01 / (1 + k), delay=2,
-                     local_agg_offsets=every_slot) for k in range(50)))
+    schedule = theorem_schedule(prob)
     tables = []
     build = IntervalPlan.indicators
     monkeypatch.setattr(IntervalPlan, "indicators",
@@ -530,6 +535,79 @@ def test_divergence_mid_piece_under_the_trigger_names_its_first_row(eta, bad_t, 
         with pieces_of(1):
             proto = diverge()
         assert proto._piece == 1 and proto.t == bad_t
+
+
+@contextlib.contextmanager
+def recorded_flushes():
+    """The slot and the pending row count of every ``Protocol._log_row`` call."""
+    flushes = []
+    log_row = Protocol._log_row
+
+    def spy(proto):
+        flushes.append((proto.t, len(proto._pending)))
+        return log_row(proto)
+
+    with mock.patch.object(Protocol, "_log_row", spy):
+        yield flushes
+
+
+def test_a_fixed_schedule_computes_its_rows_at_construction_and_in_the_result():
+    # the 100 rows after t=0 of the theorem schedule (capture and sync of each
+    # interval) fit one piece, so no interval end computes them
+    prob = theorem_problem(batch_size=1)
+    schedule = theorem_schedule(prob)
+    with recorded_flushes() as flushes:
+        res = run_training(prob.topology, prob.model, schedule, seed=0, batch_size=1,
+                           w_star=prob.w_star, track_noise_free=False, metrics_every=6)
+    assert flushes == [(0, 1), (300, 100)]
+    assert res.column("t").size == 101
+    # an interval that a theta_policy drives computes its rows at its end
+    with recorded_flushes() as flushes:
+        proto = Protocol(prob.topology, prob.model, seed=0, batch_size=1,
+                         w_star=prob.w_star, track_noise_free=False, metrics_every=6)
+        proto.run_interval(schedule.intervals[0], theta_policy=lambda t, tentative, aggs:
+                           np.ones(prob.topology.num_subnets, dtype=bool))
+    assert flushes == [(0, 1), (6, 2)] and not proto._pending
+
+
+@given(companion_runs(num_plans=(2, 6)), st.integers(1, 7))
+def test_pieces_across_interval_ends_equal_rows_computed_one_at_a_time(case, every):
+    topo, model, seed, batch, plans, w_star = case
+    schedule = TrainingSchedule(tuple(plans))
+    kwargs = dict(seed=seed, batch_size=batch, w_star=w_star, metrics_every=every)
+    with recorded_flushes() as flushes:
+        res = run_training(topo, model, schedule, **kwargs)
+    # the t=0 row, then one flush per full piece and one for the rest in the result
+    piece = topo.stack.points_per_chunk(model)
+    assert len(flushes) == 1 + -(-(res.column("t").size - 1) // piece)
+    with pieces_of(1):
+        other = run_training(topo, model, schedule, **kwargs)
+    for name in res.metrics:
+        assert np.array_equal(other.column(name), res.column(name)), name
+
+
+@pytest.mark.parametrize("num_intervals", [12, 30])
+@pytest.mark.parametrize("eta, bad_t, message", [
+    (20.0, 107, "t=107, k=10: device 1 has a non-finite squared norm; the run diverged"),
+    (50.0, 84, "t=84, k=8: device 1 has a non-finite squared norm; the run diverged"),
+])
+def test_a_diverging_fixed_schedule_names_its_first_row_under_any_piece(num_intervals, eta,
+                                                                         bad_t, message):
+    # a piece of this fleet is 256 rows: 12 intervals compute theirs in the
+    # result, 30 fill the piece at slot 256; either way the error is the one
+    # of rows computed one at a time, with no warning
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "minimal_ridge.json")
+    schedule = TrainingSchedule((replace(cfg.schedule.intervals[0], eta=eta),) * num_intervals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for budget, stop in [(losses.CHUNK_ELEMENTS, min(10 * num_intervals, 256)),
+                             (1, bad_t)]:
+            with pieces_of(budget), recorded_flushes() as flushes, \
+                    pytest.raises(DivergenceError) as info:
+                run_training(cfg.fleet, cfg.model, schedule, seed=0,
+                             batch_size=cfg.batch_size, w_star=cfg.w_star)
+            assert str(info.value) == message
+            assert flushes[-1][0] == stop
 
 
 def test_clock_discipline_snapshot_precedes_sync(rng):
