@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except DFLError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:      # a config whose arrays do not fit in memory
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -60,11 +60,14 @@ class ControlConfig:
     probe_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("energy_weight", "delay_weight", "bound_weight", "phi"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not self.probe_scale > 0:
-            raise ValueError("probe_scale must be positive")
+        # phi = inf is legal: every subnet fits its budget, so none aggregates
+        if not self.phi >= 0:
+            raise ValueError("phi must be nonnegative")
+        for name in ("energy_weight", "delay_weight", "bound_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 < self.probe_scale < math.inf:
+            raise ValueError("probe_scale must be positive and finite")
         if max(self.energy_weight, self.delay_weight, self.bound_weight) <= 0:
             raise ValueError("bound_weight must be positive when the other cost weights are 0")
         if not 0.0 < self.alpha_step < 1.0:

@@ -61,8 +61,8 @@ class IntervalPlan:
         object.__setattr__(self, "up_delay", up)
         if not 0.0 <= self.alpha <= 1.0:
             raise ScheduleError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.eta > 0:
-            raise ScheduleError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ScheduleError(f"eta must be positive and finite, got {self.eta}")
         for c, offsets in enumerate(self.local_agg_offsets):
             for off in offsets:
                 if not 1 <= off <= self.tau:
@@ -334,14 +334,17 @@ class Protocol:
         for c in subnets:
             self._charge(t, "local", c, energy[c], delay[c])
 
-    def _scheduled(self, plan: IntervalPlan) -> np.ndarray:
-        """``plan``'s indicator table, built once per (tau, offsets) of a run: the
-        plans of a schedule often differ in eta or alpha only."""
+    def _scheduled(self, plan: IntervalPlan) -> tuple:
+        """``plan``'s read-only indicator table, how many subnets each of its rows
+        fires and its (N,) int64 column sums over rows 1..tau, the interval's
+        aggregation counts; built once per (tau, offsets) of a run, since the plans
+        of a schedule often differ in eta or alpha only."""
         key = (plan.tau, plan.local_agg_offsets)
         if key not in self._indicators:
             table = plan.indicators(self.topology.num_subnets)
             table.flags.writeable = False
-            self._indicators[key] = table
+            self._indicators[key] = (table, np.count_nonzero(table, axis=1).tolist(),
+                                     table[1:].sum(axis=0, dtype=np.int64))
         return self._indicators[key]
 
     def _state(self) -> tuple:
@@ -393,6 +396,14 @@ class Protocol:
     @np.errstate(over="ignore", invalid="ignore")
     def run_interval(self, plan: IntervalPlan,
                      theta_policy: ThetaPolicy | None = None) -> IntervalOutcome:
+        """Run the tau slots of ``plan`` and return what the cloud saw at capture.
+
+        A ``theta_policy`` reads the subnet sums of every slot's tentative models
+        and returns its (N,) indicators. Without one, the indicators and their
+        counts come from ``plan``'s cached table, and the subnet sums are computed
+        only in the slots that read them: those where a subnet aggregates, and
+        the capture slot, whose snapshot is their global sum.
+        """
         topo = self._check_weights()
         n_sub = topo.num_subnets
         t0 = self.t
@@ -401,8 +412,11 @@ class Protocol:
         global_t = None if self.cost_model is None else t_end - plan.down_delay
         snapshot = None
         stale_models = stale_grads = capture_prices = None
-        theta_counts = np.zeros(n_sub, dtype=np.int64)
-        scheduled = self._scheduled(plan) if theta_policy is None else None
+        if theta_policy is None:
+            table, fired_rows, counts = self._scheduled(plan)
+            theta_counts = counts.copy()
+        else:
+            theta_counts = np.zeros(n_sub, dtype=np.int64)
         companions = noise_free_interval(self.noise_free, topo, self.model, plan) \
             if self.track_noise_free else None
 
@@ -410,12 +424,15 @@ class Protocol:
             t = t0 + step
             grads = self._sgd_gradients(t)
             tentative = self.w - plan.eta * grads
-            aggregates = topo.subnet_sums(tentative)
             if theta_policy is not None:
+                aggregates = topo.subnet_sums(tentative)
                 theta = np.asarray(theta_policy(t, tentative, aggregates), dtype=bool)
+                fired = np.count_nonzero(theta)     # subnets that aggregate in this slot
+                theta_counts += theta
             else:
-                theta = scheduled[step]
-            fired = np.count_nonzero(theta)     # subnets that aggregate in this slot
+                theta, fired = table[step], fired_rows[step]
+                # read only by an aggregating subnet and by the snapshot
+                aggregates = topo.subnet_sums(tentative) if fired or t == capture_t else None
 
             if t == capture_t:
                 if snapshot is not None or self._pending_snapshot is not None:
@@ -447,7 +464,6 @@ class Protocol:
                 local = tentative
             # the combiner applies at synchronization only
             self.w = (1.0 - plan.alpha) * snapshot + plan.alpha * local if sync else local
-            theta_counts += theta
             # a triggered aggregation in the capture slot rides the uplink
             if self.cost_model is not None and t != capture_t and fired:
                 self._charge_local(t, np.flatnonzero(theta).tolist(),

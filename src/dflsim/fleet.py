@@ -281,11 +281,18 @@ def gradient_survey(topology: FleetTopology, model: LossModel, points):
 
     Returns grad F at every point (P, M), ||grad Fbar_c - grad F|| per
     subnet (P, N) and ||grad F_i - grad Fbar_c(i)|| per device (P, D).
+    Each bitwise-distinct point is surveyed once (the members of a subnet
+    that just aggregated upload one model) and its rows are copied to its
+    repeats; points compare by their bit patterns, so -0.0 and +0.0, or two
+    NaN payloads, stay apart. A point's rows depend on that point alone.
     Each device gradient is computed once, a few points at a time, and
     only the global gradients and the norms are kept.
     """
     stack = topology.stack
     points = model.check_points(points)
+    _, first, repeats = np.unique(points.view(np.uint64), axis=0, return_index=True,
+                                  return_inverse=True)
+    points = points[first]
     num_points = points.shape[0]
     global_grads = np.empty_like(points)
     subnet_gaps = np.empty((num_points, topology.num_subnets))
@@ -298,7 +305,8 @@ def gradient_survey(topology: FleetTopology, model: LossModel, points):
         global_grads[s:s + step] = glob
         subnet_gaps[s:s + step] = norms(subnet - glob[:, None])
         device_gaps[s:s + step] = norms(device - subnet[:, topology.subnet_of])
-    return global_grads, subnet_gaps, device_gaps
+    repeats = repeats.ravel()       # its shape differs across numpy 2.x releases
+    return global_grads[repeats], subnet_gaps[repeats], device_gaps[repeats]
 
 
 def _largest_excess(gaps: np.ndarray, allowance: np.ndarray) -> float:

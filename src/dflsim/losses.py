@@ -43,8 +43,8 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in (RIDGE, SVM):
             raise ValueError(f"kind: expected {RIDGE!r} or {SVM!r}, got {self.kind!r}")
-        if not self.regularization >= 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError("regularization must be finite and nonnegative")
         if self.kind == SVM and self.num_classes < 2:
             raise ValueError("num_classes must be >= 2 for svm")
 
@@ -310,7 +310,8 @@ class DeviceStack:
         if not 1 <= idx.shape[1] <= smallest:
             raise BatchSizeError(f"batch_size {idx.shape[1]} outside [1, {smallest}]")
         rows = first_rows + idx
-        return _gradients(model, self.features[rows], targets[rows], W)
+        return _gradients(model, self.features.take(rows, axis=0),
+                          targets.take(rows, axis=0), W)
 
     def losses(self, model: LossModel, W: np.ndarray) -> np.ndarray:
         """(..., M) points -> (..., D): the objective of every device at every point."""

@@ -234,6 +234,13 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"control.initial_tau": 0}, "control.initial_tau"),
     ("run", {"control.initial_tau": -1}, "control.initial_tau"),
     ("run", {"control.probe_count": 1}, "control.probe_count"),
+    # +inf passes a check that only rejects NaN; phi = inf alone is legal (never aggregates)
+    ("run", {"model.regularization": math.inf}, "model.regularization"),
+    ("run", {"schedule.eta": math.inf}, "schedule.eta"),
+    ("run", {"control.probe_scale": math.inf}, "control.probe_scale"),
+    ("run", {"control.energy_weight": math.inf}, "control.energy_weight"),
+    ("run", {"control.delay_weight": math.inf}, "control.delay_weight"),
+    ("run", {"control.bound_weight": math.inf}, "control.bound_weight"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -322,6 +329,39 @@ def test_an_optimum_that_does_not_converge_exits_1_before_any_output(tmp_path, m
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("ConvergenceError: no convergence")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_allocation_failure_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # the (m, m) normal matrix of a ridge optimum with feature_dim 1e6, not allocated here
+    from dflsim import fleet
+
+    message = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+               "and data type float64")
+
+    def too_big(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fleet, "solve_optimum", too_big)
+    path = write_config(tmp_path)
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"MemoryError: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fixed_schedule_sums_subnets_only_in_the_slots_that_read_them(tmp_path,
+                                                                       monkeypatch):
+    # label_skew_svm: 10 intervals of 20 slots aggregating every 5th slot, the
+    # capture at slot 10 among them: 40 slots read the sums, then the weight
+    # check and the fleet averages of 21 one-row flushes; 200 slots would be 222
+    from dflsim.fleet import FleetTopology
+
+    calls = count_calls(monkeypatch, FleetTopology, "subnet_sums")
+    blob = json.loads((REPO / "configs" / "label_skew_svm.json").read_text())
+    blob["seeds"] = [0]
+    path = tmp_path / "svm.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"subnet_sums": 62}
 
 
 def test_a_replica_run_builds_its_layout_once_and_checks_no_slot(monkeypatch):

@@ -18,6 +18,7 @@ from dflsim.config import load_config
 from dflsim.control import trigger_local_aggregation
 from dflsim.data import Dataset
 from dflsim.engine import (
+    METRIC_COLUMNS,
     IntervalPlan,
     Protocol,
     TrainingSchedule,
@@ -28,7 +29,7 @@ from dflsim.engine import (
 from dflsim.errors import DivergenceError, ScheduleError, WeightSumError
 from dflsim.fleet import HeterogeneityParams, build_topology
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, loss, stochastic_gradient
-from dflsim.netcost import TAG_SGD, stream
+from dflsim.netcost import TAG_SGD, RadioConfig, RadioCostModel, stream
 from dflsim.validate import diverse_problem, theorem_problem
 
 
@@ -584,6 +585,56 @@ def test_pieces_across_interval_ends_equal_rows_computed_one_at_a_time(case, eve
         other = run_training(topo, model, schedule, **kwargs)
     for name in res.metrics:
         assert np.array_equal(other.column(name), res.column(name)), name
+
+
+@st.composite
+def scheduled_runs(draw):
+    """A ragged fleet under 2..5 plans, each with its own random offsets per subnet."""
+    case = draw(ragged_runs())
+    plans = []
+    for _ in range(draw(st.integers(2, 5))):
+        tau = draw(st.integers(1, 6))
+        delay = draw(st.integers(0, tau - 1))
+        offsets = tuple(tuple(sorted(draw(st.sets(st.integers(1, tau)))))
+                        for _ in range(case["topo"].num_subnets))
+        plans.append(IntervalPlan(
+            tau=tau, alpha=draw(st.sampled_from([0.0, 0.4, 1.0])),
+            eta=draw(st.sampled_from([0.02, 0.1])), delay=delay,
+            up_delay=draw(st.one_of(st.none(), st.integers(0, delay))),
+            local_agg_offsets=offsets))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dict(topo=case["topo"], model=case["model"], seed=case["seed"],
+                batch=case["batch"], plans=plans,
+                w_star=gen.standard_normal(case["model"].model_dim),
+                every=draw(st.integers(1, 7)))
+
+
+@given(scheduled_runs())
+def test_a_fixed_schedule_equals_a_policy_returning_its_table(case):
+    # the fixed path sums subnets only where a slot reads them and counts from the
+    # table; a policy returning the same rows sums and counts in every slot
+    topo, model, plans = case["topo"], case["model"], case["plans"]
+
+    def run(driven: bool):
+        cost = RadioCostModel(RadioConfig(), model.model_dim, topo.num_devices,
+                              topo.subnets, case["seed"])
+        proto = Protocol(topo, model, case["seed"], case["batch"], cost_model=cost,
+                         w_star=case["w_star"], metrics_every=case["every"])
+        counts = []
+        for plan in plans:
+            table = plan.indicators(topo.num_subnets)
+            policy = (lambda t, tentative, aggregates, t0=proto.t, table=table:
+                      table[t - t0]) if driven else None
+            counts.append(proto.run_interval(plan, theta_policy=policy).theta_counts)
+        return proto.result(), counts
+
+    (fixed, fixed_counts), (driven, driven_counts) = run(False), run(True)
+    for name in METRIC_COLUMNS:
+        assert np.array_equal(fixed.column(name), driven.column(name)), name
+    assert fixed.events == driven.events
+    for got, want in zip(fixed_counts, driven_counts):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(fixed.final_models, driven.final_models)
 
 
 @pytest.mark.parametrize("num_intervals", [12, 30])

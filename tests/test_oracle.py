@@ -25,6 +25,7 @@ from dflsim.errors import BatchSizeError
 from dflsim.fleet import (
     FleetTopology,
     build_topology,
+    gradient_survey,
     measure_diversity,
     measure_sgd_noise,
     measure_smoothness_convexity,
@@ -451,6 +452,36 @@ def test_measurements_equal_the_probe_loops(case, zeta, zeta_c):
                                        - looped_global_gradient(topo, model, b))
                         / np.linalg.norm(a - b)) for a, b in pairs]
         assert measure_smoothness_convexity(topo, model, pairs) == (min(ratios), max(ratios))
+
+
+@given(fleets(), st.data())
+def test_a_survey_evaluates_each_distinct_point_once(case, data):
+    # the uploads of a subnet that just aggregated repeat one model; points are
+    # told apart by their bits, so a -0.0 and a +0.0 copy are surveyed apart
+    topo, model, points, budget = case
+    positive = points[0].copy()
+    positive[0] = 0.0
+    negative = positive.copy()
+    negative[0] = -0.0
+    distinct = np.vstack([points, positive, negative])
+    repeats = data.draw(st.lists(st.integers(0, len(distinct) - 1), max_size=12))
+    planted = distinct[data.draw(st.permutations(list(range(len(distinct))) + repeats))]
+    seen = []
+    gradients = losses.DeviceStack.gradients
+
+    def spy(stack, model, W):
+        seen.append(W.copy())
+        return gradients(stack, model, W)
+
+    with mock.patch.object(losses, "CHUNK_ELEMENTS", budget):
+        want = [gradient_survey(topo, model, row[None]) for row in planted]
+        with mock.patch.object(losses.DeviceStack, "gradients", spy):
+            got = gradient_survey(topo, model, planted)
+    kernel = np.vstack(seen)
+    assert kernel.shape[0] == len(distinct)
+    assert {row.tobytes() for row in kernel} == {row.tobytes() for row in distinct}
+    for j in range(3):
+        assert np.array_equal(got[j], np.vstack([rows[j] for rows in want]))
 
 
 @given(fleets(), st.integers(1, 9))
