@@ -159,8 +159,6 @@ class FeasibilityLimits:
     eta_max_limit: float
     gamma_limit: float
     alpha_star: float
-    eta_max: float
-    gamma: float
 
 
 def feasibility_limits(params: HeterogeneityParams, tau: int, delay: int,
@@ -177,7 +175,7 @@ def feasibility_limits(params: HeterogeneityParams, tau: int, delay: int,
     denom = (c2 * em ** 2 / (em * beta * c3 - gm)) \
         * _LD(2.0) * _LD(params.omega) * c2 * (_LD(1.0) + gm) \
         + (_LD(1.0) + gm) * grow
-    return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom), eta_max, gamma)
+    return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom))
 
 
 def _check_interval(tau: int, delay: int) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import config as cfgmod
-from .analysis import compute_constants, feasibility_limits, theorem_bound
+from .analysis import compute_constants, theorem_bound
 from .control import run_adaptive, select_step_size, solve_p
 from .engine import METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
@@ -94,10 +94,16 @@ def environment() -> dict:
             "dflsim": __version__}
 
 
+def _offset_seeds(seeds: list[int], offset: int) -> list[int]:
+    if min(seeds) + offset < 0:
+        raise ConfigError(f"seeds: the seed offset makes seed {min(seeds) + offset} negative")
+    return [s + offset for s in seeds]
+
+
 def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
                 workers: int, tag: str = "run") -> dict:
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds: the seed offset makes seed {min(seeds)} negative")
+    if workers < 1:
+        raise ConfigError(f"--workers: expected a positive integer, got {workers}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded for parallel runs only
@@ -156,7 +162,7 @@ def _set_path(raw: dict, dotted: str, value) -> dict:
 
 def cmd_run(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    seeds = [s + args.seed_offset for s in cfg.seeds]
+    seeds = _offset_seeds(cfg.seeds, args.seed_offset)
     out_dir = Path(args.output or cfg.output_dir)
     manifest = _run_config(cfg, seeds, out_dir, args.workers)
     print(f"wrote {len(seeds)} run(s) to {out_dir} (config {manifest['config_hash'][:12]})")
@@ -173,15 +179,19 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values: empty list")
     axis_slug = args.axis.replace(".", "_")
+    tags = [f"{axis_slug}_{value}" for value in values]     # one output directory each
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"--values: {args.values!r} repeats a value; each value runs once")
+    # every value is checked before the first run; a fault that needs the data shows later
+    checks = [cfgmod.check_config(_set_path(raw, args.axis, value)) for value in values]
+    seeds = [_offset_seeds(effective["seeds"], args.seed_offset) for effective, *_ in checks]
     rows, out_root = [], None
-    for value in values:
-        # parsed once, run with its own seeds; the table goes under the first root
-        sub = cfgmod.parse_config(_set_path(raw, args.axis, value))
+    for value, tag, check, value_seeds in zip(values, tags, checks, seeds):
+        # built once, run with its own seeds; the table goes under the first root
+        sub = cfgmod.build_config(*check)
         root = Path(args.output or sub.output_dir)
         out_root = out_root or root
-        seeds = [s + args.seed_offset for s in sub.seeds]
-        manifest = _run_config(sub, seeds, root / f"sweep_{axis_slug}_{value}",
-                               args.workers, tag=f"{axis_slug}_{value}")
+        manifest = _run_config(sub, value_seeds, root / f"sweep_{tag}", args.workers, tag=tag)
         for seed_key, summary in manifest["summary"].items():
             for metric, metric_value in summary.items():
                 rows.append((args.axis, value, int(seed_key), metric, metric_value))
@@ -218,18 +228,27 @@ def _params_from_json(blob: dict) -> HeterogeneityParams:
         raise ValueError(f"{PARAM_KEYS.get(field, field)} {rest}") from exc
 
 
+def _number(blob: dict, key: str, kind=float, default=None):
+    """``kind(blob[key])``, or ``kind(default)`` for an absent key that has one."""
+    if default is None and key not in blob:
+        raise ConfigError(f"{key}: required field missing")
+    try:
+        return kind(blob.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected a number, got {blob[key]!r}") from None
+
+
 def cmd_bounds(args) -> int:
     blob = cfgmod.read_json(args.params)
     params = cfgmod.checked("", lambda: _params_from_json(blob))
-    tau, delay = cfgmod.checked("", lambda: (int(blob["tau"]), int(blob["delay"])))
-    eta_max, gamma = blob.get("eta_max"), blob.get("gamma")
-    if eta_max is None or gamma is None:
+    tau, delay = _number(blob, "tau", int), _number(blob, "delay", int)
+    if blob.get("eta_max") is None or blob.get("gamma") is None:
         eta_max, gamma = select_step_size(params, tau, delay,
-                                          blob.get("safety", 0.9))
-    consts = compute_constants(params, tau, delay, float(blob.get("alpha", 0.0)),
-                               float(eta_max), float(gamma),
-                               e3_init=float(blob.get("e3_init", 0.0)))
-    limits = feasibility_limits(params, tau, delay, float(eta_max), float(gamma))
+                                          _number(blob, "safety", float, 0.9))
+    else:
+        eta_max, gamma = _number(blob, "eta_max"), _number(blob, "gamma")
+    consts = compute_constants(params, tau, delay, _number(blob, "alpha", float, 0.0),
+                               eta_max, gamma, e3_init=_number(blob, "e3_init", float, 0.0))
     out = {
         "lambda_plus": consts.eigen.eig_plus,
         "lambda_minus": consts.eigen.eig_minus,
@@ -240,7 +259,7 @@ def cmd_bounds(args) -> int:
         "Y1": consts.y1, "Y2": consts.y2, "Y3": consts.y3,
         "alpha_star": consts.alpha_star,
         "eta_max": consts.eta_max, "gamma": consts.gamma,
-        "eta_max_limit": limits.eta_max_limit, "gamma_limit": limits.gamma_limit,
+        "eta_max_limit": consts.eta_max_limit, "gamma_limit": consts.gamma_limit,
         "nu_0": theorem_bound(consts, 0),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -258,11 +277,22 @@ def cmd_control(args) -> int:
         local_delay=np.asarray(costs["local_delay"], dtype=np.float64),
     ))
     control = cfgmod.control_config(blob.get("control"))
-    inputs = cfgmod.checked("", lambda: (
-        np.asarray(blob["subnet_weights"], dtype=np.float64), int(blob.get("t_now", 0)),
-        int(blob["delay"]), float(blob.get("e3_init", 0.0)),
-        np.asarray(blob["gap_estimates"], dtype=np.float64)))
-    decision = solve_p(cost, params, control, *inputs)
+    weights, gaps = cfgmod.checked("", lambda: [
+        np.asarray(blob[key], dtype=np.float64) for key in ("subnet_weights", "gap_estimates")])
+    # one entry per subnet; delta_c and zeta_c may hold one for all (their default [0.0])
+    shape = (weights.size,)
+    per_subnet = {"subnet_weights": weights, "gap_estimates": gaps,
+                  "cost.local_energy": cost.local_energy, "cost.local_delay": cost.local_delay,
+                  "params.delta_c": params.intra_delta, "params.zeta_c": params.intra_zeta}
+    for key, values in per_subnet.items():
+        if values.shape != shape and not (key.startswith("params.") and values.shape == (1,)):
+            raise ConfigError(f"{key}: shape {values.shape}, expected {shape}: "
+                              "one entry per subnet of subnet_weights")
+    for key, values in (("subnet_weights", weights), ("gap_estimates", gaps)):
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ConfigError(f"{key}: expected finite nonnegative values, got {values}")
+    decision = solve_p(cost, params, control, weights, _number(blob, "t_now", int, 0),
+                       _number(blob, "delay", int), _number(blob, "e3_init", float, 0.0), gaps)
     print(json.dumps(asdict(decision), indent=2, sort_keys=True))
     return 0
 

@@ -12,7 +12,8 @@ The ``control``/``radio`` defaults are those of ``ControlConfig``/
 input that does not depend on the seed once -- the loss model, the fleet,
 the fixed schedule or the controller config, the radio config -- so a
 fault that shows only once the data exists is a ConfigError naming its
-field too, raised before any output is written.
+field too, raised before any output is written: ``check_config`` needs no
+data, ``build_config`` builds it and checks the rest.
 """
 
 from __future__ import annotations
@@ -159,6 +160,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    return build_config(*check_config(raw))
+
+
+def check_config(raw: dict) -> tuple:
+    """The checks that need no data: (effective values, schedule, control, radio)."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     unknown = [key for key in raw if key not in TOP_LEVEL_KEYS]
@@ -220,17 +226,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                                  delay=sched["delay"], up_delay=sched["up_delay"]))
     radio = None if effective["radio"] is None else checked("radio", lambda: RadioConfig(
         **{k: v for k, v in effective["radio"].items() if k != "placement_seed"}))
+    return effective, schedule, control, radio
 
-    # the data last: every check above is cheaper than building it
+
+def build_config(effective: dict, schedule, control, radio) -> ExperimentConfig:
+    """The config of a ``check_config`` result: its data, and the checks that need it."""
+    # the data last: every check of ``check_config`` is cheaper than building it
+    ds, topo, sched = effective["dataset"], effective["topology"], effective["schedule"]
     dataset = checked("dataset", lambda: build_dataset(ds))
     mdl = effective["model"]
     model = checked("model", lambda: LossModel(
         kind=mdl["kind"], feature_dim=dataset.feature_dim,
         regularization=float(mdl["regularization"]),
         num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1))
-    fleet = checked("topology", lambda: build_fleet(topo, sizes, dataset, model))
+    fleet = checked("topology",
+                    lambda: build_fleet(topo, subnet_sizes(topo), dataset, model))
     checked("model", lambda: fleet.stack.layout(model))    # the labels suit the model
-    smallest = int(fleet.stack.counts.min())
+    smallest, batch_size = int(fleet.stack.counts.min()), effective["batch_size"]
     if batch_size > smallest:
         raise ConfigError(f"batch_size: {batch_size} exceeds {smallest}, "
                           "the point count of the smallest device")

@@ -6,8 +6,8 @@ slots t_k+1 .. t_{k+1} each run one SGD step per device; the global
 snapshot is captured from tentative models at t_{k+1} - D (devices keep
 training during the delay); the cloud aggregate is formed at
 t_{k+1} - D_down and applied at t_{k+1} through the convex combiner
-(1-alpha)*stale global + alpha*fresh local. FedAvg and hierarchical
-FedAvg are parameterizations of the same loop.
+(1-alpha)*stale global + alpha*fresh local. Hierarchical FedAvg is alpha 0,
+and FedAvg is alpha 0 on one flat subnet that never aggregates locally.
 
 All randomness is drawn from one stream per (seed, tag, device),
 addressed by the slot: device i's minibatch keys at slot t are draws
@@ -24,14 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .analysis import error_terms, noise_free_step, noise_free_sync
-from .errors import (
-    BatchSizeError,
-    DivergenceError,
-    ScheduleError,
-    SnapshotError,
-    WeightSumError,
-)
-from .fleet import FleetTopology, flatten_topology
+from .errors import BatchSizeError, DivergenceError, ScheduleError, SnapshotError
+from .fleet import FleetTopology
 from .losses import CHUNK_ELEMENTS, DeviceStack, LossModel, _dots, minibatch
 from .netcost import TAG_SGD, RadioCostModel, SlotStreams
 
@@ -236,7 +230,7 @@ class Minibatches:
 
 class Protocol:
     """Mutable protocol state advanced one interval at a time. Checked here, once: the
-    model vectors, data and batch size (the weights once per array); slots only compute.
+    model vectors, data and batch size (the topology checks its weights); slots only compute.
 
     A slot that logs only records its state, ``(t, k, w, noise_free, cum_energy,
     cum_delay)``; the arrays are kept by reference, since every slot binds new
@@ -271,8 +265,6 @@ class Protocol:
         self.w_star = None if w_star is None else model.check_vector(w_star)
         self.track_noise_free = track_noise_free and w_star is not None
 
-        self._checked_weights = None
-        self._check_weights()
         topology.stack.layout(model)       # checks the data against the model once
         smallest = int(topology.stack.counts.min())
         if not 1 <= self.batch_size <= smallest:
@@ -294,22 +286,8 @@ class Protocol:
 
     # -- state helpers ------------------------------------------------
 
-    def _check_weights(self) -> FleetTopology:
-        """The topology, its rho checked once per device-weight array."""
-        topo = self.topology
-        if topo.device_weights is not self._checked_weights:
-            sums = topo.subnet_sums(np.ones((topo.num_devices, 1)))[:, 0]
-            for c in np.flatnonzero(np.abs(sums - 1.0) > 1e-9):
-                raise WeightSumError(f"subnet {c} weights sum to {sums[c]}")
-            self._checked_weights = topo.device_weights
-        return topo
-
     def subnet_aggregate(self, values: np.ndarray, c: int) -> np.ndarray:
-        return self._check_weights().subnet_sums(values)[c]
-
-    def global_average(self, values: np.ndarray) -> np.ndarray:
-        topo = self._check_weights()
-        return topo.global_sums(topo.subnet_sums(values))
+        return self.topology.subnet_sums(values)[c]
 
     def _sgd_gradients(self, t: int) -> np.ndarray:
         """Every device's minibatch gradient at its model, for slot t.
@@ -371,7 +349,7 @@ class Protocol:
         bad = ~finite.all(axis=1)
         rows = int(np.argmax(bad)) if bad.any() else len(t)
         W = W[:rows]        # the rows computed: those before the first non-finite norm
-        w_bar = self.global_average(W)
+        w_bar = self.topology.global_sums(self.topology.subnet_sums(W))
         loss = self.topology.global_loss(self.model, w_bar)
         nan = np.full(rows, np.nan)
         gap = nan if self.w_star is None else _dots(w_bar - self.w_star)
@@ -404,7 +382,7 @@ class Protocol:
         only in the slots that read them: those where a subnet aggregates, and
         the capture slot, whose snapshot is their global sum.
         """
-        topo = self._check_weights()
+        topo = self.topology
         n_sub = topo.num_subnets
         t0 = self.t
         t_end = t0 + plan.tau
@@ -510,28 +488,3 @@ def run_training(topology: FleetTopology, model: LossModel,
     for plan in schedule.intervals:
         proto.run_interval(plan)
     return proto.result(sync_times=schedule.sync_times)
-
-
-def run_baseline(kind: str, topology: FleetTopology, model: LossModel, *,
-                 num_intervals: int, tau: int, eta: float, delay: int = 0,
-                 up_delay: int | None = None, local_agg_period: int | None = None,
-                 seed: int, batch_size: int, **kwargs) -> RunResult:
-    """FedAvg / hierarchical-FedAvg wrappers around the same engine.
-
-    ``fedavg`` flattens the hierarchy into one logical subnet and never
-    aggregates locally; ``hier-fedavg`` keeps the hierarchy and local
-    aggregations but pins the combiner weight to zero.
-    """
-    if kind == "fedavg":
-        topo = flatten_topology(topology)
-        period = None
-    elif kind == "hier-fedavg":
-        topo = topology
-        period = local_agg_period
-    else:
-        raise ValueError(f"unknown baseline {kind!r}")
-    schedule = TrainingSchedule.uniform(
-        num_intervals, tau, alpha=0.0, eta=eta, delay=delay, up_delay=up_delay,
-        local_agg_period=period, num_subnets=topo.num_subnets,
-    )
-    return run_training(topo, model, schedule, seed, batch_size, **kwargs)

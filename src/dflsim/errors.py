@@ -29,10 +29,6 @@ class TopologyError(DFLError):
     """Subnet sizes / device assignments are inconsistent."""
 
 
-class WeightSumError(DFLError):
-    """Aggregation weights do not sum to one."""
-
-
 class ScheduleError(DFLError):
     """Training schedule violates its invariants."""
 

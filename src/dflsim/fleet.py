@@ -37,7 +37,7 @@ class FleetTopology:
 
     device_weights[i] is the weight of device i inside its own subnet
     (rho), subnet_weights[c] the weight of subnet c in the fleet
-    (varrho); both families sum to one.
+    (varrho); both families sum to one, checked here, on read-only copies.
 
     The device data is stored once, in ``stack``; ``datasets`` are views
     of it. Subnet and global sums and the weighted device total, the
@@ -61,6 +61,9 @@ class FleetTopology:
     ordered_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("device_weights", "subnet_weights"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+            getattr(self, name).flags.writeable = False
         seen = set()
         for members in self.subnets:
             if seen & set(members):

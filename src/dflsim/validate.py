@@ -36,10 +36,10 @@ from .control import (
     subnet_contributions,
 )
 from .data import Dataset, make_blobs, make_shared_design
-from .engine import (IntervalPlan, TrainingSchedule, noise_free_interval, run_baseline,
-                     run_training)
+from .engine import IntervalPlan, TrainingSchedule, noise_free_interval, run_training
 from .errors import InfeasibleError
-from .fleet import FleetTopology, HeterogeneityParams, build_topology, partition_label_skew
+from .fleet import (FleetTopology, HeterogeneityParams, build_topology, flatten_topology,
+                    partition_label_skew)
 from .losses import RIDGE, SVM, LossModel, full_gradient
 from .netcost import CostSnapshot, stream
 
@@ -348,25 +348,17 @@ ORDERING_VARIANTS = (   # (label, protocol, alpha, delay)
 
 def ordering_experiment(seeds, eta: float = 0.03,
                         intervals: int = 10) -> list[tuple[str, float, float]]:
-    """(label, mean, std) over seeds of the final loss on ordering_fleet per
-    ORDERING_VARIANTS row: tau 20, local aggregation every 5 slots, batch 10."""
+    """(label, mean, std) over seeds of the final loss per ORDERING_VARIANTS row: tau 20,
+    batch 10, local aggregation every 5 slots, or none on fedavg's flattened fleet."""
     topo, model = ordering_fleet()
     tau, batch = 20, 10
     rows = []
     for label, protocol, alpha, delay in ORDERING_VARIANTS:
-        finals = []
-        for seed in seeds:
-            if protocol == "fedavg":
-                res = run_baseline("fedavg", topo, model, num_intervals=intervals,
-                                   tau=tau, eta=eta, delay=delay, seed=seed,
-                                   batch_size=batch, metrics_every=tau)
-            else:
-                sched = TrainingSchedule.uniform(
-                    intervals, tau, alpha=alpha, eta=eta, delay=delay,
-                    local_agg_period=5, num_subnets=topo.num_subnets)
-                res = run_training(topo, model, sched, seed=seed, batch_size=batch,
-                                   metrics_every=tau)
-            finals.append(float(res.column("loss")[-1]))
+        fleet, period = (flatten_topology(topo), None) if protocol == "fedavg" else (topo, 5)
+        sched = TrainingSchedule.uniform(intervals, tau, alpha, eta, delay,
+                                         local_agg_period=period, num_subnets=fleet.num_subnets)
+        finals = [float(run_training(fleet, model, sched, seed=seed, batch_size=batch,
+                                     metrics_every=tau).column("loss")[-1]) for seed in seeds]
         rows.append((label, float(np.mean(finals)), float(np.std(finals))))
     return rows
 

@@ -241,6 +241,29 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"control.energy_weight": math.inf}, "control.energy_weight"),
     ("run", {"control.delay_weight": math.inf}, "control.delay_weight"),
     ("run", {"control.bound_weight": math.inf}, "control.bound_weight"),
+    # a sweep checks every value before its first run; a repeated value would run twice
+    ("sweep --axis schedule.delay --values 0,100", {}, "schedule.delay"),
+    ("sweep --axis schedule.delay --values 1,1", {}, "--values"),
+    # every per-subnet array has one entry per subnet weight, or delta_c/zeta_c one in all
+    ("control", {"gap_estimates": [1.0, 0.5, 0.2]}, "gap_estimates"),
+    ("control", {"subnet_weights": [0.4, 0.3, 0.3]}, "subnet_weights"),
+    ("control", {"params.delta_c": [0.1, 0.1, 0.1]}, "params.delta_c"),
+    ("control", {"params.zeta_c": [0.0, 0.0, 0.0]}, "params.zeta_c"),
+    ("control", {"cost.local_energy": [0.01]}, "cost.local_energy"),
+    ("control", {"cost.local_delay": [0.001, 0.002, 0.003]}, "cost.local_delay"),
+    ("control", {"gap_estimates": [1.0, -0.5]}, "gap_estimates"),
+    ("control", {"gap_estimates": [math.nan, 0.5]}, "gap_estimates"),
+    ("control", {"gap_estimates": [math.inf, 0.5]}, "gap_estimates"),
+    ("control", {"subnet_weights": [math.nan, 0.5]}, "subnet_weights"),
+    ("control", {"subnet_weights": [-3.0, 0.5]}, "subnet_weights"),
+    ("control", {"delay": "x"}, "delay"),
+    ("bounds", {"alpha": "x"}, "alpha"),
+    ("bounds", {"e3_init": [1.0]}, "e3_init"),
+    ("bounds", {"tau": DROP}, "tau"),
+    # a worker count below 1 would fall back to a serial run
+    ("run --workers 0", {}, "--workers"),
+    ("run --workers -3", {}, "--workers"),
+    ("sweep --axis schedule.delay --values 0 --workers 0", {}, "--workers"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -351,8 +374,8 @@ def test_an_allocation_failure_exits_1_with_one_line(tmp_path, monkeypatch, caps
 def test_a_fixed_schedule_sums_subnets_only_in_the_slots_that_read_them(tmp_path,
                                                                        monkeypatch):
     # label_skew_svm: 10 intervals of 20 slots aggregating every 5th slot, the
-    # capture at slot 10 among them: 40 slots read the sums, then the weight
-    # check and the fleet averages of 21 one-row flushes; 200 slots would be 222
+    # capture at slot 10 among them: 40 slots read the sums, then the fleet
+    # averages of 21 one-row flushes; 200 slots would be 221
     from dflsim.fleet import FleetTopology
 
     calls = count_calls(monkeypatch, FleetTopology, "subnet_sums")
@@ -361,7 +384,7 @@ def test_a_fixed_schedule_sums_subnets_only_in_the_slots_that_read_them(tmp_path
     path = tmp_path / "svm.json"
     path.write_text(json.dumps(blob))
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
-    assert calls == {"subnet_sums": 62}
+    assert calls == {"subnet_sums": 61}
 
 
 def test_a_replica_run_builds_its_layout_once_and_checks_no_slot(monkeypatch):
@@ -622,6 +645,14 @@ def test_cli_import_leaves_the_suites_unloaded():
     done = run_python("-c", "import sys, dflsim.cli; print('dflsim.validate' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # every consumer imports the module it uses; the package re-exports nothing
+    done = run_python("-c", "import sys, dflsim; "
+                            "print(sorted(m for m in sys.modules if m.startswith('dflsim.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -23,10 +23,9 @@ from dflsim.engine import (
     Protocol,
     TrainingSchedule,
     periodic_offsets,
-    run_baseline,
     run_training,
 )
-from dflsim.errors import DivergenceError, ScheduleError, WeightSumError
+from dflsim.errors import DivergenceError, ScheduleError
 from dflsim.fleet import HeterogeneityParams, build_topology
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, loss, stochastic_gradient
 from dflsim.netcost import TAG_SGD, RadioConfig, RadioCostModel, stream
@@ -108,10 +107,8 @@ def test_global_average_arithmetic():
     parts = [Dataset(np.ones((4, 1)), np.zeros(4)),
              Dataset(np.ones((6, 1)), np.zeros(6))]
     topo = build_topology(parts, [1, 1])
-    model = LossModel(RIDGE, feature_dim=1, regularization=0.1)
-    proto = Protocol(topo, model, seed=0, batch_size=1, w_star=np.zeros(1))
     np.testing.assert_allclose(topo.subnet_weights, [0.4, 0.6])
-    got = proto.global_average(np.array([[5.0], [0.0]]))
+    got = topo.global_sums(topo.subnet_sums(np.array([[5.0], [0.0]])))
     np.testing.assert_allclose(got, [2.0], atol=1e-12)
 
 
@@ -679,32 +676,6 @@ def test_duplicate_and_missing_snapshot_guards(rng):
         proto.run_interval(IntervalPlan(tau=3, alpha=0.0, eta=0.05, delay=1))
 
 
-# -- baselines ----------------------------------------------------------------
-
-
-def test_hier_fedavg_is_alpha_zero(rng):
-    topo, model = small_fleet(rng)
-    w_star = topo.optimum(model)
-    base = run_baseline("hier-fedavg", topo, model, num_intervals=3, tau=6,
-                        eta=0.05, delay=2, local_agg_period=3, seed=9,
-                        batch_size=4, w_star=w_star)
-    sched = TrainingSchedule.uniform(3, 6, alpha=0.0, eta=0.05, delay=2,
-                                     local_agg_period=3, num_subnets=2)
-    direct = run_training(topo, model, sched, seed=9, batch_size=4, w_star=w_star)
-    for name in base.metrics:
-        np.testing.assert_array_equal(base.metrics[name], direct.metrics[name])
-
-
-def test_fedavg_flattens_topology(rng):
-    topo, model = small_fleet(rng)
-    res = run_baseline("fedavg", topo, model, num_intervals=2, tau=4, eta=0.05,
-                       seed=9, batch_size=4, track_noise_free=False)
-    assert res.final_models.shape[0] == topo.num_devices
-    with pytest.raises(ValueError):
-        run_baseline("nope", topo, model, num_intervals=1, tau=2, eta=0.05,
-                     seed=0, batch_size=4)
-
-
 # -- diagnostics vs one-step bounds -------------------------------------------
 
 
@@ -739,31 +710,6 @@ def test_metrics_decimation_keeps_sync_rows(rng):
         assert t_sync in logged
         assert t_sync - 2 in logged  # capture slots forced into the log
     assert res.at_sync("gap").shape == (3,)
-
-
-def test_weight_sum_guard(rng):
-    topo, model = small_fleet(rng)
-    proto = Protocol(topo, model, seed=0, batch_size=3, w_star=None)
-    bad = topo.device_weights.copy()
-    bad[0] += 1e-3
-    object.__setattr__(topo, "device_weights", bad)
-    from dflsim.errors import WeightSumError
-
-    with pytest.raises(WeightSumError):
-        proto.subnet_aggregate(np.zeros((4, 3)), 0)
-
-
-def test_weight_sum_guard_stops_the_slot_loop(rng):
-    topo, model = small_fleet(rng)
-    proto = Protocol(topo, model, seed=0, batch_size=3, w_star=None)
-    plan = IntervalPlan(tau=2, alpha=0.0, eta=0.05, local_agg_offsets=((1, 2), (2,)))
-    proto.run_interval(plan)
-    bad = topo.device_weights.copy()
-    bad[3] -= 1e-3
-    object.__setattr__(topo, "device_weights", bad)
-    with pytest.raises(WeightSumError, match="subnet 1"):
-        proto.run_interval(plan)
-    assert proto.t == 2
 
 
 def test_full_batch_reproduces_deterministic_gd(rng):

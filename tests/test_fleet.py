@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dflsim.data import Dataset, make_blobs
 from dflsim.errors import EstimationError, PartitionError, TopologyError
 from dflsim.fleet import (
+    FleetTopology,
     HeterogeneityParams,
     build_topology,
     flatten_topology,
@@ -53,6 +54,20 @@ def test_size_mismatch_errors(rng):
         build_topology(parts, [2, 3])
     with pytest.raises(TopologyError):
         build_topology(parts, [4, 0])
+
+
+def test_weights_are_read_only_copies(rng):
+    # their sums are checked once, at construction, so nothing may write them after
+    device_weights = np.full(4, 0.5)
+    topo = FleetTopology(((0, 1), (2, 3)), tuple(equal_datasets(4, 3, rng)),
+                         device_weights, [0.5, 0.5])
+    device_weights[0] = 1.5     # the caller's array, not the topology's copy
+    for weights in (topo.device_weights, topo.subnet_weights):
+        assert weights.dtype == np.float64
+        with pytest.raises(ValueError):
+            weights[0] += 0.5
+    np.testing.assert_array_equal(topo.device_weights, 0.5)
+    np.testing.assert_array_equal(topo.subnet_weights, 0.5)
 
 
 def test_paper_scale_topology(rng):
