@@ -92,10 +92,6 @@ def eigen_system(mu_over_beta: float, omega: float) -> EigenSystem:
     return EigenSystem(mu_over_beta, omega, matrix, lam_plus, lam_minus, basis, basis_inv)
 
 
-def dispersion_matrix(params: HeterogeneityParams) -> EigenSystem:
-    return eigen_system(params.mu / params.beta, params.omega)
-
-
 # ---------------------------------------------------------------------------
 # feasibility limits
 
@@ -120,7 +116,9 @@ def _growth_ld(params: HeterogeneityParams, tau: int):
 
 def eta_max_limit(params: HeterogeneityParams, tau: int, delay: int) -> float:
     """Upper limit on eta_max: min of the contraction and curvature branches."""
-    _check_interval(tau, delay)
+    _require(tau > delay, "need tau > delay for a positive contraction budget, "
+             f"got tau={tau}, delay={delay}")
+    _require(delay >= 0, f"delay must be nonnegative, got {delay}")
     mu, beta = _LD(params.mu), _LD(params.beta)
     branch1 = _LD(2.0) / (beta + mu)
     growth = _growth_ld(params, tau)
@@ -176,15 +174,6 @@ def feasibility_limits(params: HeterogeneityParams, tau: int, delay: int,
         * _LD(2.0) * _LD(params.omega) * c2 * (_LD(1.0) + gm) \
         + (_LD(1.0) + gm) * grow
     return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom))
-
-
-def _check_interval(tau: int, delay: int) -> None:
-    if tau <= delay:
-        raise InfeasibleError(
-            f"need tau > delay for a positive contraction budget, got tau={tau}, delay={delay}"
-        )
-    if delay < 0:
-        raise InfeasibleError(f"delay must be nonnegative, got {delay}")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -267,7 +256,7 @@ def compute_constants(params: HeterogeneityParams, tau: int, delay: int,
     else:
         em_lim, g_lim, a_star = eta_max_limit(params, tau, delay), float("nan"), float("nan")
 
-    eig = dispersion_matrix(params)
+    eig = eigen_system(params.mu / params.beta, params.omega)
     one = _LD(1.0)
     mu, beta, omega = _LD(params.mu), _LD(params.beta), _LD(params.omega)
     delta = _LD(params.inter_delta)

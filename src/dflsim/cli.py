@@ -26,8 +26,8 @@ from .analysis import compute_constants, theorem_bound
 from .control import run_adaptive, select_step_size, solve_p
 from .engine import METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
-from .fleet import HeterogeneityParams, partition_manifest
-from .netcost import CostSnapshot, RadioCostModel
+from .fleet import partition_manifest
+from .netcost import RadioCostModel
 
 
 def _write_metrics_csv(path: Path, result: RunResult) -> None:
@@ -78,12 +78,12 @@ def execute_single(cfg: cfgmod.ExperimentConfig, seed: int) -> tuple:
         cfg.radio, cfg.model.model_dim, fleet.num_devices, fleet.subnets,
         cfg.effective["radio"]["placement_seed"])
     kwargs = dict(seed=seed, batch_size=cfg.batch_size, cost_model=cost_model,
-                  w_star=cfg.w_star, track_noise_free=bool(sched["track_noise_free"]),
-                  metrics_every=int(sched["metrics_every"]))
+                  w_star=cfg.w_star, track_noise_free=sched["track_noise_free"],
+                  metrics_every=sched["metrics_every"])
     if cfg.schedule is not None:
         result = run_training(fleet, cfg.model, cfg.schedule, **kwargs)
     else:
-        result = run_adaptive(fleet, cfg.model, cfg.control, delay=int(sched["delay"]),
+        result = run_adaptive(fleet, cfg.model, cfg.control, delay=sched["delay"],
                               up_delay=sched["up_delay"], **kwargs)
     return result, _summarize(result)
 
@@ -204,51 +204,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# parameter-file key of each HeterogeneityParams field whose name differs
-PARAM_KEYS = {"inter_delta": "delta", "inter_zeta": "zeta", "intra_delta": "delta_c",
-              "intra_zeta": "zeta_c", "sgd_noise": "sigma", "subnet_noise_budget": "phi"}
-
-
-def _params_from_json(blob: dict) -> HeterogeneityParams:
-    """HeterogeneityParams from a parameter file; errors name the file's keys."""
-    zeta = blob.get("zeta")
-    if zeta is None:
-        zeta = 2.0 * blob["beta"] * blob.get("omega", 0.0)
-    try:
-        return HeterogeneityParams(
-            mu=blob["mu"], beta=blob["beta"], inter_delta=blob.get("delta", 0.0),
-            inter_zeta=zeta,
-            intra_delta=np.asarray(blob.get("delta_c", [0.0]), dtype=np.float64),
-            intra_zeta=np.asarray(blob.get("zeta_c", [0.0]), dtype=np.float64),
-            sgd_noise=blob.get("sigma", 0.0),
-            subnet_noise_budget=blob.get("phi", 0.0),
-        )
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{PARAM_KEYS.get(field, field)} {rest}") from exc
-
-
-def _number(blob: dict, key: str, kind=float, default=None):
-    """``kind(blob[key])``, or ``kind(default)`` for an absent key that has one."""
-    if default is None and key not in blob:
-        raise ConfigError(f"{key}: required field missing")
-    try:
-        return kind(blob.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {blob[key]!r}") from None
-
-
 def cmd_bounds(args) -> int:
-    blob = cfgmod.read_json(args.params)
-    params = cfgmod.checked("", lambda: _params_from_json(blob))
-    tau, delay = _number(blob, "tau", int), _number(blob, "delay", int)
-    if blob.get("eta_max") is None or blob.get("gamma") is None:
-        eta_max, gamma = select_step_size(params, tau, delay,
-                                          _number(blob, "safety", float, 0.9))
-    else:
-        eta_max, gamma = _number(blob, "eta_max"), _number(blob, "gamma")
-    consts = compute_constants(params, tau, delay, _number(blob, "alpha", float, 0.0),
-                               eta_max, gamma, e3_init=_number(blob, "e3_init", float, 0.0))
+    values, params = cfgmod.check_bounds(cfgmod.read_json(args.params))
+    tau, delay, eta_max, gamma = (values[k] for k in ("tau", "delay", "eta_max", "gamma"))
+    if eta_max is None or gamma is None:
+        eta_max, gamma = select_step_size(params, tau, delay, values["safety"])
+    consts = compute_constants(params, tau, delay, values["alpha"], eta_max, gamma,
+                               e3_init=values["e3_init"])
     out = {
         "lambda_plus": consts.eigen.eig_plus,
         "lambda_minus": consts.eigen.eig_minus,
@@ -267,32 +229,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_control(args) -> int:
-    blob = cfgmod.read_json(args.snapshot)
-    params = cfgmod.checked("params", lambda: _params_from_json(blob.get("params", {})))
-    costs = blob.get("cost", {})
-    cost = cfgmod.checked("cost", lambda: CostSnapshot(
-        global_energy=float(costs["global_energy"]),
-        global_delay=float(costs["global_delay"]),
-        local_energy=np.asarray(costs["local_energy"], dtype=np.float64),
-        local_delay=np.asarray(costs["local_delay"], dtype=np.float64),
-    ))
-    control = cfgmod.control_config(blob.get("control"))
-    weights, gaps = cfgmod.checked("", lambda: [
-        np.asarray(blob[key], dtype=np.float64) for key in ("subnet_weights", "gap_estimates")])
-    # one entry per subnet; delta_c and zeta_c may hold one for all (their default [0.0])
-    shape = (weights.size,)
-    per_subnet = {"subnet_weights": weights, "gap_estimates": gaps,
-                  "cost.local_energy": cost.local_energy, "cost.local_delay": cost.local_delay,
-                  "params.delta_c": params.intra_delta, "params.zeta_c": params.intra_zeta}
-    for key, values in per_subnet.items():
-        if values.shape != shape and not (key.startswith("params.") and values.shape == (1,)):
-            raise ConfigError(f"{key}: shape {values.shape}, expected {shape}: "
-                              "one entry per subnet of subnet_weights")
-    for key, values in (("subnet_weights", weights), ("gap_estimates", gaps)):
-        if not (np.isfinite(values) & (values >= 0)).all():
-            raise ConfigError(f"{key}: expected finite nonnegative values, got {values}")
-    decision = solve_p(cost, params, control, weights, _number(blob, "t_now", int, 0),
-                       _number(blob, "delay", int), _number(blob, "e3_init", float, 0.0), gaps)
+    decision = solve_p(**cfgmod.check_snapshot(cfgmod.read_json(args.snapshot)))
     print(json.dumps(asdict(decision), indent=2, sort_keys=True))
     return 0
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,9 +32,9 @@ from .control import ControlConfig
 from .data import Dataset, load_csv, load_idx, make_blobs, make_ridge_cloud
 from .engine import IntervalPlan, TrainingSchedule
 from .errors import ConfigError, DFLError
-from .fleet import FleetTopology, build_topology, partition_label_skew
+from .fleet import FleetTopology, HeterogeneityParams, build_topology, partition_label_skew
 from .losses import SVM, LossModel
-from .netcost import RadioConfig, stream
+from .netcost import CostSnapshot, RadioConfig, stream
 
 TAG_DATA = 7
 
@@ -87,13 +90,30 @@ SCHEDULE_DEFAULTS = {
     "alpha_ablation": False, "metrics_every": 1, "track_noise_free": True,
     "track_optimality": True,
 }
+# The parameter files of ``dflsim bounds`` and ``dflsim control``. A type in
+# place of a default marks a required field; ``zeta`` defaults to 2 beta omega.
+PARAMS_DEFAULTS = {"mu": float, "beta": float, "omega": 0.0, "zeta": None, "delta": 0.0,
+                   "sigma": 0.0, "phi": 0.0, "delta_c": [0.0], "zeta_c": [0.0]}
+BOUNDS_DEFAULTS = {**PARAMS_DEFAULTS, "tau": int, "delay": int, "alpha": 0.0,
+                   "safety": 0.9, "eta_max": None, "gamma": None, "e3_init": 0.0}
+SNAPSHOT_DEFAULTS = {"params": dict, "cost": dict, "control": None, "subnet_weights": list,
+                     "gap_estimates": list, "delay": int, "t_now": 0, "e3_init": 0.0}
+COST_DEFAULTS = {"global_energy": float, "global_delay": float,
+                 "local_energy": list, "local_delay": list}
+# every number of a parameter file is finite; these have a least value too
+LEAST_VALUES = {"tau": (1, "positive and "), **dict.fromkeys((
+    "omega", "zeta", "delta", "sigma", "phi", "delta_c", "zeta_c", "delay", "t_now", "e3_init",
+    "subnet_weights", "gap_estimates", *COST_DEFAULTS), (0, "nonnegative and "))}
 # types of the fields whose default is None (JSON null is always accepted)
 NULLABLE_TYPES = {
     "path": str, "labels_path": str, "limit": int, "subnet_sizes": list,
     "up_delay": int, "local_agg_period": int, "gamma_safety": float,
+    "zeta": float, "eta_max": float, "gamma": float,
+    **dict.fromkeys(("dataset", "model", "topology", "schedule", "control", "radio"), dict),
 }
-TOP_LEVEL_KEYS = ("dataset", "model", "topology", "schedule", "control", "radio",
-                  "seeds", "batch_size", "output_dir")
+TOP_LEVEL_DEFAULTS = {**dict.fromkeys(("dataset", "model", "topology", "schedule", "control",
+                                       "radio")), "seeds": [0], "batch_size": 10,
+                      "output_dir": "runs"}
 
 
 def _is_a(value, kind) -> bool:
@@ -104,34 +124,43 @@ def _is_a(value, kind) -> bool:
 
 
 def _merge(section, defaults: dict, where: str) -> dict:
+    """``section`` over ``defaults``, type-checked; ``where`` "" is a file's top level.
+
+    A type in place of a default marks a required field; a list holds numbers only.
+    """
     if section is None:
         section = {}
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    merged = dict(defaults)
+        raise ConfigError(f"{where or 'top level'}: expected a JSON object")
+    prefix, merged = f"{where}." if where else "", dict(defaults)
     for name, value in section.items():
         if name not in defaults:
-            raise ConfigError(f"{where}.{name}: unknown field")
-        kind = type(defaults[name]) if defaults[name] is not None else NULLABLE_TYPES[name]
-        if not (_is_a(value, kind) or (value is None and defaults[name] is None)):
+            raise ConfigError(f"{prefix}{name}: unknown field")
+        default = defaults[name]
+        kind = default if isinstance(default, type) else \
+            NULLABLE_TYPES[name] if default is None else type(default)
+        if not (_is_a(value, kind) or (value is None and default is None)):
             raise ConfigError(
-                f"{where}.{name}: expected {kind.__name__}, got {type(value).__name__}")
+                f"{prefix}{name}: expected {kind.__name__}, got {type(value).__name__}")
+        if isinstance(value, list) and not all(_is_a(v, float) for v in value):
+            raise ConfigError(f"{prefix}{name}: expected a list of numbers, got {value}")
         if name.endswith("seed") and value < 0:
-            raise ConfigError(f"{where}.{name}: expected a nonnegative integer")
+            raise ConfigError(f"{prefix}{name}: expected a nonnegative integer")
         merged[name] = value
+    missing = [name for name, value in merged.items() if isinstance(value, type)]
+    if missing:
+        raise ConfigError(f"{prefix}{missing[0]}: required field missing")
     return merged
 
 
 def checked(where: str, build):
-    """Run a constructor, reporting a missing or rejected field as a ConfigError.
+    """Run a constructor, reporting a rejected field as a ConfigError.
 
     Constructor messages start with the field name, so ``where.`` completes the path.
     """
     prefix = f"{where}." if where else ""
     try:
         return build()
-    except KeyError as exc:
-        raise ConfigError(f"{prefix}{exc.args[0]}: required field missing") from exc
     except (ValueError, TypeError, DFLError) as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -165,34 +194,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def check_config(raw: dict) -> tuple:
     """The checks that need no data: (effective values, schedule, control, radio)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    unknown = [key for key in raw if key not in TOP_LEVEL_KEYS]
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown top-level key")
-    control = None if raw.get("control") is None else control_config(raw["control"])
+    top = _merge(raw, TOP_LEVEL_DEFAULTS, "")
+    control = None if top["control"] is None else control_config(top["control"])
     effective = {
-        "dataset": _merge(raw.get("dataset"), DATASET_DEFAULTS, "dataset"),
-        "model": _merge(raw.get("model"), MODEL_DEFAULTS, "model"),
-        "topology": _merge(raw.get("topology"), TOPOLOGY_DEFAULTS, "topology"),
-        "schedule": _merge(raw.get("schedule"), SCHEDULE_DEFAULTS, "schedule"),
+        **top,
+        "dataset": _merge(top["dataset"], DATASET_DEFAULTS, "dataset"),
+        "model": _merge(top["model"], MODEL_DEFAULTS, "model"),
+        "topology": _merge(top["topology"], TOPOLOGY_DEFAULTS, "topology"),
+        "schedule": _merge(top["schedule"], SCHEDULE_DEFAULTS, "schedule"),
         "control": None if control is None else asdict(control),
-        "radio": None if raw.get("radio") is None
-        else _merge(raw["radio"], {**asdict(RadioConfig()), "placement_seed": 3}, "radio"),
-        "seeds": raw.get("seeds", [0]),
-        "batch_size": raw.get("batch_size", 10),
-        "output_dir": raw.get("output_dir", "runs"),
+        "radio": None if top["radio"] is None
+        else _merge(top["radio"], {**asdict(RadioConfig()), "placement_seed": 3}, "radio"),
     }
-    seeds, batch_size = effective["seeds"], effective["batch_size"]
-    if not isinstance(seeds, list) or not seeds \
-            or not all(_is_a(s, int) and s >= 0 for s in seeds):
+    seeds = effective["seeds"]
+    if not seeds or not all(_is_a(s, int) and s >= 0 for s in seeds):
         raise ConfigError("seeds: expected a nonempty list of nonnegative integers")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seeds: {seeds} repeats a seed; each seed runs once")
-    if not _is_a(batch_size, int) or batch_size < 1:
+    if effective["batch_size"] < 1:
         raise ConfigError("batch_size: expected a positive integer")
-    if not isinstance(effective["output_dir"], str):
-        raise ConfigError("output_dir: expected a string")
 
     ds, topo, sched = effective["dataset"], effective["topology"], effective["schedule"]
     if ds["kind"] not in ("blobs", "ridge-cloud", "csv", "idx"):
@@ -264,6 +284,71 @@ def subnet_sizes(topo: dict) -> list[int]:
     if not all(_is_a(s, int) and s >= 1 for s in sizes) or sum(sizes) != topo["num_devices"]:
         raise ConfigError("topology.subnet_sizes: expected positive integers summing to num_devices")
     return sizes
+
+
+def _param_file(section, defaults: dict, where: str) -> tuple[dict, HeterogeneityParams]:
+    """A checked parameter-file section and its HeterogeneityParams. After the range checks
+    the constructor rejects only mu, omega or omega_c; its message gets the key prefix."""
+    values, prefix = _merge(section, defaults, where), f"{where}." if where else ""
+    _check_numbers(values, prefix)
+    try:
+        params = HeterogeneityParams(
+            mu=values["mu"], beta=values["beta"], inter_delta=values["delta"],
+            inter_zeta=values["zeta"] if values["zeta"] is not None
+            else 2.0 * values["omega"] * values["beta"],
+            intra_delta=values["delta_c"], intra_zeta=values["zeta_c"],
+            sgd_noise=values["sigma"], subnet_noise_budget=values["phi"])
+    except ValueError as exc:
+        raise ConfigError(re.sub(r"\b(mu|beta|omega|zeta)(_c)?\b", rf"{prefix}\g<0>",
+                                 str(exc))) from exc
+    return values, params
+
+
+def _check_numbers(values: dict, prefix: str) -> None:
+    """Every number of a merged parameter-file section is finite and in its range."""
+    for name, value in values.items():
+        low, word = LEAST_VALUES.get(name, (-math.inf, ""))
+        numbers = value if isinstance(value, list) else [value]
+        # a comparison with NaN is false; no float conversion, so a huge int cannot overflow
+        if isinstance(value, (int, float, list)) \
+                and not all(x >= low and abs(x) <= sys.float_info.max for x in numbers):
+            raise ConfigError(f"{prefix}{name} must be {word}finite, got {value}")
+
+
+def check_bounds(raw: dict) -> tuple[dict, HeterogeneityParams]:
+    """The checked values of a ``dflsim bounds`` parameter file, and its params."""
+    values, params = _param_file(raw, BOUNDS_DEFAULTS, "")
+    checked("", lambda: ControlConfig(safety=values["safety"]))     # the same range
+    values.update({k: float(values[k]) for k in ("eta_max", "gamma") if values[k] is not None})
+    return values, params
+
+
+def check_snapshot(raw: dict) -> dict:
+    """The ``solve_p`` arguments of a checked ``dflsim control`` snapshot file."""
+    snap = _merge(raw, SNAPSHOT_DEFAULTS, "")
+    params = _param_file(snap["params"], PARAMS_DEFAULTS, "params")[1]
+    costs = _merge(snap["cost"], COST_DEFAULTS, "cost")
+    control = control_config(snap["control"])
+    _check_numbers(costs, "cost.")
+    _check_numbers(snap, "")
+    if snap["t_now"] >= control.horizon:
+        raise ConfigError(f"t_now: {snap['t_now']} >= control.horizon {control.horizon}")
+    weights, gaps, local_energy, local_delay = (np.asarray(values, dtype=np.float64) for values in (
+        snap["subnet_weights"], snap["gap_estimates"], costs["local_energy"], costs["local_delay"]))
+    # one entry per subnet; delta_c and zeta_c may hold one for all (their default [0.0])
+    per_subnet = {"gap_estimates": gaps, "cost.local_energy": local_energy,
+                  "cost.local_delay": local_delay, "params.delta_c": params.intra_delta,
+                  "params.zeta_c": params.intra_zeta}
+    for key, values in per_subnet.items():
+        one_for_all = key.startswith("params.") and values.shape == (1,)
+        if values.shape != weights.shape and not one_for_all:
+            raise ConfigError(f"{key}: shape {values.shape}, expected {weights.shape}: "
+                              "one entry per subnet of subnet_weights")
+    cost = CostSnapshot(float(costs["global_energy"]), float(costs["global_delay"]),
+                        local_energy, local_delay)
+    return dict(cost=cost, params=params, config=control, subnet_weights=weights,
+                t_now=snap["t_now"], delay=snap["delay"], e3_init=snap["e3_init"],
+                gap_estimates=gaps)
 
 
 # ---------------------------------------------------------------------------

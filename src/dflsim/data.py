@@ -110,19 +110,11 @@ def _read_idx(name: str, path, magic: int, dims: int, kind: str):
     return sizes, np.frombuffer(raw, dtype=np.uint8, count=math.prod(sizes), offset=header)
 
 
-def load_idx_images(path) -> np.ndarray:
-    (count, rows, cols), pixels = _read_idx("path", path, _IDX_IMAGE_MAGIC, 3, "image")
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def load_idx_labels(labels_path) -> np.ndarray:
-    _, labels = _read_idx("labels_path", labels_path, _IDX_LABEL_MAGIC, 1, "label")
-    return labels.astype(np.float64)
-
-
 def load_idx(path, labels_path, limit: int | None = None) -> Dataset:
-    feats = load_idx_images(path)
-    labs = load_idx_labels(labels_path)
+    (count, rows, cols), pixels = _read_idx("path", path, _IDX_IMAGE_MAGIC, 3, "image")
+    feats = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    _, labels = _read_idx("labels_path", labels_path, _IDX_LABEL_MAGIC, 1, "label")
+    labs = labels.astype(np.float64)
     if feats.shape[0] != labs.shape[0]:
         raise DimensionMismatchError(
             f"labels_path: {labels_path}: {labs.shape[0]} labels for {feats.shape[0]} images"

@@ -101,16 +101,12 @@ class FleetTopology:
     def num_subnets(self) -> int:
         return len(self.subnets)
 
-    def global_weight(self, device: int) -> float:
-        """varrho_c * rho_{i,c}: weight of the device in the global objective."""
-        return float(self.subnet_weights[self.subnet_of[device]]
-                     * self.device_weights[device])
-
     def global_weights(self) -> np.ndarray:
+        """varrho_c * rho_{i,c}: the weight of each device in the global objective."""
         return self.subnet_weights[self.subnet_of] * self.device_weights
 
     def device_total(self, values: np.ndarray):
-        """(..., D) -> (...,): sum_i global_weight(i) * values[..., i], added one
+        """(..., D) -> (...,): sum_i global_weights()[i] * values[..., i], added one
         device at a time from zero, subnet by subnet, members in order; a float
         for a (D,) call."""
         weighted = self.ordered_weights * values[..., self.order]

@@ -264,6 +264,25 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run --workers 0", {}, "--workers"),
     ("run --workers -3", {}, "--workers"),
     ("sweep --axis schedule.delay --values 0 --workers 0", {}, "--workers"),
+    # the parameter files go through the schema checker of every config section
+    ("bounds", {"tau": 8.7}, "tau"),
+    ("control", {"delay": 2.5}, "delay"),
+    ("bounds", {"tau": True}, "tau"),
+    ("bounds", {"tau": -3}, "tau"),
+    ("bounds", {"sigma": DROP, "sigmaa": 0.5}, "sigmaa"),
+    ("bounds", {"sigma": None}, "sigma"),
+    ("bounds", {"delta_c": ["x"]}, "delta_c"),
+    ("control", {"subnet_weights": ["x", 0.5]}, "subnet_weights"),
+    ("control", {"cost.global_energy": "x"}, "cost.global_energy"),
+    ("bounds", {"e3_init": math.nan}, "e3_init"),
+    ("bounds", {"sigma": math.inf}, "sigma"),
+    ("bounds", {"safety": 1.5}, "safety"),
+    ("control", {"t_now": -5}, "t_now"),
+    ("control", {"t_now": 200}, "t_now"),
+    ("control", {"cost.global_energy": math.nan}, "cost.global_energy"),
+    ("control", {"cost.global_energy": -1}, "cost.global_energy"),
+    ("control", {"bogus": 1}, "bogus"),
+    ("control", {"params.bogus": 1}, "params.bogus"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -535,6 +554,103 @@ def test_control_subcommand(tmp_path, capsys):
     decision = json.loads(capsys.readouterr().out)
     assert 2 <= decision["tau_next"] <= 8
     assert 0.0 <= decision["alpha_next"] < 1.0
+
+
+def without(blob: dict, *keys) -> dict:
+    return {key: value for key, value in blob.items() if key not in keys}
+
+
+# valid parameter files whose stdout is pinned byte for byte in tests/golden/<name>.json
+GOLDEN_PARAM_FILES = {
+    "bounds_base": BOUNDS_PARAMS,
+    "bounds_eta_gamma": {**BOUNDS_PARAMS, "eta_max": 0.003, "gamma": 0.0008},
+    "bounds_safety_zeta": {**without(BOUNDS_PARAMS, "omega"), "zeta": 0.3, "safety": 0.5},
+    "control_base": CONTROL_SNAPSHOT,
+    "control_no_intra": {**CONTROL_SNAPSHOT,
+                         "params": without(CONTROL_SNAPSHOT["params"], "delta_c", "zeta_c")},
+    "control_no_control": without(CONTROL_SNAPSHOT, "control"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAM_FILES))
+def test_param_file_output_is_byte_identical_to_golden(tmp_path, capsys, name):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(GOLDEN_PARAM_FILES[name]))
+    assert cli.main([name.split("_")[0], str(path)]) == 0
+    golden = (REPO / "tests" / "golden" / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
+def test_readme_table_lists_every_parameter_file_key_and_which_are_required():
+    from dflsim import config
+
+    table = (REPO / "README.md").read_text().split("| File key |")[1].split("\n\n")[0]
+    rows = [line.strip("|").split("|") for line in table.splitlines()[2:]]
+    documented = {key: row[3].strip() == "required"
+                  for row in rows for key in re.findall(r"`(\w+)`", row[0])}
+    schema = {**config.BOUNDS_DEFAULTS, **config.SNAPSHOT_DEFAULTS, **config.COST_DEFAULTS}
+    assert documented == {key: isinstance(default, type) for key, default in schema.items()}
+
+
+# one key at a time: drop it, or give it one of these values (1e308 is 2**31 for an int)
+MUTATIONS = [DROP, "x", [1], True, None, -1, 0, 1e308, math.nan, math.inf, -math.inf]
+
+
+def key_paths(blob: dict) -> list[tuple]:
+    """Every key of a file: top level, one level down, and each list's first entry."""
+    paths = []
+    for key, value in blob.items():
+        children = [(key, sub) for sub in value] if isinstance(value, dict) else []
+        for path, leaf in [((key,), value)] + [(p, value[p[1]]) for p in children]:
+            paths += [path, path + (0,)] if isinstance(leaf, list) else [path]
+    return paths
+
+
+def mutated(blob: dict, path: tuple, value):
+    out = node = json.loads(json.dumps(blob))
+    for part in path[:-1]:
+        node = node[part]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        huge = isinstance(node[path[-1]], int) and value == 1e308
+        node[path[-1]] = 2 ** 31 if huge else value
+    return out
+
+
+# faults past the file check, in the controller's arithmetic: each must still fault
+KNOWN_FAULTS = {
+    # subnet_contributions squares beta as a Python float: OverflowError
+    "control": {"('params', 'beta') = 1e+308"},
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "control"])
+def test_every_mutation_of_a_parameter_file_exits_cleanly(tmp_path, capsys, command):
+    """Exit 2 naming the key, exit 1 with one ``<DFLError subclass>: ...`` line, or
+    exit 0 with JSON that holds no NaN; never an uncaught exception."""
+    from dflsim import errors
+
+    path, faults = tmp_path / "input.json", []
+    for keys in key_paths(BASE_INPUTS[command]):
+        dotted = ".".join(k for k in keys if isinstance(k, str))
+        for value in MUTATIONS:
+            path.write_text(json.dumps(mutated(BASE_INPUTS[command], keys, value)))
+            case = f"{keys} = {'drop' if value is DROP else value!r}"
+            try:
+                code, escaped = cli.main([command, str(path)]), ""
+            except Exception as exc:        # noqa: BLE001 -- every escape is a fault
+                code, escaped = None, f"uncaught {type(exc).__name__}: {exc}"
+            out, err = capsys.readouterr()
+            err = escaped or err
+            kind = getattr(errors, err.partition(":")[0], None)
+            clean = code == 2 and err.startswith("config error: ") and dotted in err \
+                or code == 1 and isinstance(kind, type) and issubclass(kind, errors.DFLError) \
+                and err.count("\n") == 1 \
+                or code == 0 and "NaN" not in out and bool(json.loads(out))
+            if clean == (case in KNOWN_FAULTS.get(command, ())):
+                faults.append(f"{case}: exit {code}, {err.strip() or out}")
+    assert not faults, "\n".join(faults)
 
 
 def test_validate_unknown_suite():

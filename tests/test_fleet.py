@@ -186,7 +186,7 @@ def test_secant_bracketing_on_quadratic(rng):
     pooled = np.zeros((3, 3))
     for i in range(topo.num_devices):
         ds = topo.datasets[i]
-        pooled += topo.global_weight(i) * ds.features.T @ ds.features / ds.n
+        pooled += topo.global_weights()[i] * ds.features.T @ ds.features / ds.n
     eigs = np.linalg.eigvalsh(pooled + 0.5 * np.eye(3))
     pairs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(10)]
     mu_hat, beta_hat = measure_smoothness_convexity(topo, model, pairs)
@@ -210,7 +210,7 @@ def test_secant_includes_top_eigendirection(rng):
     pooled = np.zeros((3, 3))
     for i in range(topo.num_devices):
         ds = topo.datasets[i]
-        pooled += topo.global_weight(i) * ds.features.T @ ds.features / ds.n
+        pooled += topo.global_weights()[i] * ds.features.T @ ds.features / ds.n
     H = pooled + 0.2 * np.eye(3)
     eigvals, eigvecs = np.linalg.eigh(H)
     pairs = [(np.zeros(3), eigvecs[:, -1])]
@@ -242,7 +242,7 @@ def test_flatten_topology(rng):
     assert flat.num_subnets == 1
     np.testing.assert_allclose(
         flat.device_weights,
-        [topo.global_weight(i) for i in range(6)], atol=1e-12)
+        [topo.global_weights()[i] for i in range(6)], atol=1e-12)
 
 
 def test_heterogeneity_params_validation():
