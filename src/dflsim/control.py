@@ -32,7 +32,7 @@ from .fleet import (
     measure_sgd_noise,
     secant_range,
 )
-from .losses import LossModel, norms
+from .losses import LossModel, norms, second_moment, smoothness
 from .netcost import TAG_PROBE, CostSnapshot, RadioCostModel, stream
 
 # step size of an interval whose step-size problem is infeasible
@@ -72,6 +72,8 @@ class ControlConfig:
             raise ValueError("bound_weight must be positive when the other cost weights are 0")
         if not 0.0 < self.alpha_step < 1.0:
             raise ValueError("alpha_step must lie in (0, 1)")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         if self.tau_max < 2:
             raise ValueError("tau_max must be >= 2")
         if not 1 <= self.tau_min <= self.tau_max:
@@ -144,17 +146,111 @@ def aggregation_indicators(contributions: np.ndarray, phi: float) -> np.ndarray:
 
 def subnet_contributions(gap_estimates: np.ndarray, subnet_weights: np.ndarray,
                          params: HeterogeneityParams) -> np.ndarray:
-    """Per-subnet deviation-budget terms: varrho_c*(2*delta_c^2 + 4*omega_c^2*beta^2*gap_c^2)."""
+    """Per-subnet deviation-budget terms: varrho_c*(2*delta_c^2 + 4*omega_c^2*beta^2*gap_c^2).
+
+    Every operation is monotone on nonnegative floats, so for nonnegative
+    weights a term never falls when its gap grows. beta^2 is a float64
+    square (inf past 1e154, where a Python float square raises).
+    """
     gaps = np.asarray(gap_estimates, dtype=np.float64)
     return np.asarray(subnet_weights, dtype=np.float64) * (
         2.0 * params.intra_delta ** 2
-        + 4.0 * params.omega_c ** 2 * params.beta ** 2 * gaps ** 2
+        + 4.0 * params.omega_c ** 2 * np.float64(params.beta) ** 2 * gaps ** 2
     )
+
+
+class TriggerReference:
+    """The trigger's memory over one run: per subnet, the last aggregate b_c
+    at which ``trigger_local_aggregation`` evaluated grad F, and r_c, the
+    norm it computed there (NaN before the first). The norms do not depend
+    on the estimates, so the memory holds across intervals.
+
+    ``norm_bounds`` brackets the norm that the exact path would compute at
+    an aggregate a_c: r_c +- (L'*||a_c - b_c|| + e(a_c) + e(b_c) + kappa*r_c).
+
+    * L = c*lambda_max(P) + reg*W is a Lipschitz constant of grad F
+      (``losses.smoothness``), with P = sum_i |g_i| X_i'X_i/n_i over the
+      global weights g, W = sum_i |g_i|, and c = ``model.curvature``.
+    * e(w) bounds how far the computed norm sits from ||grad F(w)||. Each
+      entry of the computed gradient is built from dot products and sums of
+      fewer than K = m + n + D + N + M + 8 terms (features, points of the
+      largest device, devices, subnets, model entries, and the single
+      roundings between them), so with u = 2^-53 it is off by at most
+      gamma_K ~ K*u times the same sum taken in absolute values, whose norm
+      is at most A*||w|| + B: A = c*trace(P) + reg*W (||X'X|| <= ||X||_F^2)
+      and, by Cauchy-Schwarz, B = c*t*sqrt(C*trace(P)*W), t the largest
+      kernel target in absolute value and C the targets per point. The
+      norm's dot product and square root add gamma_M of it again, so
+      e(w) <= kappa*(A*||w|| + B) with kappa = 4*K*u, twice what is needed.
+    * L itself is computed: eigvalsh is backward stable (error at most
+      about m*u*||P||) and each entry of P carries gamma_K, so
+      L' = L + kappa*A (A >= ||P||, A >= L); the distance, computed in
+      float too, is scaled by 1 + kappa. The kappa*r_c term, with the
+      margin of kappa, covers the few roundings of this arithmetic.
+    """
+
+    def __init__(self, topology: FleetTopology, model: LossModel):
+        weights = np.abs(topology.global_weights())
+        weight_sum = float(np.sum(weights))
+        pooled = second_moment(topology.datasets, weights)
+        trace = model.curvature * float(np.trace(pooled))       # c*trace(P)
+        targets = topology.stack.layout(model)[0]
+        terms = (model.feature_dim + int(topology.stack.counts.max()) + topology.num_devices
+                 + topology.num_subnets + model.model_dim + 8)
+        self.kappa = 4.0 * terms * 2.0 ** -53
+        self.slope = trace + model.regularization * weight_sum     # A
+        self.offset = float(np.abs(targets).max()) * math.sqrt(
+            model.curvature * trace * targets[:1].size * weight_sum)
+        self.lipschitz = (smoothness(model, pooled, weight_sum) + self.kappa * self.slope) \
+            * (1.0 + self.kappa)
+        self.points = np.full((topology.num_subnets, model.model_dim), np.nan)
+        self.point_norms = np.full(topology.num_subnets, np.nan)
+        self.grad_norms = np.full(topology.num_subnets, np.nan)
+
+    def store(self, subnets: np.ndarray, points: np.ndarray, grad_norms: np.ndarray) -> None:
+        """Exact norms at the aggregates of ``subnets`` (a mask)."""
+        self.points[subnets] = points
+        self.point_norms[subnets] = norms(points)
+        self.grad_norms[subnets] = grad_norms
+
+    def norm_bounds(self, subnets: np.ndarray, points: np.ndarray):
+        """(lo, hi) around the norms the exact path computes at ``points``;
+        NaN for a subnet with no reference."""
+        ref = self.grad_norms[subnets]
+        spread = self.lipschitz * norms(points - self.points[subnets]) + self.kappa * (
+            self.slope * (norms(points) + self.point_norms[subnets]) + 2.0 * self.offset + ref)
+        return ref - spread, ref + spread
+
+
+def certified_marks(lo: np.ndarray, hi: np.ndarray, phi: float) -> np.ndarray | None:
+    """The greedy's marks for any contributions c with lo <= c <= hi, or None
+    when these intervals do not fix them.
+
+    With S the greedy's marks on ``hi`` and R the rest, the marks are S if
+    every lo[S] exceeds every hi[R] (the greedy marks all of S before any
+    of R, ties or not), sum hi[R] < phi^2 (it stops once S is marked) and
+    sum lo[R] + min lo[S] > phi^2 (it stops no sooner). The sums are exact
+    (``math.fsum``) and compared with a relative slack of 4*N*2^-52, which
+    covers the at most (N - 1)*2^-53 relative error of any order in which
+    numpy adds N nonnegative floats.
+    """
+    budget = phi * phi
+    if not (0.0 < budget < math.inf and np.isfinite(hi).all() and (lo >= 0).all()):
+        return None
+    marks = aggregation_indicators(hi, phi)
+    slack = 1.0 + 4.0 * lo.size * np.finfo(np.float64).eps
+    least = float(lo[marks].min(initial=math.inf))
+    rest_lo, rest_hi = lo[~marks], hi[~marks]
+    if least > rest_hi.max(initial=-math.inf) and math.fsum(rest_hi) * slack < budget \
+            and (not marks.any() or math.fsum([*rest_lo, least]) > budget * slack):
+        return marks
+    return None
 
 
 def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopology,
                               model: LossModel, params: HeterogeneityParams,
-                              mu_hat: float, phi: float) -> np.ndarray:
+                              mu_hat: float, phi: float,
+                              reference: TriggerReference | None = None) -> np.ndarray:
     """Per-slot aggregation indicators enforcing the deviation budget.
 
     Subnet optimality gaps are monitored through strong convexity:
@@ -171,13 +267,43 @@ def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopo
     same order. One edge differs: a closed subnet with a NaN gradient norm
     (its aggregate already beyond about 1e154) sorted last and made every
     subnet fire; now it fires and the open subnets are chosen by their gaps.
+
+    With a ``reference``, grad F is not evaluated when its bounds already
+    fix the marks: each open subnet's computed norm lies in the interval
+    ``reference.norm_bounds`` gives, division by mu_hat and
+    ``subnet_contributions`` are monotone and correctly rounded, so the
+    contribution the exact path would compute lies between those of the
+    interval's ends, and ``certified_marks`` returns the marks only when
+    every contribution in those intervals gives the same ones. A closed
+    subnet's floor exceeds phi^2 and so every hi left unmarked; it is
+    marked with them, and the marks are those of the exact path, bit for
+    bit. Otherwise (a subnet with no reference,
+    a non-finite value, phi 0 or inf) the open subnets are evaluated and
+    become the new reference.
     """
     if mu_hat <= 0:
         raise InfeasibleError("trigger needs a positive strong-convexity estimate")
     gaps = np.zeros(topology.num_subnets)
     open_ = ~(subnet_contributions(gaps, topology.subnet_weights, params) > phi * phi)
-    if open_.any():
-        gaps[open_] = norms(topology.global_gradients(model, subnet_aggregates[open_])) / mu_hat
+    if not open_.any():
+        return aggregation_indicators(
+            subnet_contributions(gaps, topology.subnet_weights, params), phi)
+    points = subnet_aggregates[open_]
+    if reference is not None and 0.0 < mu_hat < math.inf:
+        lo, hi = reference.norm_bounds(open_, points)
+        ends = []
+        for bound in (np.maximum(lo, 0.0), hi):
+            gaps[open_] = bound / mu_hat
+            ends.append(subnet_contributions(gaps, topology.subnet_weights, params)[open_])
+        marks = certified_marks(*ends, phi)
+        if marks is not None:
+            theta = ~open_
+            theta[open_] = marks
+            return theta
+    grad_norms = norms(topology.global_gradients(model, points))
+    if reference is not None:
+        reference.store(open_, points, grad_norms)
+    gaps[open_] = grad_norms / mu_hat
     return aggregation_indicators(
         subnet_contributions(gaps, topology.subnet_weights, params), phi)
 
@@ -247,6 +373,7 @@ def bootstrap_estimates(topology: FleetTopology, model: LossModel,
     return replace(params, sgd_noise=max(params.sgd_noise, sigma))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
             config: ControlConfig, subnet_weights: np.ndarray, t_now: int,
             delay: int, e3_init: float, gap_estimates: np.ndarray) -> ControlDecision:
@@ -257,8 +384,10 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     per-tau feasibility ceiling; the gap bound is evaluated at the end of
     the remaining horizon (K = floor((T - t_now)/tau) decay steps). Ties
     break toward smaller tau, then smaller alpha; a point whose objective is
-    not finite (its bound overflowed) is skipped. Raises InfeasibleError
-    when no grid point is left.
+    not finite (its bound overflowed) is skipped. A term whose weight is 0
+    is left out of the objective, so an unweighted cost that overflows
+    cannot make it NaN (0 * inf); with finite terms the sum is the same.
+    Raises InfeasibleError when no grid point is left.
     """
     horizon_left = config.horizon - t_now
     tau_hi = min(config.tau_max, horizon_left)
@@ -281,6 +410,9 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
         delay_cost = rounds * (cost.global_delay
                                + float(np.sum(agg_counts * cost.local_delay)))
         k_end = horizon_left // tau
+        costs = sum(weight * term for weight, term in ((config.energy_weight, energy),
+                                                       (config.delay_weight, delay_cost))
+                    if weight)
         j = 0
         while True:
             alpha = j * config.alpha_step
@@ -289,8 +421,7 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
             consts = compute_constants(params, tau, delay, alpha, eta_max,
                                        gamma, e3_init)
             nu = theorem_bound(consts, k_end)
-            objective = config.energy_weight * energy \
-                + config.delay_weight * delay_cost + config.bound_weight * nu
+            objective = costs + config.bound_weight * nu if config.bound_weight else costs
             if math.isfinite(objective) and (best is None or objective < best.objective):
                 best = ControlDecision(
                     tau_next=tau, alpha_next=alpha, alpha_cap=alpha_cap,
@@ -330,6 +461,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                      **engine_kwargs)
     params_hat = bootstrap_estimates(topology, model, proto.w[0], seed, config, batch_size)
 
+    reference = TriggerReference(topology, model)
     decisions: list[ControlDecision] = []
     sync_times: list[int] = []
     tau_next, alpha_next = config.initial_tau, 0.0
@@ -349,7 +481,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
 
         def theta_policy(t, tentative, aggregates):
             return trigger_local_aggregation(
-                aggregates, topology, model, params_hat, params_hat.mu, config.phi)
+                aggregates, topology, model, params_hat, params_hat.mu, config.phi, reference)
 
         outcome = proto.run_interval(plan, theta_policy=theta_policy)
         sync_times.append(proto.t)

@@ -49,6 +49,12 @@ class LossModel:
             raise ValueError("num_classes must be >= 2 for svm")
 
     @property
+    def curvature(self) -> float:
+        """The Lipschitz constant of a per-point loss's derivative in its
+        margin: 1 for 0.5*z^2 (ridge), 2 for max(0, z)^2 (svm)."""
+        return 2.0 if self.kind == SVM else 1.0
+
+    @property
     def model_dim(self) -> int:
         if self.kind == SVM:
             return self.feature_dim * self.num_classes
@@ -331,6 +337,29 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(products, axis=0)[-1]
 
 
+def second_moment(datasets: Sequence[Dataset], weights) -> np.ndarray:
+    """sum_i weights[i] * X_i'X_i / n_i: the pooled second moment of the
+    features, added dataset by dataset."""
+    pooled = np.zeros((datasets[0].feature_dim,) * 2)
+    for wt, ds in zip(weights, datasets):
+        pooled += wt * (ds.features.T @ ds.features) / ds.n
+    return pooled
+
+
+def smoothness(model: LossModel, pooled: np.ndarray, weight_sum: float) -> float:
+    """A Lipschitz constant of the gradient of sum_i w_i * (device i's
+    objective), for nonnegative weights w summing to ``weight_sum`` and
+    ``pooled = second_moment(datasets, w)``.
+
+    The ridge Hessian is pooled + reg*weight_sum. The derivative of
+    max(0, z)^2 is 2-Lipschitz, so each svm class block of the gradient
+    moves by at most 2*pooled (its active-set Hessian is below 2*X'X/n):
+    the bound is ``model.curvature * lambda_max(pooled) + reg*weight_sum``.
+    """
+    return model.curvature * float(np.linalg.eigvalsh(pooled)[-1]) \
+        + model.regularization * weight_sum
+
+
 GRAD_TOL = 1e-10
 
 
@@ -364,12 +393,7 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
         H[np.diag_indices_from(H)] += model.regularization * float(np.sum(weights))
         return np.linalg.solve(H, b)
 
-    # exact smoothness bound: active-set Hessian blocks are below 2*X'X/n
-    pooled = np.zeros((model.feature_dim, model.feature_dim))
-    for wt, ds in zip(weights, datasets):
-        pooled += wt * (ds.features.T @ ds.features) / ds.n
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(pooled)[-1]) \
-        + model.regularization * float(np.sum(weights))
+    lipschitz = smoothness(model, second_moment(datasets, weights), float(np.sum(weights)))
 
     stack = DeviceStack(datasets)
 

@@ -1,19 +1,24 @@
 """Controller: step-size selection, trigger, estimation, grid solver."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dflsim import cli
 from dflsim.analysis import alpha_limit, compute_constants, eta_max_limit, gamma_limit, theorem_bound
 from dflsim.control import (
     ControlConfig,
+    TriggerReference,
     aggregation_indicators,
     bootstrap_estimates,
+    certified_marks,
     estimate_parameters,
     run_adaptive,
     select_step_size,
@@ -186,7 +191,76 @@ def test_trigger_skips_only_gradients_that_cannot_change_its_decision(case):
     assert np.array_equal(got, want)
 
 
+def planted_budgets(contributions):
+    """phi with phi^2 at, or an ulp of phi off, a contribution or a sum of the
+    smallest ones: budgets on the greedy's decision boundaries."""
+    ordered = np.sort(contributions)
+    levels = [*ordered, *np.cumsum(ordered)]
+    for level in levels:
+        root = math.sqrt(level)
+        yield from (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
+
+
+@given(trigger_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 1.0]), st.integers(0, 2**32 - 1))
+def test_a_certified_trigger_keeps_the_marks_of_evaluating_every_gap(case, step, seed):
+    topo, model, b, params, phi = case
+    reference = TriggerReference(topo, model)
+    # phi = inf opens every subnet: the reference holds grad F at every b_c
+    trigger_local_aggregation(b, topo, model, params, params.mu, math.inf, reference)
+    a = b + step * np.random.default_rng(seed).standard_normal(b.shape)
+    contributions = reference_contributions(a, topo, model, params, params.mu)
+    for budget in [phi, *planted_budgets(contributions)]:
+        got = trigger_local_aggregation(a, topo, model, params, params.mu, budget, reference)
+        assert np.array_equal(got, aggregation_indicators(contributions, budget)), budget
+
+
+def test_an_adaptive_run_evaluates_fewer_trigger_gradients_than_open_slots(monkeypatch):
+    from dflsim import config, fleet
+    from dflsim import control as controller
+
+    # the label_skew_svm fleet under the adaptive_demo controller: open subnets
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    blob = json.loads((configs / "label_skew_svm.json").read_text())
+    adaptive = json.loads((configs / "adaptive_demo.json").read_text())
+    blob["schedule"], blob["control"] = adaptive["schedule"], adaptive["control"]
+    blob["control"]["horizon"] = 180
+    cfg = config.parse_config(blob)
+    counts = {"global_gradients": 0, "open_slots": 0}
+    evaluate, trigger = fleet.FleetTopology.global_gradients, controller.trigger_local_aggregation
+
+    def counted_gradients(self, model, points):
+        counts["global_gradients"] += 1
+        return evaluate(self, model, points)
+
+    def counted_trigger(aggregates, topology, model, params, mu_hat, phi, *reference):
+        floors = subnet_contributions(np.zeros(topology.num_subnets),
+                                      topology.subnet_weights, params)
+        counts["open_slots"] += bool((floors <= phi * phi).any())
+        return trigger(aggregates, topology, model, params, mu_hat, phi, *reference)
+
+    monkeypatch.setattr(fleet.FleetTopology, "global_gradients", counted_gradients)
+    monkeypatch.setattr(controller, "trigger_local_aggregation", counted_trigger)
+    cli.execute_single(cfg, 0)
+    # every open slot evaluated grad F before, and each interval once more
+    assert counts["open_slots"] >= 60
+    assert counts["global_gradients"] < counts["open_slots"]
+
+
 VALUES = st.sampled_from([0.0, 0.25, 1.0, 4.0, math.inf]) | st.floats(0.0, 8.0)
+
+
+@given(st.lists(st.tuples(VALUES, VALUES, st.floats(0.0, 1.0)), min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 3.0))
+# the greedy on hi marks subnet 0, the sums pass, but contributions (1.3, 2.4) mark subnet 1
+@example([(1.2, 3.0, 0.1 / 1.8), (1.5, 2.5, 0.9)], math.sqrt(2.55))
+def test_certified_marks_hold_for_every_contribution_in_their_intervals(triples, phi):
+    lo = np.array([min(t[:2]) for t in triples])
+    hi = np.array([max(t[:2]) for t in triples])
+    marks = certified_marks(lo, hi, phi)
+    if marks is not None:
+        inside = lo + np.array([t[2] for t in triples]) * (hi - lo)
+        for contributions in (lo, hi, np.minimum(inside, hi)):
+            assert np.array_equal(marks, aggregation_indicators(contributions, phi))
 
 
 @given(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=8),
