@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlConfig
+from .control import ControlConfig, aggregation_indicators, subnet_contributions
 from .data import Dataset, load_csv, load_idx, make_blobs, make_ridge_cloud
 from .engine import IntervalPlan, TrainingSchedule
 from .errors import ConfigError, DFLError
@@ -217,6 +217,7 @@ def check_config(raw: dict) -> tuple:
     ds, topo, sched = effective["dataset"], effective["topology"], effective["schedule"]
     if ds["kind"] not in ("blobs", "ridge-cloud", "csv", "idx"):
         raise ConfigError(f"dataset.kind: unknown kind {ds['kind']!r}")
+    _check_numbers({fld: ds[fld] for fld in ("noise", "spread", "center_scale")}, "dataset.")
     files = {"csv": ("path",), "idx": ("path", "labels_path")}.get(ds["kind"], ())
     for fld in files:
         if ds[fld] is None or not Path(ds[fld]).is_file():
@@ -305,7 +306,7 @@ def _param_file(section, defaults: dict, where: str) -> tuple[dict, Heterogeneit
 
 
 def _check_numbers(values: dict, prefix: str) -> None:
-    """Every number of a merged parameter-file section is finite and in its range."""
+    """Every number of a merged section is finite and in its ``LEAST_VALUES`` range."""
     for name, value in values.items():
         low, word = LEAST_VALUES.get(name, (-math.inf, ""))
         numbers = value if isinstance(value, list) else [value]
@@ -346,9 +347,10 @@ def check_snapshot(raw: dict) -> dict:
                               "one entry per subnet of subnet_weights")
     cost = CostSnapshot(float(costs["global_energy"]), float(costs["global_delay"]),
                         local_energy, local_delay)
-    return dict(cost=cost, params=params, config=control, subnet_weights=weights,
-                t_now=snap["t_now"], delay=snap["delay"], e3_init=snap["e3_init"],
-                gap_estimates=gaps)
+    with np.errstate(over="ignore", invalid="ignore"):     # a contribution may overflow
+        theta = aggregation_indicators(subnet_contributions(gaps, weights, params), control.phi)
+    return dict(cost=cost, params=params, config=control, theta=theta,
+                t_now=snap["t_now"], delay=snap["delay"], e3_init=snap["e3_init"])
 
 
 # ---------------------------------------------------------------------------

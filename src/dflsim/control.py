@@ -161,7 +161,7 @@ def subnet_contributions(gap_estimates: np.ndarray, subnet_weights: np.ndarray,
 
 class TriggerReference:
     """The trigger's memory over one run: per subnet, the last aggregate b_c
-    at which ``trigger_local_aggregation`` evaluated grad F, and r_c, the
+    at which ``deviation_marks`` evaluated grad F, and r_c, the
     norm it computed there (NaN before the first). The norms do not depend
     on the estimates, so the memory holds across intervals.
 
@@ -232,9 +232,11 @@ def certified_marks(lo: np.ndarray, hi: np.ndarray, phi: float) -> np.ndarray | 
     sum lo[R] + min lo[S] > phi^2 (it stops no sooner). The sums are exact
     (``math.fsum``) and compared with a relative slack of 4*N*2^-52, which
     covers the at most (N - 1)*2^-53 relative error of any order in which
-    numpy adds N nonnegative floats.
+    numpy adds N nonnegative floats. An infinite budget marks no finite term.
     """
     budget = phi * phi
+    if budget == math.inf and np.isfinite(hi).all():    # before fsum, which may overflow
+        return np.zeros(hi.size, dtype=bool)
     if not (0.0 < budget < math.inf and np.isfinite(hi).all() and (lo >= 0).all()):
         return None
     marks = aggregation_indicators(hi, phi)
@@ -247,15 +249,14 @@ def certified_marks(lo: np.ndarray, hi: np.ndarray, phi: float) -> np.ndarray | 
     return None
 
 
-def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopology,
-                              model: LossModel, params: HeterogeneityParams,
-                              mu_hat: float, phi: float,
-                              reference: TriggerReference | None = None) -> np.ndarray:
-    """Per-slot aggregation indicators enforcing the deviation budget.
+def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
+                    model: LossModel, params: HeterogeneityParams, phi: float,
+                    reference: TriggerReference | None = None) -> np.ndarray:
+    """The greedy's marks for the subnet aggregates, as if every gap were evaluated.
 
     Subnet optimality gaps are monitored through strong convexity:
     ||grad F(w)|| >= mu*||w - w*||, so gap_c is estimated as
-    ||grad F(aggregate_c)|| / mu_hat.
+    ||grad F(aggregate_c)|| / mu.
 
     grad F is evaluated only at the open subnets, whose floor (contribution
     at gap 0) is at most phi^2; a closed subnet keeps its floor. The marks
@@ -264,48 +265,48 @@ def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopo
     unmarked set holding a closed subnet sums above the budget. The greedy
     therefore marks every closed subnet and stops at the same suffix of
     open subnets, whose gaps are computed point by point and summed in the
-    same order. One edge differs: a closed subnet with a NaN gradient norm
-    (its aggregate already beyond about 1e154) sorted last and made every
-    subnet fire; now it fires and the open subnets are chosen by their gaps.
+    same order.
 
     With a ``reference``, grad F is not evaluated when its bounds already
     fix the marks: each open subnet's computed norm lies in the interval
-    ``reference.norm_bounds`` gives, division by mu_hat and
+    ``reference.norm_bounds`` gives, division by mu and
     ``subnet_contributions`` are monotone and correctly rounded, so the
     contribution the exact path would compute lies between those of the
     interval's ends, and ``certified_marks`` returns the marks only when
     every contribution in those intervals gives the same ones. A closed
     subnet's floor exceeds phi^2 and so every hi left unmarked; it is
     marked with them, and the marks are those of the exact path, bit for
-    bit. Otherwise (a subnet with no reference,
-    a non-finite value, phi 0 or inf) the open subnets are evaluated and
-    become the new reference.
+    bit. Otherwise (a subnet with no reference, a non-finite value, phi 0)
+    the open subnets are evaluated and become the new reference.
     """
-    if mu_hat <= 0:
-        raise InfeasibleError("trigger needs a positive strong-convexity estimate")
     gaps = np.zeros(topology.num_subnets)
     open_ = ~(subnet_contributions(gaps, topology.subnet_weights, params) > phi * phi)
-    if not open_.any():
-        return aggregation_indicators(
-            subnet_contributions(gaps, topology.subnet_weights, params), phi)
-    points = subnet_aggregates[open_]
-    if reference is not None and 0.0 < mu_hat < math.inf:
-        lo, hi = reference.norm_bounds(open_, points)
-        ends = []
-        for bound in (np.maximum(lo, 0.0), hi):
-            gaps[open_] = bound / mu_hat
-            ends.append(subnet_contributions(gaps, topology.subnet_weights, params)[open_])
-        marks = certified_marks(*ends, phi)
-        if marks is not None:
-            theta = ~open_
-            theta[open_] = marks
-            return theta
-    grad_norms = norms(topology.global_gradients(model, points))
-    if reference is not None:
-        reference.store(open_, points, grad_norms)
-    gaps[open_] = grad_norms / mu_hat
+    if open_.any():
+        points = subnet_aggregates[open_]
+        if reference is not None:
+            lo, hi = reference.norm_bounds(open_, points)
+            ends = np.zeros((2, topology.num_subnets))      # the gaps at lo and at hi
+            ends[:, open_] = np.maximum(lo, 0.0) / params.mu, hi / params.mu
+            marks = certified_marks(
+                *subnet_contributions(ends, topology.subnet_weights, params)[:, open_], phi)
+            if marks is not None:
+                theta = ~open_
+                theta[open_] = marks
+                return theta
+        grad_norms = norms(topology.global_gradients(model, points))
+        if reference is not None:
+            reference.store(open_, points, grad_norms)
+        gaps[open_] = grad_norms / params.mu
     return aggregation_indicators(
         subnet_contributions(gaps, topology.subnet_weights, params), phi)
+
+
+def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopology,
+                              model: LossModel, params: HeterogeneityParams, phi: float,
+                              reference: TriggerReference | None = None) -> np.ndarray:
+    """Per-slot aggregation indicators: the slot's ``deviation_marks``. The
+    planner calls that step directly, so these calls count the slots."""
+    return deviation_marks(subnet_aggregates, topology, model, params, phi, reference)
 
 
 def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
@@ -364,8 +365,9 @@ def bootstrap_estimates(topology: FleetTopology, model: LossModel,
                         batch_size: int) -> HeterogeneityParams:
     """Initial estimates from random probes around the starting model."""
     rng = stream(seed, TAG_PROBE)
-    probes = w_init[None, :] + config.probe_scale \
-        * rng.standard_normal((config.probe_count, w_init.size))
+    with np.errstate(over="ignore"):    # probes past the float range are refused below
+        probes = w_init[None, :] + config.probe_scale \
+            * rng.standard_normal((config.probe_count, w_init.size))
     params = estimate_parameters(probes, None, topology, model,
                                  config.zeta_fraction, config.zeta_c_fraction,
                                  config.phi)
@@ -375,9 +377,10 @@ def bootstrap_estimates(topology: FleetTopology, model: LossModel,
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
-            config: ControlConfig, subnet_weights: np.ndarray, t_now: int,
-            delay: int, e3_init: float, gap_estimates: np.ndarray) -> ControlDecision:
-    """Exhaustive grid minimizer of the energy/delay/bound objective.
+            config: ControlConfig, theta: np.ndarray, t_now: int,
+            delay: int, e3_init: float) -> ControlDecision:
+    """Exhaustive grid minimizer of the energy/delay/bound objective, with
+    ``theta`` the subnets forecast to aggregate in every slot.
 
     Scans integer interval lengths tau in [max(delay, tau_min), min(tau_max,
     T - t_now)] and combiner weights on the alpha_step grid below the
@@ -392,8 +395,6 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     horizon_left = config.horizon - t_now
     tau_hi = min(config.tau_max, horizon_left)
     tau_lo = max(delay, config.tau_min, 1)
-    contributions = subnet_contributions(gap_estimates, subnet_weights, params)
-    theta = aggregation_indicators(contributions, config.phi)
 
     best = None
     for tau in range(tau_lo, tau_hi + 1):
@@ -481,7 +482,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
 
         def theta_policy(t, tentative, aggregates):
             return trigger_local_aggregation(
-                aggregates, topology, model, params_hat, params_hat.mu, config.phi, reference)
+                aggregates, topology, model, params_hat, config.phi, reference)
 
         outcome = proto.run_interval(plan, theta_policy=theta_policy)
         sync_times.append(proto.t)
@@ -494,19 +495,17 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
         except EstimationError:
             reused = True    # degenerate uploads: keep the previous estimates
 
-        # grad F at the snapshot, then at every subnet aggregate of the uploads
-        points = np.vstack([outcome.snapshot, topology.subnet_sums(outcome.stale_models)])
-        grad_norms = norms(topology.global_gradients(model, points))
-        e3_init = float(grad_norms[0]) / params_hat.mu
-        gap_estimates = grad_norms[1:] / params_hat.mu
+        e3_init = float(norms(topology.global_gradient(model, outcome.snapshot))) / params_hat.mu
+        # the forecast marks: the trigger's step at the uploads' subnet aggregates
+        theta = deviation_marks(topology.subnet_sums(outcome.stale_models), topology, model,
+                                params_hat, config.phi, reference)
         # the capture uplinks at the prices the engine charged for them
         cost = CostSnapshot(*cost_model.global_event(outcome.capture_t),
                             *outcome.capture_prices) if cost_model is not None \
             else CostSnapshot(0.0, 0.0, np.zeros(topology.num_subnets),
                               np.zeros(topology.num_subnets))
         try:
-            decision = solve_p(cost, params_hat, config, topology.subnet_weights,
-                               proto.t, delay, e3_init, gap_estimates)
+            decision = solve_p(cost, params_hat, config, theta, proto.t, delay, e3_init)
         except InfeasibleError:
             decision = fallback_decision(delay, config.horizon - proto.t)
         decisions.append(replace(decision, estimates_reused=reused, delay_eff=delay_eff,

@@ -275,13 +275,11 @@ def deviation_msq_slack(prob: CertifiedProblem, num_seeds: int) -> float:
 
 
 def brute_force_p(cost: CostSnapshot, params: HeterogeneityParams,
-                  config: ControlConfig, subnet_weights: np.ndarray, t_now: int,
-                  delay: int, e3_init: float, gaps: np.ndarray) -> list:
+                  config: ControlConfig, theta: np.ndarray, t_now: int,
+                  delay: int, e3_init: float) -> list:
     """Every (objective, tau, alpha) of solve_p's grid, found apart from
     solve_p: alpha climbs until compute_constants rejects it. The ``min``
     is solve_p's answer under its tie-break (smaller tau, then alpha)."""
-    theta = aggregation_indicators(
-        subnet_contributions(gaps, subnet_weights, params), config.phi)
     left = config.horizon - t_now
     grid = []
     for tau in range(max(delay, config.tau_min, 1), min(config.tau_max, left) + 1):
@@ -314,7 +312,7 @@ class SolverOutcome(NamedTuple):
 
 
 def solver_experiment(rng: np.random.Generator) -> SolverOutcome:
-    """solve_p against brute_force_p on diverse_problem, costs and gaps from rng."""
+    """solve_p against brute_force_p on diverse_problem, costs and gaps (marks) from rng."""
     prob = diverse_problem()
     params, num_subnets = prob.params, prob.topology.num_subnets
     config = ControlConfig(energy_weight=1e-3, delay_weight=1e-2, bound_weight=1.0,
@@ -324,8 +322,9 @@ def solver_experiment(rng: np.random.Generator) -> SolverOutcome:
                         local_energy=rng.uniform(0.01, 0.1, num_subnets),
                         local_delay=rng.uniform(0.001, 0.01, num_subnets))
     delay = 3
-    inputs = (cost, params, config, prob.topology.subnet_weights, 0, delay,
-              prob.e3_init, rng.uniform(0.0, 2.0, num_subnets))
+    theta = aggregation_indicators(subnet_contributions(
+        rng.uniform(0.0, 2.0, num_subnets), prob.topology.subnet_weights, params), config.phi)
+    inputs = (cost, params, config, theta, 0, delay, prob.e3_init)
     d = solve_p(*inputs)
     grid = brute_force_p(*inputs)
     exact = min(grid, default=None) == (d.objective, d.tau_next, d.alpha_next) \

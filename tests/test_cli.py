@@ -286,6 +286,12 @@ def test_unknown_field_named(tmp_path, capsys):
     # a horizon below 1 ran no slot and exited 0
     ("run", {"schedule.mode": "adaptive", "control.horizon": 0}, "control.horizon"),
     ("control", {"control.horizon": -1}, "control.horizon"),
+    # the data scales are checked by name before any data is built
+    ("run", {"dataset.noise": math.inf}, "dataset.noise"),
+    ("run", {"dataset.kind": "blobs", "dataset.spread": math.nan}, "dataset.spread"),
+    ("run", {"dataset.kind": "blobs", "dataset.center_scale": -math.inf},
+     "dataset.center_scale"),
+    ("run", {"dataset.kind": "blobs", "dataset.spread": 10 ** 400}, "dataset.spread"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -738,6 +744,16 @@ def test_non_finite_bootstrap_estimates_exit_1_with_an_estimation_error(
     err = capsys.readouterr().err
     assert err.startswith("EstimationError: secant estimates are not finite")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_probes_past_the_float_range_exit_1_in_one_line(tmp_path, capsys):
+    # 1e308 times a normal draw beyond 1.8 overflows: the probes themselves are inf
+    path = adaptive_demo(tmp_path, "control", "probe_scale", 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("EstimationError: ") and err.count("\n") == 1
 
 
 def test_an_overflowing_gap_bound_takes_the_fallback_decision(tmp_path):

@@ -1,5 +1,6 @@
 """Controller: step-size selection, trigger, estimation, grid solver."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -96,11 +97,9 @@ def test_trigger_uses_strong_convexity_gap():
     # delta_c part, and a budget above their sum must not trigger
     contrib = subnet_contributions(np.zeros(topo.num_subnets), topo.subnet_weights, params)
     phi_loose = math.sqrt(contrib.sum()) * 1.01
-    theta = trigger_local_aggregation(aggregates, topo, model, params,
-                                      params.mu, phi_loose)
+    theta = trigger_local_aggregation(aggregates, topo, model, params, phi_loose)
     assert not theta.any()
-    theta_tight = trigger_local_aggregation(aggregates, topo, model, params,
-                                            params.mu, 0.0)
+    theta_tight = trigger_local_aggregation(aggregates, topo, model, params, 0.0)
     assert theta_tight.all()
 
 
@@ -185,7 +184,7 @@ def trigger_cases(draw):
 @given(trigger_cases())
 def test_trigger_skips_only_gradients_that_cannot_change_its_decision(case):
     topo, model, aggregates, params, phi = case
-    got = trigger_local_aggregation(aggregates, topo, model, params, params.mu, phi)
+    got = trigger_local_aggregation(aggregates, topo, model, params, phi)
     want = aggregation_indicators(
         reference_contributions(aggregates, topo, model, params, params.mu), phi)
     assert np.array_equal(got, want)
@@ -206,11 +205,11 @@ def test_a_certified_trigger_keeps_the_marks_of_evaluating_every_gap(case, step,
     topo, model, b, params, phi = case
     reference = TriggerReference(topo, model)
     # phi = inf opens every subnet: the reference holds grad F at every b_c
-    trigger_local_aggregation(b, topo, model, params, params.mu, math.inf, reference)
+    trigger_local_aggregation(b, topo, model, params, math.inf, reference)
     a = b + step * np.random.default_rng(seed).standard_normal(b.shape)
     contributions = reference_contributions(a, topo, model, params, params.mu)
     for budget in [phi, *planted_budgets(contributions)]:
-        got = trigger_local_aggregation(a, topo, model, params, params.mu, budget, reference)
+        got = trigger_local_aggregation(a, topo, model, params, budget, reference)
         assert np.array_equal(got, aggregation_indicators(contributions, budget)), budget
 
 
@@ -232,11 +231,11 @@ def test_an_adaptive_run_evaluates_fewer_trigger_gradients_than_open_slots(monke
         counts["global_gradients"] += 1
         return evaluate(self, model, points)
 
-    def counted_trigger(aggregates, topology, model, params, mu_hat, phi, *reference):
+    def counted_trigger(aggregates, topology, model, params, phi, *reference):
         floors = subnet_contributions(np.zeros(topology.num_subnets),
                                       topology.subnet_weights, params)
         counts["open_slots"] += bool((floors <= phi * phi).any())
-        return trigger(aggregates, topology, model, params, mu_hat, phi, *reference)
+        return trigger(aggregates, topology, model, params, phi, *reference)
 
     monkeypatch.setattr(fleet.FleetTopology, "global_gradients", counted_gradients)
     monkeypatch.setattr(controller, "trigger_local_aggregation", counted_trigger)
@@ -244,6 +243,28 @@ def test_an_adaptive_run_evaluates_fewer_trigger_gradients_than_open_slots(monke
     # every open slot evaluated grad F before, and each interval once more
     assert counts["open_slots"] >= 60
     assert counts["global_gradients"] < counts["open_slots"]
+
+
+def test_an_infinite_budget_evaluates_grad_f_once_per_subnet_reference(monkeypatch):
+    from dflsim import config, fleet
+
+    # phi = inf marks nothing: once the first slot has set every reference,
+    # its finite bounds settle each later slot and forecast without grad F
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    blob = json.loads((configs / "adaptive_demo.json").read_text())
+    blob["control"]["phi"] = math.inf
+    calls = {"global_gradients": 0}
+    evaluate = fleet.FleetTopology.global_gradients
+
+    def counted_gradients(self, model, points):
+        calls["global_gradients"] += 1
+        return evaluate(self, model, points)
+
+    monkeypatch.setattr(fleet.FleetTopology, "global_gradients", counted_gradients)
+    result, _ = cli.execute_single(config.parse_config(blob), 0)
+    assert not any(any(d.theta_plan) for d in result.decisions)
+    # 240 slots: one evaluation in the first, plus the snapshot of each interval
+    assert calls["global_gradients"] <= 30
 
 
 VALUES = st.sampled_from([0.0, 0.25, 1.0, 4.0, math.inf]) | st.floats(0.0, 8.0)
@@ -354,10 +375,10 @@ def test_solve_p_matches_brute_force_coarse_grid():
                            phi=params.subnet_noise_budget, tau_max=8,
                            alpha_step=0.25, horizon=100)
     delay = 3
-    decision = solve_p(cost, params, config, topo.subnet_weights, 0, delay, prob.e3_init, gaps)
-
     theta = aggregation_indicators(
         subnet_contributions(gaps, topo.subnet_weights, params), config.phi)
+    decision = solve_p(cost, params, config, theta, 0, delay, prob.e3_init)
+
     best = None
     for tau in range(delay, 9):
         try:
@@ -391,8 +412,10 @@ def test_solve_p_pure_function_of_snapshot():
     gaps = gen.uniform(0, 2, 3)
     config = ControlConfig(phi=prob.params.subnet_noise_budget, tau_max=6,
                            alpha_step=0.1, horizon=60)
-    a = solve_p(cost, prob.params, config, prob.topology.subnet_weights, 0, 2, 1.0, gaps)
-    b = solve_p(cost, prob.params, config, prob.topology.subnet_weights, 0, 2, 1.0, gaps)
+    theta = aggregation_indicators(
+        subnet_contributions(gaps, prob.topology.subnet_weights, prob.params), config.phi)
+    a = solve_p(cost, prob.params, config, theta, 0, 2, 1.0)
+    b = solve_p(cost, prob.params, config, theta, 0, 2, 1.0)
     assert a == b
 
 
@@ -404,9 +427,9 @@ def test_solve_p_grid_optimality_rescan():
     config = ControlConfig(energy_weight=0.1, delay_weight=0.1, bound_weight=1.0,
                            phi=prob.params.subnet_noise_budget, tau_max=7,
                            alpha_step=0.2, horizon=70)
-    decision = solve_p(cost, prob.params, config, prob.topology.subnet_weights, 0, 2, 1.0, gaps)
     theta = aggregation_indicators(
         subnet_contributions(gaps, prob.topology.subnet_weights, prob.params), config.phi)
+    decision = solve_p(cost, prob.params, config, theta, 0, 2, 1.0)
     for tau in range(2, 8):
         try:
             eta_max, gamma = select_step_size(prob.params, tau, 2)
@@ -430,18 +453,19 @@ def test_solve_p_extreme_weights():
     prob = diverse_problem()
     topo, params = prob.topology, prob.params
     cost = CostSnapshot(1.0, 1.0, np.full(3, 0.1), np.full(3, 0.01))
-    gaps = np.zeros(3)
     # pure-bound objective with zero delay: alpha = 0 wins
     config = ControlConfig(energy_weight=0.0, delay_weight=0.0, bound_weight=1.0,
                            phi=params.subnet_noise_budget, tau_max=6,
                            alpha_step=0.01, horizon=60)
-    decision = solve_p(cost, params, config, topo.subnet_weights, 0, 0, prob.e3_init, gaps)
+    theta = aggregation_indicators(
+        subnet_contributions(np.zeros(3), topo.subnet_weights, params), config.phi)
+    decision = solve_p(cost, params, config, theta, 0, 0, prob.e3_init)
     assert decision.alpha_next == 0.0
     # pure cost objective: tau maxes out (fewer aggregation rounds)
     config2 = ControlConfig(energy_weight=1.0, delay_weight=1.0, bound_weight=0.0,
                             phi=params.subnet_noise_budget, tau_max=6,
                             alpha_step=0.25, horizon=60)
-    decision2 = solve_p(cost, params, config2, topo.subnet_weights, 0, 0, prob.e3_init, gaps)
+    decision2 = solve_p(cost, params, config2, theta, 0, 0, prob.e3_init)
     assert decision2.tau_next == 6
 
 
@@ -450,16 +474,16 @@ def test_solve_p_constraints_and_infeasible():
     config = ControlConfig(phi=prob.params.subnet_noise_budget, tau_max=10,
                            alpha_step=0.05, horizon=40)
     cost = CostSnapshot(0.0, 0.0, np.zeros(3), np.zeros(3))
-    decision = solve_p(cost, prob.params, config, prob.topology.subnet_weights, 0, 4,
-                       prob.e3_init, np.zeros(3))
+    theta = aggregation_indicators(
+        subnet_contributions(np.zeros(3), prob.topology.subnet_weights, prob.params), config.phi)
+    decision = solve_p(cost, prob.params, config, theta, 0, 4, prob.e3_init)
     assert 4 <= decision.tau_next <= 10
     eta_max, gamma = select_step_size(prob.params, decision.tau_next, 4)
     assert decision.alpha_next < alpha_limit(prob.params, decision.tau_next, 4,
                                              eta_max, gamma)
     with pytest.raises(InfeasibleError):
         # horizon already exhausted
-        solve_p(cost, prob.params, config, prob.topology.subnet_weights, 40, 4,
-                prob.e3_init, np.zeros(3))
+        solve_p(cost, prob.params, config, theta, 40, 4, prob.e3_init)
 
 
 # -- adaptive loop ------------------------------------------------------------
@@ -519,3 +543,22 @@ def test_run_adaptive_records_the_clamped_tail_delay():
     assert [d.delay_eff for d in res.decisions] == [3, 3, 1]
     for d in res.decisions:
         assert len(d.theta_counts) == prob.topology.num_subnets
+
+
+# SHA-256 of adaptive_demo seed 0's manifest decisions, json.dumps(..., sort_keys=True)
+ADAPTIVE_DEMO_DECISIONS = "417e9fabd3b9ff246f57be19e803a20260045b7ac7aecc4a6294c4b5a4e4d6f1"
+
+
+def test_adaptive_demo_decisions_match_their_pinned_digest(tmp_path):
+    # the golden CSVs pin (tau, alpha) through the run; this pins every
+    # field of each decision, the planned marks and forecast counts too
+    blob = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "adaptive_demo.json").read_text())
+    blob["seeds"] = [0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
+    digest = hashlib.sha256(json.dumps(decisions, sort_keys=True).encode()).hexdigest()
+    assert digest == ADAPTIVE_DEMO_DECISIONS

@@ -515,7 +515,7 @@ def test_divergence_mid_piece_under_the_trigger_names_its_first_row(eta, bad_t, 
         sgd_noise=0.0, subnet_noise_budget=0.5)
 
     def trigger(t, tentative, aggregates):
-        return trigger_local_aggregation(aggregates, topo, model, params, params.mu, 0.5)
+        return trigger_local_aggregation(aggregates, topo, model, params, 0.5)
 
     def diverge() -> Protocol:
         proto = Protocol(topo, model, seed=0, batch_size=5, w_star=cfg.w_star)
