@@ -109,9 +109,12 @@ def _lam_plus_ld(params: HeterogeneityParams):
 
 
 def _growth_ld(params: HeterogeneityParams, tau: int):
-    """(1 + lam_plus)^tau - 1 - tau*lam_plus."""
+    """(1 + lam_plus)^tau - 1 - tau*lam_plus; refused, naming tau, if it overflows."""
     lam = _lam_plus_ld(params)
-    return (_LD(1.0) + lam) ** tau - _LD(1.0) - _LD(tau) * lam
+    with np.errstate(over="ignore"):
+        power = (_LD(1.0) + lam) ** tau
+    _require(np.isfinite(power), f"tau: (1 + lam_plus)^tau overflows at tau={tau}")
+    return power - _LD(1.0) - _LD(tau) * lam
 
 
 def eta_max_limit(params: HeterogeneityParams, tau: int, delay: int) -> float:

@@ -33,7 +33,7 @@ from .data import Dataset, load_csv, load_idx, make_blobs, make_ridge_cloud
 from .engine import IntervalPlan, TrainingSchedule
 from .errors import ConfigError, DFLError
 from .fleet import FleetTopology, HeterogeneityParams, build_topology, partition_label_skew
-from .losses import SVM, LossModel
+from .losses import SVM, LossModel, second_moment
 from .netcost import CostSnapshot, RadioConfig, stream
 
 TAG_DATA = 7
@@ -263,6 +263,7 @@ def build_config(effective: dict, schedule, control, radio) -> ExperimentConfig:
     fleet = checked("topology",
                     lambda: build_fleet(topo, subnet_sizes(topo), dataset, model))
     checked("model", lambda: fleet.stack.layout(model))    # the labels suit the model
+    checked("dataset", lambda: second_moment(fleet.datasets, fleet.global_weights()))  # finite X'X
     smallest, batch_size = int(fleet.stack.counts.min()), effective["batch_size"]
     if batch_size > smallest:
         raise ConfigError(f"batch_size: {batch_size} exceeds {smallest}, "

@@ -10,6 +10,7 @@ search over a weighted energy + delay + gap-bound objective.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,18 +153,26 @@ def subnet_contributions(gap_estimates: np.ndarray, subnet_weights: np.ndarray,
     weights a term never falls when its gap grows. beta^2 is a float64
     square (inf past 1e154, where a Python float square raises).
     """
-    gaps = np.asarray(gap_estimates, dtype=np.float64)
+    base, slope = _contribution_terms(params)
     return np.asarray(subnet_weights, dtype=np.float64) * (
-        2.0 * params.intra_delta ** 2
-        + 4.0 * params.omega_c ** 2 * np.float64(params.beta) ** 2 * gaps ** 2
-    )
+        base + slope * np.asarray(gap_estimates, dtype=np.float64) ** 2)
+
+
+def _contribution_terms(params: HeterogeneityParams):
+    """(2*delta_c^2, 4*omega_c^2*beta^2), the two factors of every contribution."""
+    return 2.0 * params.intra_delta ** 2, 4.0 * params.omega_c ** 2 * np.float64(params.beta) ** 2
+
+
+def open_subnets(topology: FleetTopology, params: HeterogeneityParams, phi: float):
+    """The subnets whose floor, the contribution at gap 0, is at most phi^2 (a mask)."""
+    zero = np.zeros(topology.num_subnets)
+    return ~(subnet_contributions(zero, topology.subnet_weights, params) > phi * phi)
 
 
 class TriggerReference:
-    """The trigger's memory over one run: per subnet, the last aggregate b_c
-    at which ``deviation_marks`` evaluated grad F, and r_c, the
-    norm it computed there (NaN before the first). The norms do not depend
-    on the estimates, so the memory holds across intervals.
+    """The trigger's memory over one run: per subnet, the last aggregate b_c at which
+    ``deviation_marks`` evaluated grad F, and r_c, the norm it computed there (NaN
+    before the first). The norms do not depend on the estimates: they hold across intervals.
 
     ``norm_bounds`` brackets the norm that the exact path would compute at
     an aggregate a_c: r_c +- (L'*||a_c - b_c|| + e(a_c) + e(b_c) + kappa*r_c).
@@ -206,45 +215,62 @@ class TriggerReference:
         self.points = np.full((topology.num_subnets, model.model_dim), np.nan)
         self.point_norms = np.full(topology.num_subnets, np.nan)
         self.grad_norms = np.full(topology.num_subnets, np.nan)
+        self._terms = (None, None, None)
+
+    def terms(self, topology: FleetTopology, params: HeterogeneityParams, phi: float):
+        """The open mask of ``open_subnets`` and the open subnets' weights and
+        ``_contribution_terms``, built again only for new estimates or a new phi."""
+        if self._terms[0] is not params or self._terms[1] != phi:
+            open_ = open_subnets(topology, params, phi)
+            terms = (np.broadcast_to(t, open_.shape)[open_] for t in _contribution_terms(params))
+            self._terms = (params, phi, (open_, topology.subnet_weights[open_], *terms))
+        return self._terms[2]
 
     def store(self, subnets: np.ndarray, points: np.ndarray, grad_norms: np.ndarray) -> None:
-        """Exact norms at the aggregates of ``subnets`` (a mask)."""
+        """Exact norms at the aggregates of ``subnets`` (a mask or subnet ids)."""
         self.points[subnets] = points
         self.point_norms[subnets] = norms(points)
         self.grad_norms[subnets] = grad_norms
 
     def norm_bounds(self, subnets: np.ndarray, points: np.ndarray):
-        """(lo, hi) around the norms the exact path computes at ``points``;
-        NaN for a subnet with no reference."""
+        """(lo, hi) around the norms the exact path computes at ``points``, lo at
+        least 0; NaN for a subnet with no reference."""
         ref = self.grad_norms[subnets]
         spread = self.lipschitz * norms(points - self.points[subnets]) + self.kappa * (
             self.slope * (norms(points) + self.point_norms[subnets]) + 2.0 * self.offset + ref)
-        return ref - spread, ref + spread
+        return np.maximum(ref - spread, 0.0), ref + spread
+
+
+def _cut(hi: list, budget: float):
+    """(order, r): the subnets by ascending hi; the first r sum to at most ``budget``."""
+    order = sorted(range(len(hi)), key=hi.__getitem__)
+    return order, sum(total <= budget for total in itertools.accumulate(hi[i] for i in order))
 
 
 def certified_marks(lo: np.ndarray, hi: np.ndarray, phi: float) -> np.ndarray | None:
     """The greedy's marks for any contributions c with lo <= c <= hi, or None
     when these intervals do not fix them.
 
-    With S the greedy's marks on ``hi`` and R the rest, the marks are S if
-    every lo[S] exceeds every hi[R] (the greedy marks all of S before any
-    of R, ties or not), sum hi[R] < phi^2 (it stops once S is marked) and
-    sum lo[R] + min lo[S] > phi^2 (it stops no sooner). The sums are exact
-    (``math.fsum``) and compared with a relative slack of 4*N*2^-52, which
-    covers the at most (N - 1)*2^-53 relative error of any order in which
-    numpy adds N nonnegative floats. An infinite budget marks no finite term.
+    With R the first r subnets of ``_cut`` and S the rest, the marks are S if every
+    lo[S] exceeds every hi[R] (the greedy marks all of S before any of R, ties or
+    not), sum hi[R] < phi^2 (it stops once S is marked) and sum lo[R] + min lo[S] >
+    phi^2 (it stops no sooner): any S that passes is the greedy's set. The sums are
+    exact (``math.fsum``), with a relative slack of 4*N*2^-52 over the (N - 1)*2^-53
+    error of numpy's sum of N terms. An infinite budget marks no finite term.
     """
-    budget = phi * phi
-    if budget == math.inf and np.isfinite(hi).all():    # before fsum, which may overflow
-        return np.zeros(hi.size, dtype=bool)
-    if not (0.0 < budget < math.inf and np.isfinite(hi).all() and (lo >= 0).all()):
+    budget, lo, hi = phi * phi, lo.tolist(), hi.tolist()
+    finite = all(map(math.isfinite, hi))
+    if budget == math.inf and finite:    # before fsum, which may overflow
+        return np.zeros(len(hi), dtype=bool)
+    if not (0.0 < budget < math.inf and finite and all(x >= 0 for x in lo)):
         return None
-    marks = aggregation_indicators(hi, phi)
-    slack = 1.0 + 4.0 * lo.size * np.finfo(np.float64).eps
-    least = float(lo[marks].min(initial=math.inf))
-    rest_lo, rest_hi = lo[~marks], hi[~marks]
-    if least > rest_hi.max(initial=-math.inf) and math.fsum(rest_hi) * slack < budget \
-            and (not marks.any() or math.fsum([*rest_lo, least]) > budget * slack):
+    order, r = _cut(hi, budget)
+    rest_hi, least = [hi[i] for i in order[:r]], min((lo[i] for i in order[r:]), default=math.inf)
+    slack = 1.0 + 4.0 * len(lo) * 2.0 ** -52
+    if least > max(rest_hi, default=-math.inf) and math.fsum(rest_hi) * slack < budget \
+            and (r == len(lo) or math.fsum([*(lo[i] for i in order[:r]), least]) > budget * slack):
+        marks = np.ones(len(hi), dtype=bool)
+        marks[order[:r]] = False
         return marks
     return None
 
@@ -254,49 +280,60 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
                     reference: TriggerReference | None = None) -> np.ndarray:
     """The greedy's marks for the subnet aggregates, as if every gap were evaluated.
 
-    Subnet optimality gaps are monitored through strong convexity:
-    ||grad F(w)|| >= mu*||w - w*||, so gap_c is estimated as
-    ||grad F(aggregate_c)|| / mu.
+    Gaps are monitored through strong convexity, ||grad F(w)|| >= mu*||w - w*||:
+    gap_c = ||grad F(aggregate_c)|| / mu. grad F is evaluated only at the open subnets,
+    whose floor (contribution at gap 0) is at most phi^2. The marks equal those of
+    evaluating every gap, bit for bit: + and * are monotone on nonnegative floats, so
+    no contribution is below its floor, and any unmarked set holding a closed subnet
+    sums above the budget; the greedy marks every closed subnet and stops at the same
+    suffix of open subnets.
 
-    grad F is evaluated only at the open subnets, whose floor (contribution
-    at gap 0) is at most phi^2; a closed subnet keeps its floor. The marks
-    equal those of evaluating every gap, bit for bit: + and * are monotone
-    on nonnegative floats, so no contribution is below its floor, and any
-    unmarked set holding a closed subnet sums above the budget. The greedy
-    therefore marks every closed subnet and stops at the same suffix of
-    open subnets, whose gaps are computed point by point and summed in the
-    same order.
-
-    With a ``reference``, grad F is not evaluated when its bounds already
-    fix the marks: each open subnet's computed norm lies in the interval
-    ``reference.norm_bounds`` gives, division by mu and
-    ``subnet_contributions`` are monotone and correctly rounded, so the
-    contribution the exact path would compute lies between those of the
-    interval's ends, and ``certified_marks`` returns the marks only when
-    every contribution in those intervals gives the same ones. A closed
-    subnet's floor exceeds phi^2 and so every hi left unmarked; it is
-    marked with them, and the marks are those of the exact path, bit for
-    bit. Otherwise (a subnet with no reference, a non-finite value, phi 0)
-    the open subnets are evaluated and become the new reference.
+    With a ``reference``, each open subnet's computed norm lies in the interval of
+    ``reference.norm_bounds``; division by mu and the contribution are monotone and
+    correctly rounded, so ``certified_marks`` on the contributions at the interval
+    ends gives the exact path's marks when it gives any. Otherwise grad F is
+    evaluated, in one call, only where the intervals leave the marks undecided (no
+    reference, or an interval across the cut between S and R), those intervals
+    shrink to the exact contributions (a point's gradient does not depend on the
+    points evaluated with it), and the certificate is tried again; failing that,
+    grad F is evaluated at the other open subnets too. Each norm becomes a reference.
     """
+    open_, weights, base, slope = (open_subnets(topology, params, phi), None, None, None) \
+        if reference is None else reference.terms(topology, params, phi)
+    theta = ~open_
+    if not open_.any():
+        return theta
+    points = subnet_aggregates[open_]
+    grad_norms = np.full(points.shape[0], np.nan)     # NaN until evaluated
+
+    def contributions(norm_values):     # of the open subnets, at these norms of grad F
+        return weights * (base + slope * (norm_values / params.mu) ** 2)
+
+    def evaluate(subnets):              # grad F at the open subnets of the mask ``subnets``
+        grad_norms[subnets] = norms(topology.global_gradients(model, points[subnets]))
+        if reference is not None:
+            reference.store(np.flatnonzero(open_)[subnets], points[subnets], grad_norms[subnets])
+
+    if reference is not None:
+        lo, hi = (contributions(ends) for ends in reference.norm_bounds(open_, points))
+        marks = certified_marks(lo, hi, phi)
+        if marks is None:   # grad F where intervals are not finite, else cross the cut, else all
+            undecided = ~(np.isfinite(lo) & np.isfinite(hi))
+            if not undecided.any() and 0.0 < phi * phi < math.inf:
+                order, r = _cut(hi.tolist(), phi * phi)     # S = order[r:], R = order[:r]
+                undecided[order[r:]] = lo[order[r:]] <= hi[order[:r]].max(initial=-math.inf)
+                undecided[order[:r]] = hi[order[:r]] >= lo[order[r:]].min(initial=math.inf)
+            undecided |= ~undecided.any()
+            evaluate(undecided)
+            lo[undecided] = hi[undecided] = contributions(grad_norms)[undecided]
+            marks = certified_marks(lo, hi, phi)
+        if marks is not None:
+            theta[open_] = marks
+            return theta
+    if np.isnan(grad_norms).any():
+        evaluate(np.isnan(grad_norms))
     gaps = np.zeros(topology.num_subnets)
-    open_ = ~(subnet_contributions(gaps, topology.subnet_weights, params) > phi * phi)
-    if open_.any():
-        points = subnet_aggregates[open_]
-        if reference is not None:
-            lo, hi = reference.norm_bounds(open_, points)
-            ends = np.zeros((2, topology.num_subnets))      # the gaps at lo and at hi
-            ends[:, open_] = np.maximum(lo, 0.0) / params.mu, hi / params.mu
-            marks = certified_marks(
-                *subnet_contributions(ends, topology.subnet_weights, params)[:, open_], phi)
-            if marks is not None:
-                theta = ~open_
-                theta[open_] = marks
-                return theta
-        grad_norms = norms(topology.global_gradients(model, points))
-        if reference is not None:
-            reference.store(open_, points, grad_norms)
-        gaps[open_] = grad_norms / params.mu
+    gaps[open_] = grad_norms / params.mu
     return aggregation_indicators(
         subnet_contributions(gaps, topology.subnet_weights, params), phi)
 
@@ -327,7 +364,7 @@ def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
         raise EstimationError("need at least two uploaded models")
     # uploads too far out to measure leave the secants inf or NaN, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        global_grads, subnet_gaps, device_gaps = gradient_survey(topology, model, models)
+        global_grads, subnet_gaps, device_gaps, own = gradient_survey(topology, model, models)
         mu_hat, beta_hat = secant_range(models[:-1], models[1:],
                                         global_grads[:-1], global_grads[1:])
     if not np.isfinite([mu_hat, beta_hat]).all():
@@ -347,9 +384,8 @@ def estimate_parameters(models: np.ndarray, gradients: np.ndarray | None,
 
     sigma_hat = 0.0
     if gradients is not None:
-        exact = topology.stack.own_gradients(model, models[:topology.num_devices])
         sigma_hat = float(np.fmax.reduce(
-            norms(np.asarray(gradients, dtype=np.float64) - exact), initial=0.0))
+            norms(np.asarray(gradients, dtype=np.float64) - own), initial=0.0))
 
     return HeterogeneityParams(
         mu=mu_hat, beta=beta_hat,

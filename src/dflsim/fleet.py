@@ -279,33 +279,37 @@ def gradient_survey(topology: FleetTopology, model: LossModel, points):
     """Everything the estimator reads from the gradients at P points, in one pass.
 
     Returns grad F at every point (P, M), ||grad Fbar_c - grad F|| per
-    subnet (P, N) and ||grad F_i - grad Fbar_c(i)|| per device (P, D).
-    Each bitwise-distinct point is surveyed once (the members of a subnet
-    that just aggregated upload one model) and its rows are copied to its
-    repeats; points compare by their bit patterns, so -0.0 and +0.0, or two
-    NaN payloads, stay apart. A point's rows depend on that point alone.
-    Each device gradient is computed once, a few points at a time, and
-    only the global gradients and the norms are kept.
+    subnet (P, N), ||grad F_i - grad Fbar_c(i)|| per device (P, D), and
+    grad F_i at point i for i < min(P, D) (each device's own upload; the
+    bits of ``DeviceStack.own_gradients``). Each bitwise-distinct point is
+    surveyed once (the members of a subnet that just aggregated upload one
+    model), keyed by its bytes, so -0.0 and +0.0, or two NaN payloads, stay
+    apart; its rows, which depend on that point alone, are copied to its
+    repeats. Device gradients are reduced a few points at a time.
     """
     stack = topology.stack
     points = model.check_points(points)
-    _, first, repeats = np.unique(points.view(np.uint64), axis=0, return_index=True,
-                                  return_inverse=True)
-    points = points[first]
-    num_points = points.shape[0]
-    global_grads = np.empty_like(points)
-    subnet_gaps = np.empty((num_points, topology.num_subnets))
-    device_gaps = np.empty((num_points, topology.num_devices))
-    step = stack.points_per_chunk(model)
-    for s in range(0, num_points, step):
-        device = stack.gradients(model, points[s:s + step])
+    keys: dict = {}
+    repeats = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in points], dtype=int)
+    distinct = np.empty((len(keys), model.model_dim))
+    distinct[repeats] = points      # repeats are equal bit for bit: any write stands
+    global_grads = np.empty_like(distinct)
+    subnet_gaps = np.empty((len(keys), topology.num_subnets))
+    device_gaps = np.empty((len(keys), topology.num_devices))
+    uploads = repeats[:topology.num_devices]
+    own = np.empty((uploads.size, model.model_dim))
+    step = 2 * stack.points_per_chunk(model)     # two (P, D, M) arrays live: one chunk
+    for s in range(0, len(keys), step):
+        device = stack.gradients(model, distinct[s:s + step])
+        mine = np.flatnonzero((uploads >= s) & (uploads < s + step))
+        own[mine] = device[uploads[mine] - s, mine]
         subnet = topology.subnet_sums(device)
         glob = topology.global_sums(subnet)
         global_grads[s:s + step] = glob
         subnet_gaps[s:s + step] = norms(subnet - glob[:, None])
-        device_gaps[s:s + step] = norms(device - subnet[:, topology.subnet_of])
-    repeats = repeats.ravel()       # its shape differs across numpy 2.x releases
-    return global_grads[repeats], subnet_gaps[repeats], device_gaps[repeats]
+        device -= subnet[:, topology.subnet_of]
+        device_gaps[s:s + step] = norms(device)
+    return global_grads[repeats], subnet_gaps[repeats], device_gaps[repeats], own
 
 
 def _largest_excess(gaps: np.ndarray, allowance: np.ndarray) -> float:
@@ -337,7 +341,7 @@ def measure_diversity(topology: FleetTopology, model: LossModel,
     if len(probe_points) == 0:
         raise EstimationError("measure_diversity needs at least one probe point")
     probes = np.asarray(probe_points, dtype=np.float64)
-    _, subnet_gaps, device_gaps = gradient_survey(topology, model, probes)
+    _, subnet_gaps, device_gaps, _ = gradient_survey(topology, model, probes)
     return diversity_from_survey(topology, subnet_gaps, device_gaps, zeta, zeta_c,
                                  norms(probes - w_star))
 

@@ -171,7 +171,9 @@ class RadioCostModel:
     Every device's uplink rate is kept in one (devices, CHANNEL_BLOCK)
     table covering an aligned block of slots; an event outside the block
     refills the table from the channel streams, so an event at t is priced
-    the same whenever it is asked for.
+    the same whenever it is asked for. A refill also prices a local aggregation
+    in every subnet at every slot of the block, (slots, 2, N), member rates on a
+    contiguous last axis as in a one-subnet call, so the prices are its bits.
     """
 
     def __init__(self, radio: RadioConfig, model_dim: int, num_devices: int,
@@ -182,8 +184,7 @@ class RadioCostModel:
         self._pathloss = np.array([pathloss_gain(radio, d) for d in self.distances.tolist()])
         self._channels = SlotStreams(int(seed), TAG_CHANNEL, num_devices)
         self._uniforms = np.empty((num_devices, CHANNEL_BLOCK))
-        self._rates = None
-        self._first = None          # first slot of the table
+        self._rates = self._prices = self._unpriced = self._first = None    # tables, first slot
         subnets = [tuple(members) for members in subnets]
         self.num_subnets = len(subnets)
         # (subnet ids, (G, n) member ids) per member count n: row sums equal 1-d sums
@@ -192,25 +193,37 @@ class RadioCostModel:
             ids = [c for c, members in enumerate(subnets) if len(members) == n]
             self.groups.append((np.array(ids), np.array([subnets[c] for c in ids])))
 
-    def device_rates(self, t: int, members) -> np.ndarray:
-        """Uplink rates at slot t of the devices ``members`` (any index shape)."""
+    def _row(self, t: int) -> int:
+        """Slot t's index in the tables, refilled if needed."""
         first = t - t % CHANNEL_BLOCK
         if first != self._first:
             self._channels.fill(range(self.distances.size), first, self._uniforms)
             gains = fading_gains(self._pathloss[:, None], self._uniforms)
             self._rates = shannon_rate(self.radio, gains, self.radio.device_tx_power_w)
+            self._prices = np.empty((CHANNEL_BLOCK, 2, self.num_subnets))
+            self._unpriced = np.zeros(CHANNEL_BLOCK, dtype=bool)
+            for subnets, members in self.groups:
+                rates = np.ascontiguousarray(np.moveaxis(self._rates[members], -1, 0))
+                self._unpriced |= (rates <= 0).any(axis=(1, 2))    # a one-subnet call refuses
+                rates[rates <= 0] = 1.0
+                self._prices[:, 0, subnets] = aggregation_energy(
+                    self.radio, self.model_bits, rates, self.radio.device_tx_power_w)
+                self._prices[:, 1, subnets] = aggregation_delay(self.radio, self.model_bits, rates)
+            self._prices.flags.writeable = False    # local_event hands out its rows
             self._first = first
-        return self._rates[np.asarray(members), t - first]
+        return t - first
+
+    def device_rates(self, t: int, members) -> np.ndarray:
+        """Uplink rates at slot t of the devices ``members`` (any index shape)."""
+        row = self._row(t)
+        return self._rates[np.asarray(members), row]
 
     def local_event(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """(N,) energy and (N,) delay of one local aggregation in every subnet at slot t."""
-        energy, delay = np.empty((2, self.num_subnets))
-        for subnets, members in self.groups:
-            rates = self.device_rates(t, members)
-            energy[subnets] = aggregation_energy(self.radio, self.model_bits, rates,
-                                                 self.radio.device_tx_power_w)
-            delay[subnets] = aggregation_delay(self.radio, self.model_bits, rates)
-        return energy, delay
+        row = self._row(t)
+        if self._unpriced[row]:
+            raise CostModelError("aggregation energy needs positive rates")
+        return tuple(self._prices[row])
 
     def global_event(self, t: int) -> tuple[float, float]:
         return global_aggregation_cost(self.radio, self.model_bits, self.num_subnets)

@@ -292,6 +292,8 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"dataset.kind": "blobs", "dataset.center_scale": -math.inf},
      "dataset.center_scale"),
     ("run", {"dataset.kind": "blobs", "dataset.spread": 10 ** 400}, "dataset.spread"),
+    # finite, but the features' second moment overflows: refused once the data is built
+    ("run", {"dataset.kind": "blobs", "dataset.spread": 1e300}, "dataset.features"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):

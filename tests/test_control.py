@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dflsim.control import (
     bootstrap_estimates,
     certified_marks,
     estimate_parameters,
+    open_subnets,
     run_adaptive,
     select_step_size,
     solve_p,
@@ -29,7 +31,7 @@ from dflsim.control import (
 )
 from dflsim.data import Dataset
 from dflsim.errors import EstimationError, InfeasibleError
-from dflsim.fleet import HeterogeneityParams, build_topology, measure_diversity
+from dflsim.fleet import FleetTopology, HeterogeneityParams, build_topology, measure_diversity
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, norms
 from dflsim.netcost import CostSnapshot, stream
 from dflsim.validate import diverse_problem, theorem_problem
@@ -200,17 +202,50 @@ def planted_budgets(contributions):
         yield from (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
 
 
-@given(trigger_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 1.0]), st.integers(0, 2**32 - 1))
-def test_a_certified_trigger_keeps_the_marks_of_evaluating_every_gap(case, step, seed):
+def near_tie(step=1e-3, seed=5):
+    """(case, step, seed) whose subnets 0 and 1 contribute within 1e-9 of each
+    other at a, with phi^2 between them: one is marked. Their brackets
+    around the reference at b overlap; those of subnets 2 and 3, near the
+    optimum, lie far below the cut."""
+    gen = np.random.default_rng(1)
+    datasets = [Dataset(gen.standard_normal((5, 2)), gen.standard_normal(5)) for _ in range(4)]
+    topo = build_topology(datasets, [1, 1, 1, 1])
+    model = LossModel(RIDGE, feature_dim=2, regularization=0.05)
+    away = np.array([1.0, 0.5])
+    a = topo.optimum(model) + np.array([away, away * (1 + 1e-9), 0.01 * away, -0.01 * away])
+    params = HeterogeneityParams(mu=0.1, beta=2.0, inter_delta=0.1, inter_zeta=0.1,
+                                 intra_delta=np.zeros(4), intra_zeta=np.full(4, 1.0),
+                                 sgd_noise=0.0, subnet_noise_budget=0.0)
+    tied = reference_contributions(a, topo, model, params, params.mu)[0]
+    b = a - step * np.random.default_rng(seed).standard_normal(a.shape)
+    return (topo, model, b, params, math.sqrt(1.5 * tied)), step, seed, True
+
+
+@given(trigger_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 1.0]), st.integers(0, 2**32 - 1),
+       st.just(False))
+@example(*near_tie())
+def test_a_certified_trigger_keeps_the_marks_of_evaluating_every_gap(case, step, seed,
+                                                                    near_tied):
     topo, model, b, params, phi = case
     reference = TriggerReference(topo, model)
     # phi = inf opens every subnet: the reference holds grad F at every b_c
     trigger_local_aggregation(b, topo, model, params, math.inf, reference)
     a = b + step * np.random.default_rng(seed).standard_normal(b.shape)
     contributions = reference_contributions(a, topo, model, params, params.mu)
+    evaluate, points = FleetTopology.global_gradients, []
+
+    def counted(self, model, at):
+        points.append(len(at))
+        return evaluate(self, model, at)
+
     for budget in [phi, *planted_budgets(contributions)]:
-        got = trigger_local_aggregation(a, topo, model, params, budget, reference)
+        points.clear()
+        with mock.patch.object(FleetTopology, "global_gradients", counted):
+            got = trigger_local_aggregation(a, topo, model, params, budget, reference)
         assert np.array_equal(got, aggregation_indicators(contributions, budget)), budget
+        if near_tied and budget == phi:
+            # grad F only where the tied brackets cross the cut, not at every open subnet
+            assert 0 < sum(points) < open_subnets(topo, params, phi).sum() == 4, points
 
 
 def test_an_adaptive_run_evaluates_fewer_trigger_gradients_than_open_slots(monkeypatch):

@@ -482,6 +482,10 @@ def test_a_survey_evaluates_each_distinct_point_once(case, data):
     assert {row.tobytes() for row in kernel} == {row.tobytes() for row in distinct}
     for j in range(3):
         assert np.array_equal(got[j], np.vstack([rows[j] for rows in want]))
+    # device i's gradient at point i, the uploads' own gradients
+    uploads = min(len(planted), topo.num_devices)
+    own = topo.stack.own_gradients(model, planted[np.arange(topo.num_devices) % len(planted)])
+    assert np.array_equal(got[3], own[:uploads])
 
 
 @given(fleets(), st.integers(1, 9))
