@@ -11,10 +11,10 @@ invariant suite and fails on any violated check.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,29 +24,36 @@ from . import __version__
 from . import config as cfgmod
 from .analysis import compute_constants, theorem_bound
 from .control import run_adaptive, select_step_size, solve_p
-from .engine import METRIC_COLUMNS, RunResult, run_training
+from .engine import EVENT_COLUMNS, METRIC_COLUMNS, RunResult, run_training
 from .errors import ConfigError, DFLError
 from .fleet import partition_manifest
 from .netcost import RadioCostModel
 
 
-def _write_metrics_csv(path: Path, result: RunResult) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRIC_COLUMNS)
-        columns = [result.metrics[name] for name in METRIC_COLUMNS]
-        for row in zip(*columns):
-            writer.writerow([int(v) if name in ("t", "k") else repr(float(v))
-                             for name, v in zip(METRIC_COLUMNS, row)])
+ROWS_PER_WRITE = 256      # rows whose fields are formatted and written at once
 
 
-def _write_events_csv(path: Path, result: RunResult) -> None:
+def _cells(values) -> list[str]:
+    """CSV fields as ``csv.writer``'s excel dialect writes them: a float by ``repr``, None
+    as nothing, anything else by ``str``; one holding a comma, quote or line break quoted,
+    its quotes doubled."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    cells = [repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in values]
+    if any(mark in "".join(cells) for mark in ',"\r\n'):
+        cells = ['"' + c.replace('"', '""') + '"' if any(m in c for m in ',"\r\n') else c
+                 for c in cells]
+    return cells
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write the header and equal-length columns (arrays or sequences) as CSV lines
+    ended by ``\\r\\n``, the bytes of ``csv.writer``; ROWS_PER_WRITE rows at a time,
+    so a long log never holds all its fields as strings at once."""
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "kind", "subnet", "energy_j", "delay_s"])
-        for ev in result.events:
-            writer.writerow([ev.t, ev.kind, ev.subnet,
-                             repr(float(ev.energy_j)), repr(float(ev.delay_s))])
+        handle.write(",".join(_cells(header)) + "\r\n")
+        for s in range(0, len(columns[0]), ROWS_PER_WRITE):
+            block = [_cells(column[s:s + ROWS_PER_WRITE]) for column in columns]
+            handle.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 def _summarize(result: RunResult) -> dict:
@@ -108,7 +115,8 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded for parallel runs only
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=warnings.simplefilter,
+                                 initargs=("error", RuntimeWarning)) as pool:
             futures = {seed: pool.submit(execute_single, cfg, seed) for seed in seeds}
             results = {seed: fut.result() for seed, fut in futures.items()}
     else:
@@ -127,8 +135,8 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
         base = f"{tag}_seed{seed}"
         metrics_path = out_dir / f"{base}_metrics.csv"
         events_path = out_dir / f"{base}_events.csv"
-        _write_metrics_csv(metrics_path, result)
-        _write_events_csv(events_path, result)
+        _write_csv(metrics_path, METRIC_COLUMNS, [result.metrics[n] for n in METRIC_COLUMNS])
+        _write_csv(events_path, EVENT_COLUMNS, [result.event_columns[n] for n in EVENT_COLUMNS])
         manifest["outputs"][str(seed)] = {
             "metrics": metrics_path.name, "events": events_path.name,
         }
@@ -196,10 +204,7 @@ def cmd_sweep(args) -> int:
             for metric, metric_value in summary.items():
                 rows.append((args.axis, value, int(seed_key), metric, metric_value))
     table_path = out_root / f"sweep_{axis_slug}.csv"     # out_root holds the first run
-    with table_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["axis", "value", "seed", "metric", "metric_value"])
-        writer.writerows(rows)
+    _write_csv(table_path, ("axis", "value", "seed", "metric", "metric_value"), list(zip(*rows)))
     print(f"wrote sweep table {table_path}")
     return 0
 
@@ -287,11 +292,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():     # numpy's floating-point warnings end the run
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DFLError as exc:
+    except (DFLError, RuntimeWarning) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:      # a config whose arrays do not fit in memory

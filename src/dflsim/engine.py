@@ -30,6 +30,7 @@ from .losses import CHUNK_ELEMENTS, DeviceStack, LossModel, _dots, minibatch
 from .netcost import TAG_SGD, RadioCostModel, SlotStreams
 
 METRIC_COLUMNS = ("t", "k", "loss", "gap", "e1", "e2", "e3", "cum_energy", "cum_delay")
+EVENT_COLUMNS = ("t", "kind", "subnet", "energy_j", "delay_s")
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,23 @@ class IntervalOutcome:
     stale_models: np.ndarray
     stale_gradients: np.ndarray
     theta_counts: np.ndarray
-    # (N,) energy and (N,) delay charged for the uplinks at capture; None unpriced
-    capture_prices: tuple[np.ndarray, np.ndarray] | None
+    # (2, N) energy and delay rows charged for the uplinks at capture; None unpriced
+    capture_prices: np.ndarray | None
 
 
 @dataclass
 class RunResult:
     metrics: dict
-    events: list
+    event_columns: dict     # EVENT_COLUMNS -> (E,) array, one row per cost event in log order
     sync_times: np.ndarray
     final_models: np.ndarray
     decisions: list = field(default_factory=list)
+
+    @property
+    def events(self) -> list[CostEvent]:
+        """The cost log as one ``CostEvent`` per row, built at each read."""
+        columns = (self.event_columns[name].tolist() for name in EVENT_COLUMNS)
+        return [CostEvent(*row) for row in zip(*columns)]
 
     def column(self, name: str) -> np.ndarray:
         return self.metrics[name]
@@ -232,9 +239,12 @@ class Protocol:
     """Mutable protocol state advanced one interval at a time. Checked here, once: the
     model vectors, data and batch size (the topology checks its weights); slots only compute.
 
-    A slot that logs only records its state, ``(t, k, w, noise_free, cum_energy,
-    cum_delay)``; the arrays are kept by reference, since every slot binds new
-    ``w`` and ``noise_free`` arrays and nothing writes into them. ``_log_row``
+    A slot that logs only records its state, ``(t, k, w, noise_free, events
+    charged)``; the arrays are kept by reference, since every slot binds new
+    ``w`` and ``noise_free`` arrays and nothing writes into them. A slot that
+    charges records one chunk per charge, ``(t, subnet ids, (2, .) prices)``;
+    ``result`` turns the chunks into the event columns, and cum_energy and
+    cum_delay into running sums over them, left to right in log order. ``_log_row``
     computes the rows of every recorded slot at once, over a leading row axis: at
     construction (the t=0 row), whenever the pending rows fill a piece of
     ``max(1, CHUNK_ELEMENTS // (4*D*M))`` rows, across interval ends, and in
@@ -274,10 +284,10 @@ class Protocol:
         self.noise_free = np.tile(w_init, (topology.num_subnets, 1))
         self.t = 0
         self.k = 0
-        self.cum_energy = 0.0
-        self.cum_delay = 0.0
-        self.events: list[CostEvent] = []
-        self._rows: dict[str, list] = {name: [] for name in METRIC_COLUMNS}
+        # an empty chunk keeps the concatenations of ``result`` defined
+        self._charges = [(0, np.empty(0, dtype=np.int64), np.empty((2, 0)))]
+        self._charged = 0       # events in the chunks
+        self._rows: dict[str, list] = {name: [] for name in METRIC_COLUMNS[:-2] + ("charged",)}
         self._piece = topology.stack.points_per_chunk(model)     # rows per flush
         self._pending = [self._state()]      # recorded slots whose rows are not computed
         self._pending_snapshot: np.ndarray | None = None
@@ -300,17 +310,11 @@ class Protocol:
         return self.topology.stack.minibatch_gradients(
             self.model, self.w, self._minibatches.at(t))
 
-    def _charge(self, t: int, kind: str, subnet: int, energy: float, delay: float):
-        self.events.append(CostEvent(t, kind, subnet, energy, delay))
-        self.cum_energy += energy
-        self.cum_delay += delay
-
-    def _charge_local(self, t: int, subnets, prices) -> None:
-        """Charge one local aggregation in each of ``subnets``, in order, at slot t,
-        at ``prices``, the (N,) energy and delay of ``local_event(t)``."""
-        energy, delay = (costs.tolist() for costs in prices)
-        for c in subnets:
-            self._charge(t, "local", c, energy[c], delay[c])
+    def _charge(self, t: int, subnets: np.ndarray, prices: np.ndarray) -> None:
+        """Charge one event at slot t per id in ``subnets``, in order, at that column
+        of ``prices``, (2, .) energy and delay rows; id -1 is the global event."""
+        self._charges.append((t, subnets, prices))
+        self._charged += subnets.size
 
     def _scheduled(self, plan: IntervalPlan) -> tuple:
         """``plan``'s read-only indicator table, how many subnets each of its rows
@@ -327,7 +331,7 @@ class Protocol:
 
     def _state(self) -> tuple:
         """What a logged slot's row is computed from, in the order of ``_log_row``."""
-        return self.t, self.k, self.w, self.noise_free, self.cum_energy, self.cum_delay
+        return self.t, self.k, self.w, self.noise_free, self._charged
 
     @staticmethod
     def _diverged(t: int, k: int, device: int, what: str) -> DivergenceError:
@@ -341,7 +345,7 @@ class Protocol:
         Rows are checked in slot order, each its squared norms before its loss:
         the rows before the first bad one are appended, then it raises.
         """
-        t, k, models, companions, energy, delay = zip(*self._pending)
+        t, k, models, companions, charged = zip(*self._pending)
         self._pending = []
         W = np.stack(models)
         sq_norms = _dots(W)
@@ -357,8 +361,8 @@ class Protocol:
             if self.track_noise_free else (nan, nan, nan)
         lossy = ~np.isfinite(loss)
         good = int(np.argmax(lossy)) if lossy.any() else rows
-        columns = (t, k, loss, gap, *errors, energy, delay)
-        for name, values in zip(METRIC_COLUMNS, columns):
+        columns = (t, k, loss, gap, *errors, charged)
+        for name, values in zip(self._rows, columns):
             self._rows[name].extend(np.asarray(values)[:good].tolist())
         if good < rows:
             raise self._diverged(t[good], k[good], int(np.argmax(sq_norms[good])),
@@ -422,13 +426,12 @@ class Protocol:
                 # uplink: one device-to-edge aggregation per subnet at capture
                 if self.cost_model is not None:
                     capture_prices = self.cost_model.local_event(t)
-                    self._charge_local(t, range(n_sub), capture_prices)
+                    self._charge(t, np.arange(n_sub), capture_prices)
 
             if t == global_t:
                 # the cloud builds and broadcasts the global model here, one
                 # downlink delay before synchronization
-                energy, delay_s = self.cost_model.global_event(t)
-                self._charge(t, "global", -1, energy, delay_s)
+                self._charge(t, np.array([-1]), np.array(self.cost_model.global_event(t))[:, None])
 
             sync = t == t_end
             if sync and snapshot is None:
@@ -444,8 +447,7 @@ class Protocol:
             self.w = (1.0 - plan.alpha) * snapshot + plan.alpha * local if sync else local
             # a triggered aggregation in the capture slot rides the uplink
             if self.cost_model is not None and t != capture_t and fired:
-                self._charge_local(t, np.flatnonzero(theta).tolist(),
-                                   self.cost_model.local_event(t))
+                self._charge(t, np.flatnonzero(theta), self.cost_model.local_event(t))
             if companions is not None:
                 self.noise_free = next(companions)
             if sync:
@@ -470,10 +472,19 @@ class Protocol:
     def result(self, sync_times=None, decisions=None) -> RunResult:
         if self._pending:
             self._log_row()
-        metrics = {name: np.asarray(vals) for name, vals in self._rows.items()}
+        t, subnets, prices = zip(*self._charges)
+        subnet = np.concatenate(subnets)
+        costs = np.concatenate([p[:, ids] for ids, p in zip(subnets, prices)], axis=1)
+        events = dict(zip(EVENT_COLUMNS, (
+            np.repeat(t, [ids.size for ids in subnets]),
+            np.where(subnet < 0, "global", "local"), subnet, *costs)))
+        # cumulative[:, n]: energy and delay summed over the first n events, in order
+        cumulative = np.add.accumulate(np.hstack((np.zeros((2, 1)), costs)), axis=1)
+        rows = {name: np.asarray(vals) for name, vals in self._rows.items()}
+        rows["cum_energy"], rows["cum_delay"] = cumulative[:, rows.pop("charged")]
         return RunResult(
-            metrics=metrics,
-            events=list(self.events),
+            metrics={name: rows[name] for name in METRIC_COLUMNS},
+            event_columns=events,
             sync_times=np.asarray(sync_times if sync_times is not None else []),
             final_models=self.w.copy(),
             decisions=list(decisions) if decisions else [],

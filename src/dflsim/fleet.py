@@ -220,12 +220,14 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
     device_order = rng.permutation(num_devices)
 
     holders: dict[float, list[int]] = {lab: [] for lab in labels}
-    for slot, dev in enumerate(device_order):
+    held = [set() for _ in range(num_devices)]     # each device's labels
+    for slot, dev in enumerate(device_order.tolist()):
         for j in range(labels_per_device):
             lab = alphabet[(slot * labels_per_device + j) % labels.size]
-            holders[lab].append(int(dev))
+            holders[lab].append(dev)
+            held[dev].add(lab)
 
-    per_device_idx: list[list[int]] = [[] for _ in range(num_devices)]
+    per_device_idx: list[list[np.ndarray]] = [[] for _ in range(num_devices)]
     for lab in labels:
         devs = holders[lab]
         if not devs:
@@ -236,16 +238,14 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
         if idx.size < len(devs):
             raise PartitionError(
                 f"num_devices: label {lab} has {idx.size} points for {len(devs)} holders")
-        chunks = np.array_split(idx, len(devs))
-        for dev, chunk in zip(devs, chunks):
-            per_device_idx[dev].extend(int(i) for i in chunk)
+        for dev, chunk in zip(devs, np.array_split(idx, len(devs))):
+            per_device_idx[dev].append(chunk)     # at least one point of the label
 
     out = []
     for dev in range(num_devices):
-        idx = np.array(sorted(per_device_idx[dev]), dtype=np.int64)
-        if np.unique(dataset.labels[idx]).size != min(labels_per_device, labels.size):
+        if len(held[dev]) != min(labels_per_device, labels.size):
             raise PartitionError(f"device {dev} ended with wrong label support")
-        out.append(dataset.subset(idx))
+        out.append(dataset.subset(np.sort(np.concatenate(per_device_idx[dev]))))
     return out
 
 
@@ -412,7 +412,7 @@ def partition_manifest(topology: FleetTopology) -> dict:
             "device": i,
             "subnet": int(topology.subnet_of[i]),
             "points": ds.n,
-            "labels": sorted(set(float(v) for v in np.unique(ds.labels))),
+            "labels": sorted(set(ds.labels.tolist())),
             "weight_in_subnet": float(topology.device_weights[i]),
         })
     return {

@@ -218,12 +218,12 @@ class RadioCostModel:
         row = self._row(t)
         return self._rates[np.asarray(members), row]
 
-    def local_event(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(N,) energy and (N,) delay of one local aggregation in every subnet at slot t."""
+    def local_event(self, t: int) -> np.ndarray:
+        """Read-only (2, N) energy and delay of one local aggregation in every subnet at slot t."""
         row = self._row(t)
         if self._unpriced[row]:
             raise CostModelError("aggregation energy needs positive rates")
-        return tuple(self._prices[row])
+        return self._prices[row]
 
     def global_event(self, t: int) -> tuple[float, float]:
         return global_aggregation_cost(self.radio, self.model_bits, self.num_subnets)

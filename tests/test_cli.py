@@ -19,6 +19,7 @@ import pytest
 import dflsim
 from dflsim import cli
 from dflsim.config import parse_config, load_config
+from dflsim.engine import EVENT_COLUMNS, METRIC_COLUMNS, RunResult
 from dflsim.validate import SUITES
 
 MINIMAL = {
@@ -545,6 +546,91 @@ def test_sweep_workers_match_serial(tmp_path):
     cli.main(["run", str(path), "--workers", "2", "--output", str(out2)])
     assert (out1 / "run_seed0_metrics.csv").read_bytes() \
         == (out2 / "run_seed0_metrics.csv").read_bytes()
+    # a radio-on config: its events and manifest too
+    path = write_config(tmp_path, radio={}, seeds=[0, 1])
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert cli.main(["run", str(path), "--output", str(out1)]) == 0
+    assert cli.main(["run", str(path), "--workers", "2", "--output", str(out2)]) == 0
+    for name in ("run_seed0_events.csv", "run_seed1_events.csv", "run_manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert len((out1 / "run_seed1_events.csv").read_text().splitlines()) > 1
+
+
+def write_metrics_rowwise(path, result):
+    """The metrics CSV as ``csv.writer`` wrote it row by row: the reference bytes."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(METRIC_COLUMNS)
+        columns = [result.metrics[name] for name in METRIC_COLUMNS]
+        for row in zip(*columns):
+            writer.writerow([int(v) if name in ("t", "k") else repr(float(v))
+                             for name, v in zip(METRIC_COLUMNS, row)])
+
+
+def write_events_rowwise(path, result):
+    """The events CSV as ``csv.writer`` wrote it from ``RunResult.events``."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "kind", "subnet", "energy_j", "delay_s"])
+        for ev in result.events:
+            writer.writerow([ev.t, ev.kind, ev.subnet,
+                             repr(float(ev.energy_j)), repr(float(ev.delay_s))])
+
+
+EDGE_FLOATS = [5e-324, -5e-324, 1e308, -1.7976931348623157e308, -0.0, 0.0, math.nan,
+               math.inf, -math.inf, 0.1, 1e16, 123456789.0]
+EDGE_INTS = [0, -1, 2**31, 2**53 + 1, 2**63 - 1, -2**63]
+
+
+@pytest.mark.parametrize("rows_per_write", [5, cli.ROWS_PER_WRITE])
+@pytest.mark.parametrize("num_events", [0, len(EDGE_FLOATS)])
+def test_the_column_formatter_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch, num_events,
+                                                              rows_per_write):
+    monkeypatch.setattr(cli, "ROWS_PER_WRITE", rows_per_write)
+    floats = np.array(EDGE_FLOATS)
+    ints = np.resize(np.array(EDGE_INTS, dtype=np.int64), floats.size)
+    metrics = {name: ints if name in ("t", "k") else np.roll(floats, j)
+               for j, name in enumerate(METRIC_COLUMNS)}
+    events = dict(zip(EVENT_COLUMNS, (
+        ints[::-1], np.where(ints < 0, "global", "local"), ints, floats, floats[::-1])))
+    result = RunResult(metrics, {name: column[:num_events] for name, column in events.items()},
+                       np.array([]), np.zeros(1))
+    for name, write, header, columns in [
+            ("metrics", write_metrics_rowwise, METRIC_COLUMNS, result.metrics),
+            ("events", write_events_rowwise, EVENT_COLUMNS, result.event_columns)]:
+        write(tmp_path / f"{name}_rowwise.csv", result)
+        cli._write_csv(tmp_path / f"{name}.csv", header, [columns[n] for n in header])
+        assert (tmp_path / f"{name}.csv").read_bytes() \
+            == (tmp_path / f"{name}_rowwise.csv").read_bytes(), name
+    # a sweep table's mixed rows: JSON values, quoted fields, Python floats and ints
+    values = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", None, True, [1, 2], 2**70,
+              *EDGE_FLOATS]
+    metrics = [*EDGE_FLOATS, *EDGE_INTS]
+    rows = [("schedule.alpha", value, seed, "final_loss", metrics[seed % len(metrics)])
+            for seed, value in enumerate(values)]
+    header = ("axis", "value", "seed", "metric", "metric_value")
+    with (tmp_path / "sweep_rowwise.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    cli._write_csv(tmp_path / "sweep.csv", header, list(zip(*rows)))
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "sweep_rowwise.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_floating_point_warning_exits_1_in_one_line(tmp_path, monkeypatch, capsys, workers):
+    def overflowing_step(*args, **kwargs):
+        return np.float64(1e308) * 10.0
+
+    monkeypatch.setattr(cli, "run_training", overflowing_step)
+    path = write_config(tmp_path, seeds=[0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the CLI's own filter decides
+        code = cli.main(["run", str(path), "--workers", workers,
+                         "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "RuntimeWarning: overflow encountered in scalar multiply\n"
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_bounds_subcommand(tmp_path, capsys):

@@ -121,6 +121,73 @@ def test_partition_insufficient_data_errors():
         partition_label_skew(ds, 2, 1, np.random.default_rng(0))  # labels without holders
 
 
+def partition_point_by_point(dataset, num_devices, labels_per_device, rng):
+    """The label-skew partition gathering each device's indices one Python int at a
+    time: the reference for ``partition_label_skew``."""
+    labels = np.unique(dataset.labels)
+    if labels_per_device < 1 or labels_per_device > labels.size:
+        raise PartitionError(
+            f"labels_per_device {labels_per_device} outside [1, {labels.size}]"
+        )
+    alphabet = labels[rng.permutation(labels.size)]
+    device_order = rng.permutation(num_devices)
+
+    holders = {lab: [] for lab in labels}
+    for slot, dev in enumerate(device_order):
+        for j in range(labels_per_device):
+            lab = alphabet[(slot * labels_per_device + j) % labels.size]
+            holders[lab].append(int(dev))
+
+    per_device_idx = [[] for _ in range(num_devices)]
+    for lab in labels:
+        devs = holders[lab]
+        if not devs:
+            raise PartitionError(f"labels_per_device: label {lab} has no holder; "
+                                 "need num_devices*labels_per_device >= num_labels")
+        idx = np.flatnonzero(dataset.labels == lab)
+        idx = idx[rng.permutation(idx.size)]
+        if idx.size < len(devs):
+            raise PartitionError(
+                f"num_devices: label {lab} has {idx.size} points for {len(devs)} holders")
+        chunks = np.array_split(idx, len(devs))
+        for dev, chunk in zip(devs, chunks):
+            per_device_idx[dev].extend(int(i) for i in chunk)
+
+    out = []
+    for dev in range(num_devices):
+        idx = np.array(sorted(per_device_idx[dev]), dtype=np.int64)
+        if np.unique(dataset.labels[idx]).size != min(labels_per_device, labels.size):
+            raise PartitionError(f"device {dev} ended with wrong label support")
+        out.append(dataset.subset(idx))
+    return out
+
+
+# six labels holding 2, 4, 7, 10, 14 and 19 points, interleaved
+UNEVEN_LABELS = np.random.default_rng(21).permutation(
+    np.repeat(np.arange(6.0), [2, 4, 7, 10, 14, 19]))
+
+
+@given(num_devices=st.integers(0, 10), labels_per=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_partition_gathers_the_indices_of_the_point_by_point_reference(num_devices, labels_per,
+                                                                       seed):
+    ds = Dataset(np.arange(2.0 * UNEVEN_LABELS.size).reshape(-1, 2), UNEVEN_LABELS)
+
+    def outcome(partition):
+        try:
+            return partition(ds, num_devices, labels_per, np.random.default_rng(seed))
+        except PartitionError as exc:
+            return str(exc)
+
+    got, want = outcome(partition_label_skew), outcome(partition_point_by_point)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want) == num_devices
+    for a, b in zip(got, want):
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+
 # -- heterogeneity measurement ------------------------------------------------
 
 

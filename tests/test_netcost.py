@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim.data import Dataset
-from dflsim.engine import TrainingSchedule, run_training
+from dflsim.engine import EVENT_COLUMNS, CostEvent, Protocol, TrainingSchedule, run_training
 from dflsim.errors import CostModelError
 from dflsim.fleet import build_topology
 from dflsim.losses import RIDGE, LossModel
@@ -174,6 +174,85 @@ def test_accounting_closure_on_run(rng):
     # subnet once (absorbing that offset), slots 2 and 6 charge per subnet:
     # 3 slots x 2 subnets = 6 local events per interval
     assert local_counts == 3 * 6
+
+
+def replay_events(cost_model, plans, marks) -> list[tuple]:
+    """The cost log one event at a time: in each slot the capture's uplinks (every
+    subnet), then the global event, then the slot's aggregations unless it is the
+    capture, subnets ascending; ``marks[t]`` are slot t's (N,) aggregation marks."""
+    events, t0 = [], 0
+    for plan in plans:
+        t_end = t0 + plan.tau
+        for t in range(t0 + 1, t_end + 1):
+            energy, delay = (costs.tolist() for costs in cost_model.local_event(t))
+            charged = range(len(energy)) if t == t_end - plan.delay else []
+            events += [(t, "local", c, energy[c], delay[c]) for c in charged]
+            if t == t_end - plan.down_delay:
+                events.append((t, "global", -1, *cost_model.global_event(t)))
+            if not charged:
+                events += [(t, "local", c, energy[c], delay[c])
+                           for c in np.flatnonzero(marks[t]).tolist()]
+        t0 = t_end
+    return events
+
+
+@st.composite
+def radio_runs(draw):
+    """A small radio-on ridge fleet under a periodic schedule whose global event falls
+    in the capture slot (up_delay 0) or later, or under a policy's random marks."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [Dataset(gen.standard_normal((4, 2)), gen.standard_normal(4))
+             for _ in range(sum(sizes))]
+    tau = draw(st.integers(1, 7))
+    delay = draw(st.integers(0, tau - 1))
+    schedule = TrainingSchedule.uniform(
+        draw(st.integers(1, 4)), tau, alpha=0.3, eta=0.05, delay=delay,
+        up_delay=draw(st.sampled_from([0, delay, (delay + 1) // 2])),
+        local_agg_period=draw(st.one_of(st.none(), st.integers(1, tau))),
+        num_subnets=len(sizes))
+    return dict(topo=build_topology(parts, sizes), schedule=schedule, gen=gen,
+                seed=draw(st.integers(0, 99)), every=draw(st.integers(1, 7)),
+                driven=draw(st.booleans()))
+
+
+@given(radio_runs())
+def test_the_event_columns_equal_a_per_event_replay(case):
+    topo, schedule, gen = case["topo"], case["schedule"], case["gen"]
+    model = LossModel(RIDGE, feature_dim=2, regularization=0.2)
+    cost_model = RadioCostModel(RADIO, model.model_dim, topo.num_devices, topo.subnets,
+                                case["seed"])
+    proto = Protocol(topo, model, case["seed"], 2, cost_model=cost_model,
+                     metrics_every=case["every"])
+    marks = {}
+    for plan in schedule.intervals:
+        table, t0 = plan.indicators(topo.num_subnets), proto.t
+        if case["driven"]:
+            def policy(t, tentative, aggregates):
+                marks[t] = gen.random(topo.num_subnets) < 0.5
+                return marks[t]
+        else:
+            marks.update((t0 + step, table[step]) for step in range(1, plan.tau + 1))
+            policy = None
+        proto.run_interval(plan, theta_policy=policy)
+    res = proto.result()
+
+    want = replay_events(cost_model, schedule.intervals, marks)
+    assert res.events == [CostEvent(*event) for event in want]
+    for name, column in zip(EVENT_COLUMNS, zip(*want)):
+        assert res.event_columns[name].tolist() == list(column), name
+    # each logged row holds the running sums of the events up to its slot, bit for bit
+    energy = delay = 0.0
+    events = iter(want)
+    event = next(events, None)
+    for t, cum_energy, cum_delay in zip(*(res.column(name).tolist()
+                                          for name in ("t", "cum_energy", "cum_delay"))):
+        while event is not None and event[0] <= t:
+            energy += event[3]
+            delay += event[4]
+            event = next(events, None)
+        assert (cum_energy, cum_delay) == (energy, delay), t
+    assert event is None
 
 
 def test_rates_positive_under_default_radio():
