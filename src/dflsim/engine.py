@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import error_terms, noise_free_step, noise_free_sync
 from .errors import BatchSizeError, DivergenceError, ScheduleError, SnapshotError
 from .fleet import FleetTopology
-from .losses import CHUNK_ELEMENTS, DeviceStack, LossModel, _dots, minibatch
+from .losses import CHUNK_ELEMENTS, DeviceStack, LossModel, _dots, smallest_draws
 from .netcost import TAG_SGD, RadioCostModel, SlotStreams
 
 METRIC_COLUMNS = ("t", "k", "loss", "gap", "e1", "e2", "e3", "cum_energy", "cum_delay")
@@ -193,21 +193,21 @@ class Minibatches:
 
     Device i's keys at slot t are draws [(t-1)*n_i, t*n_i) of stream
     (seed, TAG_SGD, i), and its minibatch is the b smallest of them
-    (``losses.minibatch``); a device whose data is one batch uses all of
-    it and draws nothing. The keys of an aligned block of S slots are drawn
-    at once, one read per device, into one reused buffer, and each group
-    of equal-n devices takes one ``minibatch`` call: one fast argsort of
-    every (device, slot) row, with a stable sort only for the rows tied at
-    or below the b-th key. The keys and their sort order take
-    at most CHUNK_ELEMENTS elements together (groups are cut into pieces
-    that do), unless one device's keys of one slot do not: S is as large
+    (``losses.smallest_draws``); a device whose data is one batch uses all of
+    it and draws nothing. The raw draws of an aligned block of S slots are
+    read at once, one ``random_raw`` per device, into one reused uint64
+    buffer, and each group of equal-n devices takes one ``smallest_draws``
+    call: one in-place sort of every (device, slot) row of integer keys
+    (a stable argsort for rows of more than 2**11 points). The draws take
+    at most CHUNK_ELEMENTS elements (groups are cut into pieces
+    that do), unless one device's draws of one slot do not: S is as large
     as that allows, at most SLOT_BLOCK and at least 1.
     """
 
     def __init__(self, seed: int, stack: DeviceStack, batch_size: int):
         self.batch_size = batch_size
         drawn = int(stack.counts[stack.counts > batch_size].sum())
-        self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(2 * drawn, 1)))
+        self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(drawn, 1)))
         self._streams = SlotStreams(seed, TAG_SGD, stack.num_devices)
         self._batches = np.empty((self.slots, stack.num_devices, batch_size), dtype=np.int64)
         self._pieces = []           # (device ids, the same as a list, points per device)
@@ -215,11 +215,11 @@ class Minibatches:
             if n == batch_size:
                 self._batches[:, devices] = np.arange(n)
                 continue
-            step = max(1, CHUNK_ELEMENTS // (2 * self.slots * n))
+            step = max(1, CHUNK_ELEMENTS // (self.slots * n))
             self._pieces += [(devices[s:s + step], devices[s:s + step].tolist(), n)
                              for s in range(0, devices.size, step)]
-        self._keys = np.empty(max((d.size * self.slots * n for d, _, n in self._pieces),
-                                  default=0))
+        self._draws = np.empty(max((d.size * self.slots * n for d, _, n in self._pieces),
+                                   default=0), dtype=np.uint64)
         self._first = None          # first slot of the block in ``_batches``
 
     def at(self, t: int) -> np.ndarray:
@@ -227,9 +227,10 @@ class Minibatches:
         first = t - (t - 1) % self.slots
         if first != self._first:
             for devices, rows, n in self._pieces:
-                keys = self._keys[:devices.size * self.slots * n].reshape(devices.size, -1)
-                self._streams.fill(rows, (first - 1) * n, keys)
-                batch = minibatch(keys.reshape(devices.size, self.slots, n), self.batch_size)
+                draws = self._draws[:devices.size * self.slots * n].reshape(devices.size, -1)
+                self._streams.fill(rows, (first - 1) * n, draws)
+                batch = smallest_draws(draws.reshape(devices.size, self.slots, n),
+                                       self.batch_size)
                 self._batches[:, devices] = np.swapaxes(batch, 0, 1)
             self._first = first
         return self._batches[t - first]

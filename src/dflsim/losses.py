@@ -171,25 +171,40 @@ def full_gradient(model: LossModel, dataset: Dataset, w: np.ndarray) -> np.ndarr
     return _gradients(model, dataset.features, _targets(model, dataset.labels), w)
 
 
-def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
-    """The minibatch of one uniform key per point: the positions of the
-    ``batch_size`` smallest keys along the last axis, in key order, equal
-    keys in point order; bit for bit ``np.argsort(keys, axis=-1,
-    kind="stable")[..., :batch_size]``.
+# low bits of a raw PCG64 draw that ``Generator.random`` drops: (draw >> 11) * 2**-53
+POINT_BITS = 11
 
-    Every row is sorted with numpy's default (unstable, SIMD where the host
-    has it) argsort. A row whose first ``batch_size + 1`` sorted keys rise
-    strictly has distinct smallest keys, all below the rest, so any sort
-    picks the same positions in the same order; every other row (a tie, or
-    a NaN, at or below the cut) is sorted again stably. The result thus
-    does not depend on which sort kernel numpy dispatches to.
+
+def smallest_draws(draws: np.ndarray, batch_size: int) -> np.ndarray:
+    """The minibatch of one raw uint64 PCG64 draw per point: the positions of
+    the ``batch_size`` smallest keys ``draws >> 11`` along the last axis, in key
+    order, equal keys in point order; bit for bit ``np.argsort(draws >> 11,
+    axis=-1, kind="stable")[..., :batch_size]``. Overwrites ``draws``.
+
+    A row of n <= 2**11 points becomes ``(draw & ~0x7FF) | point``: distinct
+    integers in exactly that order, so after one in-place sort of every row,
+    whatever kernel numpy dispatches to, the low bits of its first
+    ``batch_size`` entries are the minibatch. A longer row, whose point indices
+    do not fit below the key, takes the stable argsort.
     """
-    order = np.argsort(keys, axis=-1)
-    head = np.take_along_axis(keys, order[..., :batch_size + 1], axis=-1)
-    tied = ~np.all(head[..., 1:] > head[..., :-1], axis=-1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=-1, kind="stable")
-    return order[..., :batch_size]
+    n = draws.shape[-1]
+    if n > 1 << POINT_BITS:
+        return np.argsort(draws >> POINT_BITS, axis=-1, kind="stable")[..., :batch_size]
+    draws &= 2**64 - 2**POINT_BITS      # the key bits
+    draws |= np.arange(n, dtype=np.uint64)
+    draws.sort(axis=-1)
+    return (draws[..., :batch_size] & (2**POINT_BITS - 1)).astype(np.intp)
+
+
+def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
+    """``smallest_draws`` of ``Generator.random`` keys, multiples of 2**-53 in
+    [0, 1) (``ValueError`` otherwise): bit for bit ``np.argsort(keys, axis=-1,
+    kind="stable")[..., :batch_size]``, since key * 2**53 is the draw >> 11."""
+    scaled = np.asarray(keys, dtype=np.float64) * 2.0**53     # exact: a power of two
+    if not (((scaled >= 0) & (scaled < 2.0**53)).all() and (np.floor(scaled) == scaled).all()):
+        raise ValueError("minibatch keys must be Generator.random draws: "
+                         "multiples of 2**-53 in [0, 1)")
+    return smallest_draws(scaled.astype(np.uint64) << POINT_BITS, batch_size)
 
 
 def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,

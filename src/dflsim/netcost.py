@@ -7,9 +7,9 @@ Exp(1) fading power, where U is draw t of the device's channel stream
 and latency. Energy is additive across transmitters; delay composes as a
 max over parallel device uplinks within a subnet.
 
-Per-device streams are PCG64 generators read with ``Generator.random``,
-which takes exactly one 64-bit output per double, so ``PCG64.advance``
-reaches any draw index directly (``SlotStreams``).
+Per-device streams are PCG64 bit generators read raw, one 64-bit output per
+draw, so ``PCG64.advance`` reaches any draw index directly (``SlotStreams``).
+The uniform of a draw is ``(draw >> 11) * 2**-53``, ``Generator.random``'s own.
 """
 
 from __future__ import annotations
@@ -34,30 +34,32 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 
 class SlotStreams:
-    """One stream per device, ``stream(seed, tag, d)``, read at any draw index.
+    """One stream per device, the PCG64 of ``stream(seed, tag, d)``, read raw at
+    any draw index.
 
-    ``fill`` positions each device's generator with ``PCG64.advance`` (a
-    no-op when reads follow each other), so what a device draws depends
-    only on (seed, tag, device, index), never on the reads before it.
+    ``fill`` positions each device's bit generator with ``PCG64.advance`` (a
+    no-op when reads follow each other) and reads it with ``random_raw``, so
+    what a device draws depends only on (seed, tag, device, index), never on
+    the reads before it.
     """
 
     def __init__(self, seed: int, tag: int, num_devices: int):
         self._keys = [(seed, tag, d) for d in range(num_devices)]
         # built at the first read: each costs a SeedSequence, and the first
         # one in a process imports numpy.random (about 14 ms)
-        self._generators = None
+        self._bit_generators = None
         self._next = [0] * num_devices      # draw index each generator is at
 
     def fill(self, devices, start: int, out: np.ndarray) -> None:
-        """Row j of ``out`` <- draws start, start+1, ... of device devices[j]."""
-        if self._generators is None:
-            self._generators = [stream(*key) for key in self._keys]
+        """Row j of uint64 ``out`` <- raw draws start, start+1, ... of device devices[j]."""
+        if self._bit_generators is None:
+            self._bit_generators = [stream(*key).bit_generator for key in self._keys]
         for d, row in zip(devices, out):
-            gen = self._generators[d]
+            bits = self._bit_generators[d]
             ahead = start - self._next[d]
             if ahead:
-                gen.bit_generator.advance(ahead)    # a negative delta steps back
-            gen.random(out=row)
+                bits.advance(ahead)     # a negative delta steps back
+            row[:] = bits.random_raw(row.size)
             self._next[d] = start + row.size
 
 
@@ -183,7 +185,7 @@ class RadioCostModel:
         self.distances = place_devices(radio, num_devices, seed)
         self._pathloss = np.array([pathloss_gain(radio, d) for d in self.distances.tolist()])
         self._channels = SlotStreams(int(seed), TAG_CHANNEL, num_devices)
-        self._uniforms = np.empty((num_devices, CHANNEL_BLOCK))
+        self._draws = np.empty((num_devices, CHANNEL_BLOCK), dtype=np.uint64)
         self._rates = self._prices = self._unpriced = self._first = None    # tables, first slot
         subnets = [tuple(members) for members in subnets]
         self.num_subnets = len(subnets)
@@ -197,8 +199,8 @@ class RadioCostModel:
         """Slot t's index in the tables, refilled if needed."""
         first = t - t % CHANNEL_BLOCK
         if first != self._first:
-            self._channels.fill(range(self.distances.size), first, self._uniforms)
-            gains = fading_gains(self._pathloss[:, None], self._uniforms)
+            self._channels.fill(range(self.distances.size), first, self._draws)
+            gains = fading_gains(self._pathloss[:, None], (self._draws >> 11) * 2.0**-53)
             self._rates = shannon_rate(self.radio, gains, self.radio.device_tx_power_w)
             self._prices = np.empty((CHANNEL_BLOCK, 2, self.num_subnets))
             self._unpriced = np.zeros(CHANNEL_BLOCK, dtype=bool)

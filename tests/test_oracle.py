@@ -10,6 +10,7 @@ stream, advanced to the slot, gives.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,39 @@ def test_minibatch_is_the_stable_argsort_at_realistic_sizes(sizes, rows, slots, 
     assert np.array_equal(losses.minibatch(keys, batch), want)
 
 
+@given(st.one_of(st.integers(1, 100), st.sampled_from([2047, 2048, 2049])),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_smallest_draws_is_the_stable_argsort_of_the_keys(n, rows, seed, data):
+    # raw draws whose keys draws >> 11 tie in about half the rows: a later point
+    # takes an earlier one's key with smaller low bits, an equal double that must
+    # still come after it; 2048 points is the longest row the integer keys cover
+    batch = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, 2**64, size=(rows, n), dtype=np.uint64)
+    if n > 1:
+        for r in np.flatnonzero(rng.random(rows) < 0.5):
+            first, later = np.sort(rng.choice(n, 2, replace=False))
+            if rng.random() < 0.5:      # tie at the smallest key, inside every batch
+                draws[r, first] &= 2**11 - 1
+            draws[r, first] |= 2**11 - 1
+            draws[r, later] = draws[r, first] - rng.integers(1, 2**11, dtype=np.uint64)
+    want = np.argsort(draws >> 11, axis=-1, kind="stable")[..., :batch]
+    assert np.array_equal(losses.smallest_draws(draws.copy(), batch), want)
+    assert np.array_equal(losses.smallest_draws(draws[:1].reshape(1, 1, n), batch), want[:1, None])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2.0**-53, 1.0, 2.0,
+                                 2.0**-60, 5e-324, 0.1])
+def test_minibatch_refuses_keys_off_the_random_grid(bad):
+    # Generator.random draws are multiples of 2**-53 in [0, 1); 0.1 is not one
+    keys = np.array([[0.5, 0.25, 0.75], [0.125, bad, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="multiples of 2\\*\\*-53 in \\[0, 1\\)"):
+            losses.minibatch(keys, 2)
+    assert np.array_equal(losses.minibatch(keys[:1], 2), [[1, 0]])
+
+
 def engine_minibatch(proto, t):
     """The (D, b) point indices the engine's SGD step uses at slot t."""
     with mock.patch.object(proto.topology.stack, "minibatch_gradients") as spy:
@@ -314,6 +348,21 @@ def test_engine_minibatches_equal_the_device_streams(case, batch, slots):
     for t in slots:     # any order: a slot is read at its own draw index
         got = engine_minibatch(proto, t)
         for i, n in enumerate(topo.stack.counts.tolist()):
+            assert np.array_equal(got[i], stream_minibatch(5, i, n, batch, t))
+
+
+@pytest.mark.parametrize("batch", [7, 40])
+def test_engine_minibatches_above_2048_points_equal_the_device_streams(batch):
+    # 2100 points do not fit the 11 low bits of the integer keys; the 40-point
+    # device still does, and at batch 40 draws nothing
+    gen = np.random.default_rng(3)
+    parts = [Dataset(gen.standard_normal((n, 2)), gen.standard_normal(n)) for n in (2100, 40)]
+    topo = build_topology(parts, [2])
+    proto = Protocol(topo, LossModel(RIDGE, feature_dim=2, regularization=0.1),
+                     seed=5, batch_size=batch, w_star=None)
+    for t in (1, 30, 16, 2, 200, 199):      # out of order, stepping back
+        got = engine_minibatch(proto, t)
+        for i, n in enumerate((2100, 40)):
             assert np.array_equal(got[i], stream_minibatch(5, i, n, batch, t))
 
 
