@@ -417,8 +417,9 @@ def error_terms(device_models: np.ndarray, topology: FleetTopology,
     """
     v_bar = topology.global_sums(companions)
     # the running sums add the terms one at a time, as a loop over the devices would
-    e1_sq = topology.device_total(
-        _dots(device_models - companions[..., topology.subnet_of, :]))
+    # deviations from the companions, in place in their gather (C-contiguous from ``take``)
+    deviations = np.take(companions, topology.subnet_of, axis=-2)
+    e1_sq = topology.device_total(_dots(np.subtract(device_models, deviations, out=deviations)))
     e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar[..., None, :]),
                            axis=-1)[..., -1]
     e3 = norms(v_bar - w_star)

@@ -260,9 +260,10 @@ def build_config(effective: dict, schedule, control, radio) -> ExperimentConfig:
         kind=mdl["kind"], feature_dim=dataset.feature_dim,
         regularization=float(mdl["regularization"]),
         num_classes=mdl["num_classes"] if mdl["kind"] == SVM else 1))
+    # the labels suit the model, before the svm partition deals them out by label
+    checked("model", lambda: model.check_dataset(dataset))
     fleet = checked("topology",
                     lambda: build_fleet(topo, subnet_sizes(topo), dataset, model))
-    checked("model", lambda: fleet.stack.layout(model))    # the labels suit the model
     checked("dataset", lambda: second_moment(fleet.datasets, fleet.global_weights()))  # finite X'X
     smallest, batch_size = int(fleet.stack.counts.min()), effective["batch_size"]
     if batch_size > smallest:

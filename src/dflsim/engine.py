@@ -240,16 +240,18 @@ class Protocol:
     """Mutable protocol state advanced one interval at a time. Checked here, once: the
     model vectors, data and batch size (the topology checks its weights); slots only compute.
 
-    A slot that logs only records its state, ``(t, k, w, noise_free, events
-    charged)``; the arrays are kept by reference, since every slot binds new
-    ``w`` and ``noise_free`` arrays and nothing writes into them. A slot that
+    A slot that logs only records its state: its models are copied into the next
+    row of one (piece, D, M) buffer, and ``(t, k, noise_free, events charged)``
+    is kept, the companions by reference, since every slot binds a new
+    ``noise_free`` array and nothing writes into it. A slot that
     charges records one chunk per charge, ``(t, subnet ids, (2, .) prices)``;
     ``result`` turns the chunks into the event columns, and cum_energy and
     cum_delay into running sums over them, left to right in log order. ``_log_row``
     computes the rows of every recorded slot at once, over a leading row axis: at
     construction (the t=0 row), whenever the pending rows fill a piece of
-    ``max(1, CHUNK_ELEMENTS // (4*D*M))`` rows, across interval ends, and in
-    ``result``. An interval that a ``theta_policy`` drives also computes its rows
+    ``max(1, CHUNK_ELEMENTS // (D*M))`` rows, across interval ends, and in
+    ``result``; beside the buffer it holds at most one (rows, D, M) temporary at a
+    time. An interval that a ``theta_policy`` drives also computes its rows
     at its end, before its outcome is returned, so that a controller never reads
     an interval that diverged. A slot row equals the one computed alone, bit for
     bit, and a diverging run stops at the flush holding its first non-finite row,
@@ -289,8 +291,11 @@ class Protocol:
         self._charges = [(0, np.empty(0, dtype=np.int64), np.empty((2, 0)))]
         self._charged = 0       # events in the chunks
         self._rows: dict[str, list] = {name: [] for name in METRIC_COLUMNS[:-2] + ("charged",)}
-        self._piece = topology.stack.points_per_chunk(model)     # rows per flush
-        self._pending = [self._state()]      # recorded slots whose rows are not computed
+        # rows per flush: their (rows, D, M) models fill one CHUNK_ELEMENTS buffer
+        self._piece = max(1, CHUNK_ELEMENTS // (topology.num_devices * model.model_dim))
+        self._models = np.empty((self._piece, topology.num_devices, model.model_dim))
+        self._pending = []      # the rest of each recorded slot whose row is not computed
+        self._pending.append(self._state())
         self._pending_snapshot: np.ndarray | None = None
         self._indicators: dict = {}     # (tau, local_agg_offsets) -> its read-only table
         self._log_row()
@@ -331,8 +336,10 @@ class Protocol:
         return self._indicators[key]
 
     def _state(self) -> tuple:
-        """What a logged slot's row is computed from, in the order of ``_log_row``."""
-        return self.t, self.k, self.w, self.noise_free, self._charged
+        """Copy a logged slot's models into the next row of ``_models``, and return
+        the rest of what its row is computed from, in the order of ``_log_row``."""
+        self._models[len(self._pending)] = self.w
+        return self.t, self.k, self.noise_free, self._charged
 
     @staticmethod
     def _diverged(t: int, k: int, device: int, what: str) -> DivergenceError:
@@ -346,9 +353,9 @@ class Protocol:
         Rows are checked in slot order, each its squared norms before its loss:
         the rows before the first bad one are appended, then it raises.
         """
-        t, k, models, companions, charged = zip(*self._pending)
+        t, k, companions, charged = zip(*self._pending)
         self._pending = []
-        W = np.stack(models)
+        W = self._models[:len(t)]
         sq_norms = _dots(W)
         finite = np.isfinite(sq_norms)
         bad = ~finite.all(axis=1)

@@ -117,17 +117,19 @@ class FleetTopology:
     def subnet_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
         weighted = self.device_weights[:, None] * values
-        out = np.zeros(values.shape[:-2] + (self.num_subnets, values.shape[-1]))
-        # member j of every subnet at once: each subnet adds its members in order
-        for subnets, members in self.positions:
+        # member j of every subnet at once: each subnet adds its members in order, the
+        # first to 0.0, which is the loop's start at zero (IEEE addition commutes)
+        (_, first), *rest = self.positions
+        out = weighted[..., first, :] + 0.0
+        for subnets, members in rest:
             out[..., subnets, :] += weighted[..., members, :]
         return out
 
     def global_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., N, M) -> (..., M): varrho-weighted sum over the subnets."""
         weighted = self.subnet_weights[:, None] * values
-        out = np.zeros(values.shape[:-2] + values.shape[-1:])
-        for c in range(self.num_subnets):
+        out = weighted[..., 0, :] + 0.0
+        for c in range(1, self.num_subnets):
             out += weighted[..., c, :]
         return out
 

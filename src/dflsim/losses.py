@@ -337,11 +337,12 @@ class DeviceStack:
                           targets.take(rows, axis=0), W)
 
     def losses(self, model: LossModel, W: np.ndarray) -> np.ndarray:
-        """(..., M) points -> (..., D): the objective of every device at every point."""
+        """(..., M) points -> (..., D): the objective of every device at every point,
+        one kernel call per block for as many points as fill 2*CHUNK_ELEMENTS margins."""
         points = W.reshape(-1, W.shape[-1])
         out = np.empty((points.shape[0], self.num_devices))
         for devices, X, targets in self.layout(model)[1]:
-            step = max(1, CHUNK_ELEMENTS // targets.size)   # points per kernel call
+            step = max(1, 2 * CHUNK_ELEMENTS // targets.size)   # points per kernel call
             for s in range(0, points.shape[0], step):
                 out[s:s + step, devices] = _losses(model, X, targets, points[s:s + step, None])
         return out.reshape(W.shape[:-1] + (self.num_devices,))

@@ -337,6 +337,19 @@ def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_regression_labels_under_the_default_svm_name_the_model(tmp_path, capsys):
+    # without its model section the ridge config gets the svm kind, whose labels
+    # are checked before the partition deals them out by label
+    blob = json.loads((REPO / "configs" / "minimal_ridge.json").read_text())
+    del blob["model"]
+    path = tmp_path / "ridge.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model.num_classes: svm labels must be integers")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_multi_seed_run_builds_the_data_once(tmp_path, monkeypatch):
     from dflsim import config
 
@@ -406,7 +419,8 @@ def test_a_fixed_schedule_sums_subnets_only_in_the_slots_that_read_them(tmp_path
                                                                        monkeypatch):
     # label_skew_svm: 10 intervals of 20 slots aggregating every 5th slot, the
     # capture at slot 10 among them: 40 slots read the sums, then the fleet
-    # averages of 21 one-row flushes; 200 slots would be 221
+    # averages of 5 flushes: the t=0 row, then 20 rows in pieces of
+    # 32768 // (50*120) = 5; 200 slots would be 205
     from dflsim.fleet import FleetTopology
 
     calls = count_calls(monkeypatch, FleetTopology, "subnet_sums")
@@ -415,7 +429,7 @@ def test_a_fixed_schedule_sums_subnets_only_in_the_slots_that_read_them(tmp_path
     path = tmp_path / "svm.json"
     path.write_text(json.dumps(blob))
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
-    assert calls == {"subnet_sums": 61}
+    assert calls == {"subnet_sums": 45}
 
 
 def test_a_replica_run_builds_its_layout_once_and_checks_no_slot(monkeypatch):

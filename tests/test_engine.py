@@ -416,7 +416,7 @@ def test_engine_companion_errors_equal_the_straight_line_loop(case):
 
 @contextlib.contextmanager
 def pieces_of(budget):
-    """Metric rows computed ``budget // (4*D*M)`` at a time, or one at a time."""
+    """Metric rows computed ``budget // (D*M)`` at a time, or one at a time."""
     with mock.patch.object(losses, "CHUNK_ELEMENTS", budget), \
             mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
         yield
@@ -568,20 +568,51 @@ def test_a_fixed_schedule_computes_its_rows_at_construction_and_in_the_result():
     assert flushes == [(0, 1), (6, 2)] and not proto._pending
 
 
-@given(companion_runs(num_plans=(2, 6)), st.integers(1, 7))
-def test_pieces_across_interval_ends_equal_rows_computed_one_at_a_time(case, every):
+@given(companion_runs(num_plans=(2, 6)), st.integers(1, 7), st.sampled_from([None, 2, 5]))
+def test_pieces_across_interval_ends_equal_rows_computed_one_at_a_time(case, every, rows):
     topo, model, seed, batch, plans, w_star = case
     schedule = TrainingSchedule(tuple(plans))
     kwargs = dict(seed=seed, batch_size=batch, w_star=w_star, metrics_every=every)
-    with recorded_flushes() as flushes:
+    # the default budget, or one of ``rows`` rows of this fleet, which splits a run
+    # into several pieces
+    size = topo.num_devices * model.model_dim
+    budget = losses.CHUNK_ELEMENTS if rows is None else rows * size
+    with pieces_of(budget), recorded_flushes() as flushes:
         res = run_training(topo, model, schedule, **kwargs)
     # the t=0 row, then one flush per full piece and one for the rest in the result
-    piece = topo.stack.points_per_chunk(model)
+    piece = max(1, budget // size)
     assert len(flushes) == 1 + -(-(res.column("t").size - 1) // piece)
     with pieces_of(1):
         other = run_training(topo, model, schedule, **kwargs)
     for name in res.metrics:
         assert np.array_equal(other.column(name), res.column(name)), name
+
+
+def test_a_tracked_run_flushes_by_the_rule_within_the_loss_budget():
+    # the adaptive_demo fleet (20 devices of 60 points, model dim 60, 10 classes)
+    # under the label_skew_svm fixed schedule, tracking on, metrics every slot:
+    # 201 rows in pieces of 32768 // (20*60) = 27, so 9 flushes; each loss call
+    # takes 2*32768 // 12000 = 5 points of 12 000 margins, so a piece of 27 rows
+    # takes 6 calls: 1 + 7*6 + 3 (the last 11 rows) = 46 calls
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "adaptive_demo.json")
+    topo, model = cfg.fleet, cfg.model
+    schedule = TrainingSchedule.uniform(10, 20, alpha=0.5, eta=0.03, delay=10,
+                                        local_agg_period=5, num_subnets=topo.num_subnets)
+    margins = []
+    kernel = losses._losses
+
+    def spy(model, X, targets, W):
+        margins.append(W.shape[0] * targets.size)
+        return kernel(model, X, targets, W)
+
+    with mock.patch.object(losses, "_losses", spy), recorded_flushes() as flushes:
+        res = run_training(topo, model, schedule, seed=0, batch_size=cfg.batch_size,
+                           w_star=np.zeros(model.model_dim))
+    piece = losses.CHUNK_ELEMENTS // (topo.num_devices * model.model_dim)
+    assert piece == 27 and res.column("t").size == 201
+    assert len(flushes) == 1 + -(-200 // piece) == 9
+    assert max(rows for _, rows in flushes) == piece
+    assert max(margins) <= 2 * losses.CHUNK_ELEMENTS and len(margins) == 46
 
 
 @st.composite
@@ -634,21 +665,21 @@ def test_a_fixed_schedule_equals_a_policy_returning_its_table(case):
     assert np.array_equal(fixed.final_models, driven.final_models)
 
 
-@pytest.mark.parametrize("num_intervals", [12, 30])
+@pytest.mark.parametrize("num_intervals", [12, 30, 110])
 @pytest.mark.parametrize("eta, bad_t, message", [
     (20.0, 107, "t=107, k=10: device 1 has a non-finite squared norm; the run diverged"),
     (50.0, 84, "t=84, k=8: device 1 has a non-finite squared norm; the run diverged"),
 ])
 def test_a_diverging_fixed_schedule_names_its_first_row_under_any_piece(num_intervals, eta,
                                                                          bad_t, message):
-    # a piece of this fleet is 256 rows: 12 intervals compute theirs in the
-    # result, 30 fill the piece at slot 256; either way the error is the one
-    # of rows computed one at a time, with no warning
+    # a piece of this fleet is 32768 // (8*4) = 1024 rows: 12 and 30 intervals
+    # compute theirs in the result, 110 fill the piece at slot 1024; either way
+    # the error is the one of rows computed one at a time, with no warning
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "minimal_ridge.json")
     schedule = TrainingSchedule((replace(cfg.schedule.intervals[0], eta=eta),) * num_intervals)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for budget, stop in [(losses.CHUNK_ELEMENTS, min(10 * num_intervals, 256)),
+        for budget, stop in [(losses.CHUNK_ELEMENTS, min(10 * num_intervals, 1024)),
                              (1, bad_t)]:
             with pieces_of(budget), recorded_flushes() as flushes, \
                     pytest.raises(DivergenceError) as info:
