@@ -189,7 +189,7 @@ SLOT_BLOCK = 64
 
 
 class Minibatches:
-    """Every device's minibatch point indices, slot by slot.
+    """Every device's minibatch, slot by slot, as rows of the ``DeviceStack`` data.
 
     Device i's keys at slot t are draws [(t-1)*n_i, t*n_i) of stream
     (seed, TAG_SGD, i), and its minibatch is the b smallest of them
@@ -198,10 +198,10 @@ class Minibatches:
     read at once, one ``random_raw`` per device, into one reused uint64
     buffer, and each group of equal-n devices takes one ``smallest_draws``
     call: one in-place sort of every (device, slot) row of integer keys
-    (a stable argsort for rows of more than 2**11 points). The draws take
-    at most CHUNK_ELEMENTS elements (groups are cut into pieces
-    that do), unless one device's draws of one slot do not: S is as large
-    as that allows, at most SLOT_BLOCK and at least 1.
+    (a stable argsort for rows of more than 2**11 points), made data rows by one
+    add of the devices' ``offsets`` per block. The draws take at most CHUNK_ELEMENTS
+    elements (groups are cut into pieces that do), unless one device's draws of
+    one slot do not: S is as large as that allows, at most SLOT_BLOCK and at least 1.
     """
 
     def __init__(self, seed: int, stack: DeviceStack, batch_size: int):
@@ -210,10 +210,11 @@ class Minibatches:
         self.slots = max(1, min(SLOT_BLOCK, CHUNK_ELEMENTS // max(drawn, 1)))
         self._streams = SlotStreams(seed, TAG_SGD, stack.num_devices)
         self._batches = np.empty((self.slots, stack.num_devices, batch_size), dtype=np.int64)
+        self._offsets = stack.offsets[:, None, None]     # each device's first data row
         self._pieces = []           # (device ids, the same as a list, points per device)
         for devices, _, n in stack.groups:
             if n == batch_size:
-                self._batches[:, devices] = np.arange(n)
+                self._batches[:, devices] = self._offsets[devices, 0] + np.arange(n)
                 continue
             step = max(1, CHUNK_ELEMENTS // (self.slots * n))
             self._pieces += [(devices[s:s + step], devices[s:s + step].tolist(), n)
@@ -223,7 +224,7 @@ class Minibatches:
         self._first = None          # first slot of the block in ``_batches``
 
     def at(self, t: int) -> np.ndarray:
-        """(D, b) point indices of every device's minibatch at slot t >= 1."""
+        """(D, b) data rows of every device's minibatch at slot t >= 1."""
         first = t - (t - 1) % self.slots
         if first != self._first:
             for devices, rows, n in self._pieces:
@@ -231,14 +232,15 @@ class Minibatches:
                 self._streams.fill(rows, (first - 1) * n, draws)
                 batch = smallest_draws(draws.reshape(devices.size, self.slots, n),
                                        self.batch_size)
-                self._batches[:, devices] = np.swapaxes(batch, 0, 1)
+                self._batches[:, devices] = (batch + self._offsets[devices]).swapaxes(0, 1)
             self._first = first
         return self._batches[t - first]
 
 
 class Protocol:
     """Mutable protocol state advanced one interval at a time. Checked here, once: the
-    model vectors, data and batch size (the topology checks its weights); slots only compute.
+    model vectors, data and batch size (the topology checks its weights); slots only compute:
+    the SGD step hands the data rows of ``Minibatches`` to ``DeviceStack.row_gradients``.
 
     A slot that logs only records its state: its models are copied into the next
     row of one (piece, D, M) buffer, and ``(t, k, noise_free, events charged)``
@@ -313,8 +315,7 @@ class Protocol:
         (``losses.minibatch``), as ``stochastic_gradient`` draws them from
         that stream slot after slot.
         """
-        return self.topology.stack.minibatch_gradients(
-            self.model, self.w, self._minibatches.at(t))
+        return self.topology.stack.row_gradients(self.model, self.w, self._minibatches.at(t))
 
     def _charge(self, t: int, subnets: np.ndarray, prices: np.ndarray) -> None:
         """Charge one event at slot t per id in ``subnets``, in order, at that column

@@ -103,7 +103,7 @@ def _svm_margins(model: LossModel, X: np.ndarray, targets: np.ndarray,
     """max(0, 1 - t * x.w_s) per point and class, computed in one buffer; the
     GEMM is faster on a contiguous copy of the transposed blocks, same bits."""
     blocks = W.reshape(W.shape[:-1] + (model.num_classes, model.feature_dim))
-    margins = X @ np.ascontiguousarray(np.swapaxes(blocks, -1, -2))
+    margins = X @ np.ascontiguousarray(blocks.swapaxes(-1, -2))
     np.multiply(targets, margins, out=margins)
     np.subtract(1.0, margins, out=margins)
     return np.maximum(0.0, margins, out=margins)
@@ -132,12 +132,12 @@ def _gradients(model: LossModel, X: np.ndarray, targets: np.ndarray,
     n = X.shape[-2]
     if model.kind == RIDGE:
         resid = (X @ W[..., None])[..., 0] - targets
-        grad = (np.swapaxes(X, -1, -2) @ resid[..., None])[..., 0] / n
+        grad = (X.swapaxes(-1, -2) @ resid[..., None])[..., 0] / n
     else:
         coeff = _svm_margins(model, X, targets, W)
         np.multiply(targets, coeff, out=coeff)
         np.multiply(-2.0, coeff, out=coeff)
-        grad = np.swapaxes(coeff, -1, -2) @ X / n
+        grad = coeff.swapaxes(-1, -2) @ X / n
         grad = grad.reshape(grad.shape[:-2] + (model.model_dim,))
     return grad + model.regularization * W
 
@@ -263,7 +263,7 @@ class DeviceStack:
             self.groups.append((devices, int(self.offsets[devices[0]]), n))
         # every device's first row and the fewest points, the default minibatch rows
         self._every_device = (self.offsets[:, None], int(self.counts.min()))
-        self._layouts: dict = {}
+        self._layouts, self._last = {}, (None, None)   # by model; (last model, its layout)
 
     @property
     def num_devices(self) -> int:
@@ -277,10 +277,12 @@ class DeviceStack:
     def layout(self, model: LossModel):
         """(targets, blocks) of ``model``, built on first use: the kernel targets
         of every row, and (device ids, (G, n, m) features, targets) blocks of
-        at most CHUNK_ELEMENTS targets."""
-        if model not in self._layouts:
-            self._layouts[model] = self._build_layout(model)
-        return self._layouts[model]
+        at most CHUNK_ELEMENTS targets; the last model's is found by identity."""
+        if model is not self._last[0]:
+            if model not in self._layouts:
+                self._layouts[model] = self._build_layout(model)
+            self._last = (model, self._layouts[model])
+        return self._last[1]
 
     def _build_layout(self, model: LossModel):
         model.check_dataset(Dataset(self.features, self.labels))
@@ -326,15 +328,17 @@ class DeviceStack:
         over its points ``idx[j]`` at ``W[j]``, the value of
         ``full_gradient`` on ``dataset.subset(idx[j])``.
         """
-        targets = self.layout(model)[0]
         idx = np.asarray(idx, dtype=np.int64)
         first_rows, smallest = self._every_device if devices is None else (
             self.offsets[devices, None], int(self.counts[devices].min(initial=idx.shape[1])))
         if not 1 <= idx.shape[1] <= smallest:
             raise BatchSizeError(f"batch_size {idx.shape[1]} outside [1, {smallest}]")
-        rows = first_rows + idx
+        return self.row_gradients(model, W, first_rows + idx)
+
+    def row_gradients(self, model: LossModel, W, rows) -> np.ndarray:
+        """(k, M) points, (k, b) data rows -> (k, M): the gradient over rows[j] at W[j]."""
         return _gradients(model, self.features.take(rows, axis=0),
-                          targets.take(rows, axis=0), W)
+                          self.layout(model)[0].take(rows, axis=0), W)
 
     def losses(self, model: LossModel, W: np.ndarray) -> np.ndarray:
         """(..., M) points -> (..., D): the objective of every device at every point,

@@ -28,14 +28,19 @@ TAG_PLACEMENT = 3
 TAG_PROBE = 4
 
 
+def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The seed sequence of one (seed, tag, ...) key, which every stream starts from."""
+    return np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for one (seed, tag, ...) key."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
+    return np.random.default_rng(seed_sequence(seed, *key))
 
 
 class SlotStreams:
-    """One stream per device, the PCG64 of ``stream(seed, tag, d)``, read raw at
-    any draw index.
+    """One stream per device, the PCG64 of ``stream(seed, tag, d)`` built without its
+    ``Generator`` (the same draws), read raw at any draw index.
 
     ``fill`` positions each device's bit generator with ``PCG64.advance`` (a
     no-op when reads follow each other) and reads it with ``random_raw``, so
@@ -53,7 +58,7 @@ class SlotStreams:
     def fill(self, devices, start: int, out: np.ndarray) -> None:
         """Row j of uint64 ``out`` <- raw draws start, start+1, ... of device devices[j]."""
         if self._bit_generators is None:
-            self._bit_generators = [stream(*key).bit_generator for key in self._keys]
+            self._bit_generators = [np.random.PCG64(seed_sequence(*key)) for key in self._keys]
         for d, row in zip(devices, out):
             bits = self._bit_generators[d]
             ahead = start - self._next[d]
