@@ -9,7 +9,9 @@ run and checked as the benchmark does. Runs units alternately, A then B,
 then B then A, after WARMUP untimed units; the checked outputs (digests of
 the metrics and events) of every unit must be equal on both sides. Prints
 each side's median and quartiles of seconds per unit, the median of the
-per-pair ratios B/A and how many pairs B won.
+per-pair ratios B/A, how many pairs B won, and whether a speed-up claim for B
+would hold: B wins at least 9 of 10 pairs (ties count for neither) and the
+medians differ by more than A's interquartile range.
 
     python3 scripts/ab_units.py PARENT_TREE CHANGE_TREE --workload replicas_theorem --units 400
 
@@ -100,11 +102,15 @@ def main() -> int:
                 for s in (0, 1):
                     times[s].append(runs[s][0])
     ratios = [b / a for a, b in zip(*times)]
+    wins = sum(r < 1 for r in ratios)       # a tie counts for neither side
+    q1, median_a, q3 = statistics.quantiles(times[0], n=4)
+    holds = 10 * wins >= 9 * len(ratios) and median_a - statistics.median(times[1]) > q3 - q1
     print(f"{args.workload}: {args.units} units per side, checked outputs equal in every unit")
     print(summary(f"A {args.tree_a}", times[0]))
     print(summary(f"B {args.tree_b}", times[1]))
-    print(f"median ratio B/A {statistics.median(ratios):.3f}, "
-          f"B faster in {sum(r < 1 for r in ratios)} of {len(ratios)} pairs")
+    print(f"median ratio B/A {statistics.median(ratios):.3f}, B faster in {wins} of {len(ratios)} pairs")
+    print(f"claim rule (B wins at least 9 of 10 pairs, and A's median exceeds B's by more "
+          f"than A's interquartile range): {'holds' if holds else 'does not hold'}")
     return 0
 
 

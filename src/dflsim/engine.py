@@ -307,16 +307,6 @@ class Protocol:
     def subnet_aggregate(self, values: np.ndarray, c: int) -> np.ndarray:
         return self.topology.subnet_sums(values)[c]
 
-    def _sgd_gradients(self, t: int) -> np.ndarray:
-        """Every device's minibatch gradient at its model, for slot t.
-
-        Device i's keys are draws [(t-1)*n_i, t*n_i) of stream
-        (seed, TAG_SGD, i) and its minibatch is the b smallest of them
-        (``losses.minibatch``), as ``stochastic_gradient`` draws them from
-        that stream slot after slot.
-        """
-        return self.topology.stack.row_gradients(self.model, self.w, self._minibatches.at(t))
-
     def _charge(self, t: int, subnets: np.ndarray, prices: np.ndarray) -> None:
         """Charge one event at slot t per id in ``subnets``, in order, at that column
         of ``prices``, (2, .) energy and delay rows; id -1 is the global event."""
@@ -413,7 +403,7 @@ class Protocol:
 
         for step in range(1, plan.tau + 1):
             t = t0 + step
-            grads = self._sgd_gradients(t)
+            grads = topo.stack.row_gradients(self.model, self.w, self._minibatches.at(t))
             tentative = self.w - plan.eta * grads
             if theta_policy is not None:
                 aggregates = topo.subnet_sums(tentative)

@@ -23,14 +23,6 @@ from .errors import (
 from .losses import DeviceStack, LossModel, minibatch, norms, solve_optimum
 
 
-def _index(ids: list[int]) -> slice | np.ndarray:
-    """The ids as a slice (a view of the same elements) if evenly rising, else an index array."""
-    step = ids[1] - ids[0] if len(ids) > 1 else 1
-    if step > 0 and ids == list(range(ids[0], ids[-1] + 1, step)):
-        return slice(ids[0], ids[-1] + 1, step)
-    return np.array(ids, dtype=np.int64)
-
-
 def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     """(..., K, M) C-ordered -> (..., M): rows added in order from 0.0, as the reduce does
     unless it pairwise-sums 8 or more rows of length 1: there 0.0 + the running sum."""
@@ -66,7 +58,7 @@ class FleetTopology:
     # weights and padding slots, which gather device -1 at weight 1.0, then are set to +0.0
     table: tuple = field(init=False, repr=False, compare=False)
     # the device ids subnet by subnet, members in order, and their global weights
-    order: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
     ordered_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,7 +88,7 @@ class FleetTopology:
             (self.num_subnets, width), None if (ids == np.arange(ids.size)).all() else ids,
             np.where(ids < 0, 1.0, self.device_weights[ids])[:, None], np.flatnonzero(ids < 0)))
         order = [i for members in self.subnets for i in members]
-        object.__setattr__(self, "order", _index(order))
+        object.__setattr__(self, "order", np.array(order, dtype=np.int64))
         object.__setattr__(self, "ordered_weights", self.global_weights()[order])
         stack = DeviceStack(self.datasets)
         object.__setattr__(self, "stack", stack)
@@ -384,7 +376,8 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
     """Conservative sigma estimate: max ||ghat - grad F_i|| over sampled draws.
 
     Draws go probe by probe, device by device, repeat by repeat, each one
-    the keys of ``stochastic_gradient``. A device with at most
+    the keys of ``stochastic_gradient``, and each repeat's minibatches go to
+    ``DeviceStack.row_gradients`` as data rows. A device with at most
     ``batch_size`` points has its full data as the minibatch, no draw and
     a zero gap.
     """
@@ -399,8 +392,8 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
         idx = np.stack([minibatch(rng.random((repeats, int(stack.counts[i]))), batch_size)
                         for i in sampled])
         for r in range(repeats):
-            ghat = stack.minibatch_gradients(model, np.tile(w, (sampled.size, 1)),
-                                             idx[:, r], sampled)
+            ghat = stack.row_gradients(model, np.tile(w, (sampled.size, 1)),
+                                       stack.offsets[sampled, None] + idx[:, r])
             worst = max(worst, _largest_excess(norms(ghat - exact), 0.0))
     return worst
 

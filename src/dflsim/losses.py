@@ -241,10 +241,12 @@ class DeviceStack:
     so each group of equal ``n`` is one ``(G, n, m)`` block: nothing is
     padded. A loss model's layout, its kernel targets (the labels, or the
     +-1 rows of the svm) and their block views, is built and the data
-    checked once per model. Every method runs ``_gradients`` (or
-    ``_losses``) on whole blocks, and slice i of a result equals the
-    single-device call for device i bit for bit. Model vectors come
-    checked: per call by the fleet's public functions, once by ``Protocol``.
+    checked once per model. Four entries run the kernel: ``gradients``,
+    ``own_gradients`` and ``losses`` on whole blocks, where slice i of a
+    result equals the single-device call for device i bit for bit, and
+    ``row_gradients`` on the data rows it is handed (the minibatches of the
+    SGD step and of the sigma estimate). Model vectors come checked: per
+    call by the fleet's public functions, once by ``Protocol``.
     """
 
     def __init__(self, datasets: Sequence[Dataset]):
@@ -261,8 +263,6 @@ class DeviceStack:
         for n in sorted(set(self.counts.tolist())):   # np.unique would import numpy.ma
             devices = order[self.counts[order] == n]
             self.groups.append((devices, int(self.offsets[devices[0]]), n))
-        # every device's first row and the fewest points, the default minibatch rows
-        self._every_device = (self.offsets[:, None], int(self.counts.min()))
         self._layouts, self._last = {}, (None, None)   # by model; (last model, its layout)
 
     @property
@@ -320,20 +320,6 @@ class DeviceStack:
         for devices, X, targets in self.layout(model)[1]:
             out[devices] = _gradients(model, X, targets, W[devices])
         return out
-
-    def minibatch_gradients(self, model: LossModel, W, idx, devices=None) -> np.ndarray:
-        """(k, M) points and (k, b) point indices -> (k, M) minibatch gradients.
-
-        Row j is the gradient of device ``devices[j]`` (default: device j)
-        over its points ``idx[j]`` at ``W[j]``, the value of
-        ``full_gradient`` on ``dataset.subset(idx[j])``.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        first_rows, smallest = self._every_device if devices is None else (
-            self.offsets[devices, None], int(self.counts[devices].min(initial=idx.shape[1])))
-        if not 1 <= idx.shape[1] <= smallest:
-            raise BatchSizeError(f"batch_size {idx.shape[1]} outside [1, {smallest}]")
-        return self.row_gradients(model, W, first_rows + idx)
 
     def row_gradients(self, model: LossModel, W, rows) -> np.ndarray:
         """(k, M) points, (k, b) data rows -> (k, M): the gradient over rows[j] at W[j]."""

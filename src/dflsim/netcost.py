@@ -220,11 +220,6 @@ class RadioCostModel:
             self._first = first
         return t - first
 
-    def device_rates(self, t: int, members) -> np.ndarray:
-        """Uplink rates at slot t of the devices ``members`` (any index shape)."""
-        row = self._row(t)
-        return self._rates[np.asarray(members), row]
-
     def local_event(self, t: int) -> np.ndarray:
         """Read-only (2, N) energy and delay of one local aggregation in every subnet at slot t."""
         row = self._row(t)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dflsim import cli
+from dflsim import cli, control
 from dflsim.analysis import alpha_limit, compute_constants, eta_max_limit, gamma_limit, theorem_bound
 from dflsim.control import (
     ControlConfig,
@@ -30,11 +30,12 @@ from dflsim.control import (
     trigger_local_aggregation,
 )
 from dflsim.data import Dataset
+from dflsim.engine import Protocol
 from dflsim.errors import EstimationError, InfeasibleError
 from dflsim.fleet import FleetTopology, HeterogeneityParams, build_topology, measure_diversity
 from dflsim.losses import RIDGE, SVM, LossModel, full_gradient, norms
 from dflsim.netcost import CostSnapshot, stream
-from dflsim.validate import diverse_problem, theorem_problem
+from dflsim.validate import diverse_problem, theorem_problem, trend_fleet
 
 
 def test_select_step_size_postconditions():
@@ -578,6 +579,53 @@ def test_run_adaptive_records_the_clamped_tail_delay():
     assert [d.delay_eff for d in res.decisions] == [3, 3, 1]
     for d in res.decisions:
         assert len(d.theta_counts) == prob.topology.num_subnets
+
+
+TREND_CONFIG = ControlConfig(phi=2.0, tau_min=4, tau_max=12, horizon=60, initial_tau=4,
+                             probe_scale=0.5)
+
+
+def adaptive_plans():
+    """The plans a small adaptive run on ``trend_fleet(3)`` at delay 2 hands to
+    ``run_interval``, and its decisions."""
+    plans, run_interval = [], Protocol.run_interval
+
+    def spy(proto, plan, theta_policy=None):
+        plans.append(plan)
+        return run_interval(proto, plan, theta_policy)
+
+    topo, model = trend_fleet(3)
+    with mock.patch.object(Protocol, "run_interval", spy):
+        res = run_adaptive(topo, model, TREND_CONFIG, seed=1, batch_size=10, delay=2)
+    assert len(plans) == len(res.decisions)
+    return plans, res.decisions
+
+
+def test_adaptive_step_size_decays_by_the_interval_index():
+    # eta_k = eta_max/(1 + gamma*k): interval k runs at the (eta_max, gamma) the
+    # decision before it chose, wherever it runs that decision's tau and delay
+    plans, decisions = adaptive_plans()
+    counted = 0
+    for i, (plan, d) in enumerate(zip(plans[1:], decisions), start=1):
+        if not d.fallback and plan.tau == d.tau_next and plan.delay == 2:
+            assert plan.eta == d.eta_max / (1.0 + d.gamma * i)
+            counted += 1
+    assert counted >= 2
+
+
+def test_each_plan_carries_the_previous_decisions_alpha():
+    # the controller only ever picks alpha 0 on these fleets, so its choice is
+    # replaced by 0.375: the engine must combine with what was decided
+    solve = control.solve_p
+
+    def deciding(*args):
+        return replace(solve(*args), alpha_next=0.375)
+
+    with mock.patch.object(control, "solve_p", deciding):
+        plans, decisions = adaptive_plans()
+    assert plans[0].alpha == 0.0
+    assert [p.alpha for p in plans[1:]] == [d.alpha_next for d in decisions[:-1]]
+    assert 0.375 in [p.alpha for p in plans]
 
 
 # SHA-256 of adaptive_demo seed 0's manifest decisions, json.dumps(..., sort_keys=True)

@@ -22,7 +22,6 @@ from dflsim import losses
 from dflsim.analysis import error_terms, noise_free_step
 from dflsim.data import Dataset
 from dflsim.engine import Protocol, TrainingSchedule, run_training
-from dflsim.errors import BatchSizeError
 from dflsim.fleet import (
     FleetTopology,
     build_topology,
@@ -71,6 +70,12 @@ def slot_stream(seed, device, draws, tag=TAG_SGD):
     gen = stream(seed, tag, device)
     gen.bit_generator.advance(draws)
     return gen
+
+
+def device_rates(cost, t, members):
+    """Uplink rates at slot t of the devices ``members``, read from the channel table."""
+    row = cost._row(t)      # refills the table first when t is outside its block
+    return cost._rates[np.asarray(members), row]
 
 
 def looped_subnet_gradient(topo: FleetTopology, model, c, w):
@@ -226,24 +231,6 @@ def test_device_total_over_leading_axes_equals_the_row_calls(case):
             assert same_bits(rows[p, m], topo.device_total(values[p, :, m]))
 
 
-@given(fleets(), st.integers(0, 2**32 - 1))
-def test_default_devices_equal_the_explicit_ones(case, seed):
-    topo, model, points, _ = case
-    stack = topo.stack
-    gen = np.random.default_rng(seed)
-    smallest = int(stack.counts.min())
-    batch = int(gen.integers(1, smallest + 1))
-    idx = np.stack([gen.permutation(n)[:batch] for n in stack.counts.tolist()])
-    W = points[np.arange(topo.num_devices) % len(points)]
-    every = np.arange(topo.num_devices)
-    assert same_bits(stack.minibatch_gradients(model, W, idx),
-                     stack.minibatch_gradients(model, W, idx, every))
-    for bad in (0, smallest + 1):
-        for devices in (None, every):
-            with pytest.raises(BatchSizeError, match=f"batch_size {bad} outside"):
-                stack.minibatch_gradients(model, W, np.zeros((topo.num_devices, bad)), devices)
-
-
 @given(fleets(), st.integers(0, 50), st.integers(1, 9))
 def test_minibatch_form_equals_stochastic_gradient(case, t, batch):
     topo, model, points, _ = case
@@ -254,7 +241,7 @@ def test_minibatch_form_equals_stochastic_gradient(case, t, batch):
     idx = np.array([np.argsort(slot_stream(5, i, t * n).random(n), kind="stable")[:batch]
                     if batch < n else np.arange(n)
                     for i, n in enumerate(topo.stack.counts.tolist())])
-    got = topo.stack.minibatch_gradients(model, W, idx)
+    got = topo.stack.row_gradients(model, W, topo.stack.offsets[:, None] + idx)
     for i, ds in enumerate(topo.datasets):
         want = stochastic_gradient(model, ds, W[i], batch, slot_stream(5, i, t * ds.n))
         assert np.array_equal(got[i], want)
@@ -329,10 +316,7 @@ def test_minibatch_refuses_keys_off_the_random_grid(bad):
 
 def engine_minibatch(proto, t):
     """The (D, b) point indices the engine's SGD step uses at slot t."""
-    stack = proto.topology.stack
-    with mock.patch.object(stack, "row_gradients") as spy:
-        proto._sgd_gradients(t)
-    return spy.call_args.args[2] - stack.offsets[:, None]
+    return proto._minibatches.at(t) - proto.topology.stack.offsets[:, None]
 
 
 def stream_minibatch(seed, i, n, batch, t):
@@ -386,7 +370,7 @@ def test_channel_table_equals_the_device_streams(num_devices, seed, slots):
     radio = RadioConfig()
     cost = RadioCostModel(radio, 10, num_devices, (tuple(range(num_devices)),), seed)
     for t in slots:
-        got = cost.device_rates(t, range(num_devices))
+        got = device_rates(cost, t, range(num_devices))
         for d in range(num_devices):
             u = slot_stream(seed, d, t, tag=TAG_CHANNEL).random()
             gain = pathloss_gain(radio, float(cost.distances[d])) * -np.log1p(-u)
@@ -414,7 +398,7 @@ def test_snapshot_prices_the_capture_events(tau, delay, period, seed, sizes):
     bits = model.model_dim * radio.bits_per_parameter
     for ev in reversed(res.events):     # the table steps back
         if ev.kind == "local":
-            rates = cost.device_rates(ev.t, topo.subnets[ev.subnet])
+            rates = device_rates(cost, ev.t, topo.subnets[ev.subnet])
             assert ev.energy_j == aggregation_energy(radio, bits, rates,
                                                      radio.device_tx_power_w)
             assert ev.delay_s == aggregation_delay(radio, bits, rates)
