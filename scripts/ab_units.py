@@ -7,7 +7,8 @@ builds each side's runner with ``dflbench/child.py``'s ``make_runner``
 while ``dflsim`` names that tree: a unit is the benchmark's own, prepared,
 run and checked as the benchmark does. Runs units alternately, A then B,
 then B then A, after WARMUP untimed units; the checked outputs (digests of
-the metrics and events) of every unit must be equal on both sides. Prints
+the metrics and events, and of a CLI unit's manifest, which holds the
+controller's decisions) of every unit must be equal on both sides. Prints
 each side's median and quartiles of seconds per unit, the median of the
 per-pair ratios B/A, how many pairs B won, and whether a speed-up claim for B
 would hold: B wins at least 9 of 10 pairs (ties count for neither) and the
@@ -26,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import statistics
@@ -53,12 +55,15 @@ def load_tree(tree: Path, package: str) -> None:
 
 
 def timed_unit(runner, sim_seed: int) -> tuple[float, dict]:
-    """Seconds of ``runner.run``, and what ``runner.check`` makes of its output."""
+    """Seconds of ``runner.run``, and what ``runner.check`` makes of its output, with
+    the digest of a CLI unit's manifest, read before ``check`` removes its directory."""
     inputs = runner.prepare(sim_seed)
     start = perf_counter()
     output = runner.run(sim_seed, inputs)
     seconds = perf_counter() - start
-    return seconds, runner.check(sim_seed, output)
+    manifest = hashlib.sha256((output / "run_manifest.json").read_bytes()).hexdigest() \
+        if isinstance(output, Path) else None
+    return seconds, {**runner.check(sim_seed, output), "manifest": manifest}
 
 
 def summary(label: str, seconds: list[float]) -> str:

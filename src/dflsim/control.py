@@ -531,7 +531,10 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
         except EstimationError:
             reused = True    # degenerate uploads: keep the previous estimates
 
-        e3_init = float(norms(topology.global_gradient(model, outcome.snapshot))) / params_hat.mu
+        snapshot_norm = float(norms(topology.global_gradient(model, outcome.snapshot)))
+        e3_init = snapshot_norm / params_hat.mu
+        # the exact norm at the snapshot, every subnet's trigger reference from here on
+        reference.store(np.ones(topology.num_subnets, dtype=bool), outcome.snapshot, snapshot_norm)
         # the forecast marks: the trigger's step at the uploads' subnet aggregates
         theta = deviation_marks(topology.subnet_sums(outcome.stale_models), topology, model,
                                 params_hat, config.phi, reference)

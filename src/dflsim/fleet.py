@@ -148,7 +148,7 @@ class FleetTopology:
         return self.device_total(self.stack.losses(model, W))
 
     def optimum(self, model: LossModel) -> np.ndarray:
-        return solve_optimum(model, list(self.datasets), self.global_weights())
+        return solve_optimum(model, self.stack, self.global_weights())
 
 
 @dataclass(frozen=True)

@@ -121,20 +121,21 @@ def norms(V: np.ndarray) -> np.ndarray:
 
 
 def _gradients(model: LossModel, X: np.ndarray, targets: np.ndarray,
-               W: np.ndarray) -> np.ndarray:
+               W: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
     """The gradient kernel: objective gradient over the rows of X at W.
 
     X is (..., n, m), targets (..., n) or (..., n, C) and W (..., M); the
     leading axes broadcast. ``np.matmul`` runs one GEMM per stacked slice
     with the shapes of the single-device call, so a slice of a stacked
-    result equals the 2-d call bit for bit.
+    result equals the 2-d call bit for bit. An svm caller may hand in the
+    ``_svm_margins`` of these arguments, which are overwritten.
     """
     n = X.shape[-2]
     if model.kind == RIDGE:
         resid = (X @ W[..., None])[..., 0] - targets
         grad = (X.swapaxes(-1, -2) @ resid[..., None])[..., 0] / n
     else:
-        coeff = _svm_margins(model, X, targets, W)
+        coeff = _svm_margins(model, X, targets, W) if margins is None else margins
         np.multiply(targets, coeff, out=coeff)
         np.multiply(-2.0, coeff, out=coeff)
         grad = coeff.swapaxes(-1, -2) @ X / n
@@ -143,13 +144,14 @@ def _gradients(model: LossModel, X: np.ndarray, targets: np.ndarray,
 
 
 def _losses(model: LossModel, X: np.ndarray, targets: np.ndarray,
-            W: np.ndarray) -> np.ndarray:
-    """The objective over the rows of X at W, stacked like ``_gradients``."""
+            W: np.ndarray, margins: np.ndarray | None = None) -> np.ndarray:
+    """The objective over the rows of X at W, stacked like ``_gradients``, and
+    like it overwriting the svm ``margins`` it is handed."""
     n = X.shape[-2]
     if model.kind == RIDGE:
         data_term = 0.5 * _dots((X @ W[..., None])[..., 0] - targets) / n
     else:
-        sq = _svm_margins(model, X, targets, W)
+        sq = _svm_margins(model, X, targets, W) if margins is None else margins
         np.multiply(sq, sq, out=sq)
         data_term = np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1) / n
     return data_term + 0.5 * model.regularization * _dots(W)
@@ -241,12 +243,15 @@ class DeviceStack:
     so each group of equal ``n`` is one ``(G, n, m)`` block: nothing is
     padded. A loss model's layout, its kernel targets (the labels, or the
     +-1 rows of the svm) and their block views, is built and the data
-    checked once per model. Four entries run the kernel: ``gradients``,
-    ``own_gradients`` and ``losses`` on whole blocks, where slice i of a
-    result equals the single-device call for device i bit for bit, and
-    ``row_gradients`` on the data rows it is handed (the minibatches of the
-    SGD step and of the sigma estimate). Model vectors come checked: per
-    call by the fleet's public functions, once by ``Protocol``.
+    checked once per model. A block's device ids are a slice when they run
+    consecutively upwards, as on a fleet of equal devices, else an id array:
+    either indexes a (..., D, ...) array the same way, a slice as a view.
+    Four entries run the kernel: ``gradients``, ``own_gradients`` and
+    ``losses`` on whole blocks, where slice i of a result equals the
+    single-device call for device i bit for bit, and ``row_gradients`` on
+    the data rows it is handed (the minibatches of the SGD step and of the
+    sigma estimate). Model vectors come checked: per call by the fleet's
+    public functions, once by ``Protocol``.
     """
 
     def __init__(self, datasets: Sequence[Dataset]):
@@ -277,7 +282,8 @@ class DeviceStack:
     def layout(self, model: LossModel):
         """(targets, blocks) of ``model``, built on first use: the kernel targets
         of every row, and (device ids, (G, n, m) features, targets) blocks of
-        at most CHUNK_ELEMENTS targets; the last model's is found by identity."""
+        at most CHUNK_ELEMENTS targets, the ids a slice or an array; the last
+        model's is found by identity."""
         if model is not self._last[0]:
             if model not in self._layouts:
                 self._layouts[model] = self._build_layout(model)
@@ -296,7 +302,9 @@ class DeviceStack:
             for s in range(0, devices.size, per_block):
                 block = devices[s:s + per_block]
                 rows = slice(first + s * n, first + (s + block.size) * n)
-                blocks.append((block, self.features[rows].reshape(block.size, n, -1),
+                ids = slice(int(block[0]), int(block[-1]) + 1) \
+                    if (np.diff(block) == 1).all() else block    # a view, not a gather
+                blocks.append((ids, self.features[rows].reshape(block.size, n, -1),
                                targets[rows].reshape((block.size, n) + targets.shape[1:])))
         return targets, tuple(blocks)
 
@@ -374,19 +382,24 @@ def smoothness(model: LossModel, pooled: np.ndarray, weight_sum: float) -> float
 GRAD_TOL = 1e-10
 
 
-def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
+def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset | DeviceStack,
                   weights: Sequence[float] | None = None,
                   max_iter: int = 200_000) -> np.ndarray:
-    """High-precision minimizer of the weighted objective.
+    """High-precision minimizer of the weighted objective of the datasets, or of
+    the devices of a ``DeviceStack``, whose rows are then read in place.
 
     Ridge uses the normal equations directly. The squared-hinge model is
     solved by full-batch gradient descent with backtracking line search.
-    Terminates when ||grad|| <= 1e-10 * max(1, ||grad(0)||); raises
+    Each iterate's objective and gradient come from one ``_svm_margins``
+    array per layout block, so an accepted candidate's gradient is the next
+    step's. Terminates when ||grad|| <= 1e-10 * max(1, ||grad(0)||); raises
     ConvergenceError (reporting the final gradient norm) on budget
     exhaustion.
     """
     if isinstance(datasets, Dataset):
         datasets = [datasets]
+    stack = datasets if isinstance(datasets, DeviceStack) else DeviceStack(datasets)
+    datasets = stack.datasets()
     if weights is None:
         sizes = np.array([ds.n for ds in datasets], dtype=np.float64)
         weights = sizes / sizes.sum()
@@ -403,19 +416,22 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
         return np.linalg.solve(H, b)
 
     lipschitz = smoothness(model, second_moment(datasets, weights), float(np.sum(weights)))
+    blocks = stack.layout(model)[1]
+    values, grads = np.empty(len(datasets)), np.empty((len(datasets), model.model_dim))
 
-    stack = DeviceStack(datasets)
-
-    def objective(w):
-        return float(_weighted_sum(weights, stack.losses(model, w)))
-
-    def gradient(w):
-        return _weighted_sum(weights, stack.gradients(model, w[None])[0])
+    def evaluate(w):
+        """(objective, gradient) at w: per block the bits of ``DeviceStack.losses`` and
+        ``DeviceStack.gradients`` at the one point w, from one margins array."""
+        W = w[None, None]
+        for devices, X, targets in blocks:
+            margins = _svm_margins(model, X, targets, W)
+            values[devices] = _losses(model, X, targets, W, margins.copy())[0]
+            grads[devices] = _gradients(model, X, targets, W, margins)[0]
+        return float(_weighted_sum(weights, values)), _weighted_sum(weights, grads)
 
     w = np.zeros(model.model_dim)
-    grad = gradient(w)
+    value, grad = evaluate(w)
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad)))
-    value = objective(w)
     step = 1.0 / lipschitz
     for _ in range(max_iter):
         gnorm2 = float(grad @ grad)
@@ -423,14 +439,13 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset,
             return w
         # the 1/L step always descends; backtrack only if numerics disagree
         cand = w - step * grad
-        cand_value = objective(cand)
+        cand_value, cand_grad = evaluate(cand)
         while cand_value > value + 4.0 * np.finfo(np.float64).eps * abs(value) \
                 and step > 1e-18 / lipschitz:
             step *= 0.5
             cand = w - step * grad
-            cand_value = objective(cand)
-        w, value = cand, cand_value
-        grad = gradient(w)
+            cand_value, cand_grad = evaluate(cand)
+        w, value, grad = cand, cand_value, cand_grad
     raise ConvergenceError(
         f"optimum solver exhausted {max_iter} iterations, "
         f"final gradient norm {np.linalg.norm(grad):.3e} > {tol:.3e}"

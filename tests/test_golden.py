@@ -90,3 +90,33 @@ def test_seed0_metrics_within_rtol_of_checked_in_csv(name, tmp_path):
     print(f"{name}: largest relative deviation {deviations[worst]:.3g} ({worst})")
     assert deviations[worst] <= RTOL, \
         f"{name}: column {worst} deviates by {deviations[worst]:.3g} > rtol {RTOL}"
+
+
+# The benchmark's tracked_svm20 unit: the adaptive_demo fleet under label_skew_svm's
+# fixed schedule with the schema defaults (noise-free companions, w*, a row every
+# slot), radio off. The only pinned run whose outputs hold the svm optimum and the
+# svm companions; kept out of GOLDEN, which mirrors configs/.
+TRACKED_SVM20 = {
+    "dataset": {"kind": "blobs", "num_classes": 10, "points_per_class": 120,
+                "feature_dim": 6, "spread": 0.6, "seed": 7},
+    "model": {"kind": "svm", "regularization": 0.01, "num_classes": 10},
+    "topology": {"num_devices": 20, "num_subnets": 4, "labels_per_device": 3,
+                 "partition_seed": 11},
+    "schedule": {"mode": "fixed", "num_intervals": 10, "tau": 20, "alpha": 0.5,
+                 "eta": 0.03, "delay": 10, "local_agg_period": 5},
+    "seeds": [0],
+    "batch_size": 10,
+}
+
+
+def test_tracked_svm_outputs_match_pinned_digests(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TRACKED_SVM20))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    digest = lambda kind: hashlib.sha256(
+        (out / f"run_seed0_{kind}.csv").read_bytes()).hexdigest()
+    assert (digest("metrics"), digest("events")) == (
+        "6e098f6c4f182a1b1e7a90d15afc94b92352342784fc1cdfbeda535c9ed69e10",
+        "659467e3949491f0f8545002e28f21f53c3efe8402922fdf766decbf940cfe1e",
+    )

@@ -12,12 +12,16 @@ from dflsim.errors import (
     EmptyDatasetError,
 )
 from dflsim.losses import (
+    GRAD_TOL,
     RIDGE,
     SVM,
+    DeviceStack,
     LossModel,
     _weighted_sum,
     full_gradient,
     loss,
+    second_moment,
+    smoothness,
     solve_optimum,
     stochastic_gradient,
 )
@@ -170,6 +174,54 @@ def test_optimum_gradient_norm_postcondition(kind, rng):
     for wt, ds in zip(weights, datasets):
         grad0 += wt * full_gradient(model, ds, np.zeros(model.model_dim))
     assert np.linalg.norm(grad) <= 1e-10 * max(1.0, np.linalg.norm(grad0))
+
+
+def two_call_optimum(model, datasets, weights, max_iter=200_000):
+    """The svm optimum's descent with the objective and the gradient of each iterate
+    taken from their own ``DeviceStack`` calls: the reference of ``solve_optimum``."""
+    stack = DeviceStack(datasets)
+    weights = np.asarray(weights, dtype=np.float64)
+
+    def objective(w):
+        return float(_weighted_sum(weights, stack.losses(model, w)))
+
+    def gradient(w):
+        return _weighted_sum(weights, stack.gradients(model, w[None])[0])
+
+    lipschitz = smoothness(model, second_moment(datasets, weights), float(np.sum(weights)))
+    w = np.zeros(model.model_dim)
+    grad = gradient(w)
+    tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad)))
+    value, step = objective(w), 1.0 / lipschitz
+    for _ in range(max_iter):
+        if np.sqrt(float(grad @ grad)) <= tol:
+            return w
+        cand = w - step * grad
+        cand_value = objective(cand)
+        while cand_value > value + 4.0 * np.finfo(np.float64).eps * abs(value) \
+                and step > 1e-18 / lipschitz:
+            step *= 0.5
+            cand = w - step * grad
+            cand_value = objective(cand)
+        w, value = cand, cand_value
+        grad = gradient(w)
+    raise AssertionError("the reference descent did not converge")
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_svm_optimum_equals_the_two_call_descent(seed, counts):
+    # unequal datasets, weights not proportional to their sizes
+    gen = np.random.default_rng(seed)
+    dim, classes = int(gen.integers(1, 4)), int(gen.integers(2, 5))
+    model = LossModel(SVM, feature_dim=dim, regularization=float(gen.uniform(0.05, 0.5)),
+                      num_classes=classes)
+    datasets = [Dataset(gen.standard_normal((n, dim)), gen.integers(0, classes, n).astype(float))
+                for n in counts]
+    weights = gen.uniform(0.1, 1.0, len(counts))
+    weights /= weights.sum()
+    want = two_call_optimum(model, datasets, weights)
+    assert np.array_equal(solve_optimum(model, datasets, weights), want)
+    assert np.array_equal(solve_optimum(model, DeviceStack(datasets), weights), want)
 
 
 # -- landscape properties ----------------------------------------------------

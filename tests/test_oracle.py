@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim import losses
@@ -65,6 +65,24 @@ def fleets(draw):
     return build_topology(datasets, sizes), model, points, budget
 
 
+def fixed_fleet(counts, budget):
+    """An svm fleet of the given point counts in two subnets, with three points.
+    Equal counts on consecutive devices give layout blocks indexed by a slice,
+    interleaved counts blocks indexed by an id array."""
+    gen = np.random.default_rng(len(counts))
+    datasets = [Dataset(gen.standard_normal((n, 2)), gen.integers(0, 3, n).astype(float))
+                for n in counts]
+    model = LossModel(SVM, feature_dim=2, regularization=0.05, num_classes=3)
+    half = len(counts) // 2
+    return (build_topology(datasets, [half, len(counts) - half]), model,
+            gen.standard_normal((3, model.model_dim)), budget)
+
+
+# consecutive equal counts: slice blocks, split in two by the budget; interleaved: id arrays
+BLOCK_INDEX_FORMS = (fixed_fleet([5, 5, 5, 5], 40),
+                     fixed_fleet([4, 6, 4, 6], losses.CHUNK_ELEMENTS))
+
+
 def slot_stream(seed, device, draws, tag=TAG_SGD):
     """The device's stream (seed, tag, device) advanced past its first ``draws`` draws."""
     gen = stream(seed, tag, device)
@@ -93,6 +111,8 @@ def looped_global_gradient(topo: FleetTopology, model, w):
 
 
 @given(fleets())
+@example(BLOCK_INDEX_FORMS[0])
+@example(BLOCK_INDEX_FORMS[1])
 def test_every_slice_equals_the_single_device_call(case):
     topo, model, points, budget = case
     with mock.patch.object(losses, "CHUNK_ELEMENTS", budget):
@@ -108,6 +128,8 @@ def test_every_slice_equals_the_single_device_call(case):
 
 
 @given(fleets())
+@example(BLOCK_INDEX_FORMS[0])
+@example(BLOCK_INDEX_FORMS[1])
 def test_stacked_losses_equal_the_single_device_call(case):
     # the logged rows' loss: (P, M) points -> (P, D), and F at every point
     topo, model, points, budget = case
