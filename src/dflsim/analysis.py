@@ -416,12 +416,11 @@ def error_terms(device_models: np.ndarray, topology: FleetTopology,
     ``(D, M)`` call, which gives three floats.
     """
     v_bar = topology.global_sums(companions)
-    # the running sums add the terms one at a time, as a loop over the devices would
+    # the weighted sums add the terms one at a time, as a loop over the devices would
     # deviations from the companions, in place in their gather (C-contiguous from ``take``)
     deviations = np.take(companions, topology.subnet_of, axis=-2)
     e1_sq = topology.device_total(_dots(np.subtract(device_models, deviations, out=deviations)))
-    e2 = np.add.accumulate(topology.subnet_weights * norms(companions - v_bar[..., None, :]),
-                           axis=-1)[..., -1]
+    e2 = topology.global_sums(norms(companions - v_bar[..., None, :])[..., None])[..., 0]
     e3 = norms(v_bar - w_star)
     if device_models.ndim == 2:
         return math.sqrt(e1_sq), float(e2), float(e3)

@@ -20,15 +20,7 @@ from .errors import (
     PartitionError,
     TopologyError,
 )
-from .losses import DeviceStack, LossModel, minibatch, norms, solve_optimum
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """(..., K, M) C-ordered -> (..., M): rows added in order from 0.0, as the reduce does
-    unless it pairwise-sums 8 or more rows of length 1: there 0.0 + the running sum."""
-    if terms.shape[-1] == 1 and terms.shape[-2] >= 8:
-        return 0.0 + np.add.accumulate(terms, axis=-2)[..., -1, :]
-    return np.add.reduce(terms, axis=-2, initial=0.0)
+from .losses import DeviceStack, LossModel, _sum_in_order, norms, smallest_draws, solve_optimum
 
 
 @dataclass(frozen=True)
@@ -110,10 +102,8 @@ class FleetTopology:
         """(..., D) -> (...,): sum_i global_weights()[i] * values[..., i], added one
         device at a time from zero, subnet by subnet, members in order; a float
         for a (D,) call."""
-        weighted = self.ordered_weights * values[..., self.order]
-        # 0.0 + the sum: the loop's start at zero, which makes an all -0.0 sum 0.0
-        total = 0.0 + np.add.accumulate(weighted, axis=-1)[..., -1]
-        return float(total) if values.ndim == 1 else total
+        total = _sum_in_order((self.ordered_weights * values[..., self.order])[..., None])
+        return float(total[0]) if values.ndim == 1 else total[..., 0]
 
     def subnet_sums(self, values: np.ndarray) -> np.ndarray:
         """(..., D, M) -> (..., N, M): rho-weighted sums over each subnet's members."""
@@ -375,9 +365,10 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
                       rng: np.random.Generator, repeats: int = 8) -> float:
     """Conservative sigma estimate: max ||ghat - grad F_i|| over sampled draws.
 
-    Draws go probe by probe, device by device, repeat by repeat, each one
-    the keys of ``stochastic_gradient``, and each repeat's minibatches go to
-    ``DeviceStack.row_gradients`` as data rows. A device with at most
+    Draws go probe by probe, device by device, repeat by repeat: n_i raw
+    draws ``rng.bit_generator.random_raw`` per repeat, whose ``smallest_draws``
+    are ``stochastic_gradient``'s minibatch, and each repeat's minibatches go
+    to ``DeviceStack.row_gradients`` as data rows. A device with at most
     ``batch_size`` points has its full data as the minibatch, no draw and
     a zero gap.
     """
@@ -389,8 +380,8 @@ def measure_sgd_noise(topology: FleetTopology, model: LossModel,
     worst = 0.0
     for w in points if sampled.size else ():
         exact = stack.gradients(model, w[None])[0, sampled]
-        idx = np.stack([minibatch(rng.random((repeats, int(stack.counts[i]))), batch_size)
-                        for i in sampled])
+        idx = np.stack([smallest_draws(rng.bit_generator.random_raw(
+            (repeats, int(stack.counts[i]))), batch_size) for i in sampled])
         for r in range(repeats):
             ghat = stack.row_gradients(model, np.tile(w, (sampled.size, 1)),
                                        stack.offsets[sampled, None] + idx[:, r])

@@ -198,26 +198,16 @@ def smallest_draws(draws: np.ndarray, batch_size: int) -> np.ndarray:
     return (draws[..., :batch_size] & (2**POINT_BITS - 1)).astype(np.intp)
 
 
-def minibatch(keys: np.ndarray, batch_size: int) -> np.ndarray:
-    """``smallest_draws`` of ``Generator.random`` keys, multiples of 2**-53 in
-    [0, 1) (``ValueError`` otherwise): bit for bit ``np.argsort(keys, axis=-1,
-    kind="stable")[..., :batch_size]``, since key * 2**53 is the draw >> 11."""
-    scaled = np.asarray(keys, dtype=np.float64) * 2.0**53     # exact: a power of two
-    if not (((scaled >= 0) & (scaled < 2.0**53)).all() and (np.floor(scaled) == scaled).all()):
-        raise ValueError("minibatch keys must be Generator.random draws: "
-                         "multiples of 2**-53 in [0, 1)")
-    return smallest_draws(scaled.astype(np.uint64) << POINT_BITS, batch_size)
-
-
 def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,
                         batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Mean gradient over a uniform without-replacement minibatch.
 
-    The minibatch is the ``batch_size`` smallest of n keys drawn with
-    ``rng.random(n)`` (``minibatch``), the rule the engine applies to each
-    device's stream. Unbiased for ``full_gradient``; bit-reproducible given
-    the generator state. ``batch_size == n`` returns the full gradient
-    exactly and draws nothing.
+    The minibatch is the ``smallest_draws`` of n raw draws
+    ``rng.bit_generator.random_raw(n)``, the rule the engine applies to each
+    device's stream: the ``batch_size`` smallest of the keys ``rng.random(n)``
+    would give, one raw draw per double. Unbiased for ``full_gradient``;
+    bit-reproducible given the generator state. ``batch_size == n`` returns
+    the full gradient exactly and draws nothing.
     """
     model.check_vector(w)
     model.check_dataset(dataset)
@@ -228,7 +218,7 @@ def stochastic_gradient(model: LossModel, dataset: Dataset, w: np.ndarray,
         )
     if batch_size == dataset.n:
         return full_gradient(model, dataset, w)
-    idx = minibatch(rng.random(dataset.n), batch_size)
+    idx = smallest_draws(rng.bit_generator.random_raw(dataset.n), batch_size)
     return full_gradient(model, dataset.subset(idx), w)
 
 
@@ -346,11 +336,14 @@ class DeviceStack:
         return out.reshape(W.shape[:-1] + (self.num_devices,))
 
 
-def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * values[i], added one term at a time from zero."""
-    products = weights.reshape(weights.shape + (1,) * (values.ndim - 1)) * values
-    # 0.0 + the running sum: the loop's start at zero, which makes an all -0.0 sum 0.0
-    return 0.0 + np.add.accumulate(products, axis=0)[-1]
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """(..., K, M) C-ordered -> (..., M): the K rows added in order from 0.0, as a loop
+    would, so an all -0.0 sum is 0.0; the one in-order sum of the subnet and global
+    sums, the weighted device total and ``solve_optimum``. The reduce adds in order
+    unless it pairwise-sums 8 or more rows of length 1: there 0.0 + the running sum."""
+    if terms.shape[-1] == 1 and terms.shape[-2] >= 8:
+        return 0.0 + np.add.accumulate(terms, axis=-2)[..., -1, :]
+    return np.add.reduce(terms, axis=-2, initial=0.0)
 
 
 def second_moment(datasets: Sequence[Dataset], weights) -> np.ndarray:
@@ -380,29 +373,22 @@ def smoothness(model: LossModel, pooled: np.ndarray, weight_sum: float) -> float
 
 
 GRAD_TOL = 1e-10
+MAX_ITER = 200_000      # descent steps of the svm optimum before ConvergenceError
 
 
-def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset | DeviceStack,
-                  weights: Sequence[float] | None = None,
-                  max_iter: int = 200_000) -> np.ndarray:
-    """High-precision minimizer of the weighted objective of the datasets, or of
-    the devices of a ``DeviceStack``, whose rows are then read in place.
+def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
+    """High-precision minimizer of sum_i weights[i] * (device i's objective) over
+    the devices of ``stack``, whose rows are read in place.
 
     Ridge uses the normal equations directly. The squared-hinge model is
     solved by full-batch gradient descent with backtracking line search.
     Each iterate's objective and gradient come from one ``_svm_margins``
     array per layout block, so an accepted candidate's gradient is the next
-    step's. Terminates when ||grad|| <= 1e-10 * max(1, ||grad(0)||); raises
-    ConvergenceError (reporting the final gradient norm) on budget
-    exhaustion.
+    step's, and their weighted sums are ``_sum_in_order``'s. Terminates when
+    ||grad|| <= 1e-10 * max(1, ||grad(0)||); raises ConvergenceError
+    (reporting the final gradient norm) after MAX_ITER steps.
     """
-    if isinstance(datasets, Dataset):
-        datasets = [datasets]
-    stack = datasets if isinstance(datasets, DeviceStack) else DeviceStack(datasets)
     datasets = stack.datasets()
-    if weights is None:
-        sizes = np.array([ds.n for ds in datasets], dtype=np.float64)
-        weights = sizes / sizes.sum()
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(datasets):
         raise DimensionMismatchError("one weight per dataset required")
@@ -417,7 +403,8 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset | Devi
 
     lipschitz = smoothness(model, second_moment(datasets, weights), float(np.sum(weights)))
     blocks = stack.layout(model)[1]
-    values, grads = np.empty(len(datasets)), np.empty((len(datasets), model.model_dim))
+    weights = weights[:, None]
+    values, grads = np.empty((len(datasets), 1)), np.empty((len(datasets), model.model_dim))
 
     def evaluate(w):
         """(objective, gradient) at w: per block the bits of ``DeviceStack.losses`` and
@@ -425,15 +412,15 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset | Devi
         W = w[None, None]
         for devices, X, targets in blocks:
             margins = _svm_margins(model, X, targets, W)
-            values[devices] = _losses(model, X, targets, W, margins.copy())[0]
+            values[devices, 0] = _losses(model, X, targets, W, margins.copy())[0]
             grads[devices] = _gradients(model, X, targets, W, margins)[0]
-        return float(_weighted_sum(weights, values)), _weighted_sum(weights, grads)
+        return float(_sum_in_order(weights * values)[0]), _sum_in_order(weights * grads)
 
     w = np.zeros(model.model_dim)
     value, grad = evaluate(w)
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad)))
     step = 1.0 / lipschitz
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         gnorm2 = float(grad @ grad)
         if np.sqrt(gnorm2) <= tol:
             return w
@@ -447,6 +434,6 @@ def solve_optimum(model: LossModel, datasets: Sequence[Dataset] | Dataset | Devi
             cand_value, cand_grad = evaluate(cand)
         w, value, grad = cand, cand_value, cand_grad
     raise ConvergenceError(
-        f"optimum solver exhausted {max_iter} iterations, "
+        f"optimum solver exhausted {MAX_ITER} iterations, "
         f"final gradient norm {np.linalg.norm(grad):.3e} > {tol:.3e}"
     )

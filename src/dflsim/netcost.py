@@ -224,7 +224,7 @@ class RadioCostModel:
         """Read-only (2, N) energy and delay of one local aggregation in every subnet at slot t."""
         row = self._row(t)
         if self._unpriced[row]:
-            raise CostModelError("aggregation energy needs positive rates")
+            raise CostModelError(f"slot {t}: aggregation energy needs positive rates")
         return self._prices[row]
 
     def global_event(self, t: int) -> tuple[float, float]:

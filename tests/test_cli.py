@@ -824,6 +824,19 @@ def test_divergent_run_names_its_first_non_finite_row_without_warnings(tmp_path,
     assert not list((tmp_path / "out").glob("*"))
 
 
+def test_an_unpriced_slot_exits_1_naming_the_slot(tmp_path, capsys):
+    # 1e-320 W of transmit power underflows every uplink rate to zero, so the
+    # first local aggregation, at slot 5, has no price
+    blob = json.loads((REPO / "configs" / "label_skew_svm.json").read_text())
+    blob["radio"]["device_tx_power_w"] = 1e-320
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "CostModelError: slot 5: aggregation energy needs positive rates\n"
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def adaptive_demo(tmp_path, section: str, field: str, value) -> Path:
     """``configs/adaptive_demo.json`` for seed 0 with one value replaced."""
     blob = json.loads((REPO / "configs" / "adaptive_demo.json").read_text())
@@ -917,6 +930,15 @@ def test_script_writes_its_csv(script, csv_name, header, tmp_path):
     done = run_python(f"scripts/{script}", "--seeds", "1", "--output", str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / csv_name).read_text().splitlines()[0] == header
+
+
+def test_the_ab_script_runs_two_units_of_one_tree_against_itself():
+    done = run_python("scripts/ab_units.py", ".", ".", "--workload", "replicas_theorem",
+                      "--units", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "replicas_theorem: 2 units per side, checked outputs equal in every unit"
+    assert lines[-1].startswith("claim rule (B wins at least 9 of 10 pairs")
 
 
 def test_sweep_alpha_with_ablation_value(tmp_path):

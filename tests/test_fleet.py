@@ -17,7 +17,7 @@ from dflsim.fleet import (
     measure_sgd_noise,
     partition_label_skew,
 )
-from dflsim.losses import RIDGE, LossModel, full_gradient, solve_optimum
+from dflsim.losses import RIDGE, DeviceStack, LossModel, full_gradient, solve_optimum
 
 
 def subnet_gradient(topo, model, c, w):
@@ -202,7 +202,7 @@ def test_identical_datasets_have_zero_diversity(rng):
     base = Dataset(rng.standard_normal((10, 2)), rng.standard_normal(10))
     topo = build_topology([base] * 4, [2, 2])
     model = LossModel(RIDGE, feature_dim=2, regularization=0.1)
-    w_star = solve_optimum(model, list(topo.datasets), topo.global_weights())
+    w_star = solve_optimum(model, DeviceStack(topo.datasets), topo.global_weights())
     probes = [rng.standard_normal(2) for _ in range(5)]
     delta, delta_c = measure_diversity(topo, model, probes, 0.05, 0.05, w_star)
     assert delta == 0.0
@@ -211,7 +211,7 @@ def test_identical_datasets_have_zero_diversity(rng):
 
 def test_diversity_probe_at_optimum_drops_zeta_term(rng):
     topo, model = ridge_fleet(rng)
-    w_star = solve_optimum(model, list(topo.datasets), topo.global_weights())
+    w_star = solve_optimum(model, DeviceStack(topo.datasets), topo.global_weights())
     delta, _ = measure_diversity(topo, model, [w_star], zeta=123.0, zeta_c=0.0,
                                  w_star=w_star)
     expected = max(
@@ -224,7 +224,7 @@ def test_diversity_probe_at_optimum_drops_zeta_term(rng):
 
 def test_diversity_matches_brute_force_scan(rng):
     topo, model = ridge_fleet(rng)
-    w_star = solve_optimum(model, list(topo.datasets), topo.global_weights())
+    w_star = solve_optimum(model, DeviceStack(topo.datasets), topo.global_weights())
     probes = [rng.standard_normal(3) for _ in range(6)]
     zeta = 0.1
     delta, _ = measure_diversity(topo, model, probes, zeta, 0.0, w_star)

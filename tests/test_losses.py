@@ -17,7 +17,7 @@ from dflsim.losses import (
     SVM,
     DeviceStack,
     LossModel,
-    _weighted_sum,
+    _sum_in_order,
     full_gradient,
     loss,
     second_moment,
@@ -142,14 +142,14 @@ def test_dimension_and_empty_errors():
 
 def test_optimum_two_point_hand_solve():
     ds = Dataset([[1.0], [1.0]], [1.0, 3.0])
-    w = solve_optimum(ridge(1), ds)
+    w = solve_optimum(ridge(1), DeviceStack([ds]), [1.0])
     np.testing.assert_allclose(w, [2.0], rtol=1e-12)
 
 
 def test_optimum_regularized_single_point():
     lam = 0.7
     ds = Dataset([[1.0]], [5.0])
-    w = solve_optimum(ridge(1, reg=lam), ds)
+    w = solve_optimum(ridge(1, reg=lam), DeviceStack([ds]), [1.0])
     np.testing.assert_allclose(w, [5.0 / (1 + lam)], rtol=1e-12)
 
 
@@ -166,7 +166,7 @@ def test_optimum_gradient_norm_postcondition(kind, rng):
                     for _ in range(2)]
     weights = np.array([0.5, 0.3, 0.2])[: len(datasets)]
     weights = weights / weights.sum()
-    w_star = solve_optimum(model, datasets, weights)
+    w_star = solve_optimum(model, DeviceStack(datasets), weights)
     grad = np.zeros(model.model_dim)
     for wt, ds in zip(weights, datasets):
         grad += wt * full_gradient(model, ds, w_star)
@@ -183,10 +183,10 @@ def two_call_optimum(model, datasets, weights, max_iter=200_000):
     weights = np.asarray(weights, dtype=np.float64)
 
     def objective(w):
-        return float(_weighted_sum(weights, stack.losses(model, w)))
+        return float(_sum_in_order((weights * stack.losses(model, w))[:, None])[0])
 
     def gradient(w):
-        return _weighted_sum(weights, stack.gradients(model, w[None])[0])
+        return _sum_in_order(weights[:, None] * stack.gradients(model, w[None])[0])
 
     lipschitz = smoothness(model, second_moment(datasets, weights), float(np.sum(weights)))
     w = np.zeros(model.model_dim)
@@ -220,7 +220,6 @@ def test_svm_optimum_equals_the_two_call_descent(seed, counts):
     weights = gen.uniform(0.1, 1.0, len(counts))
     weights /= weights.sum()
     want = two_call_optimum(model, datasets, weights)
-    assert np.array_equal(solve_optimum(model, datasets, weights), want)
     assert np.array_equal(solve_optimum(model, DeviceStack(datasets), weights), want)
 
 
@@ -273,6 +272,6 @@ def test_weighted_sum_equals_the_loop_from_zero(devices, shape, seed, zeros):
     want = np.zeros(shape)
     for wt, value in zip(weights, values):
         want += wt * value
-    got = _weighted_sum(weights, values)
+    got = _sum_in_order(weights[:, None] * values.reshape(devices, -1)).reshape(shape)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
