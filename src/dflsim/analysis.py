@@ -149,12 +149,6 @@ def _gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: flo
     return float(min(branch1, c3 * _LD(eta_max) * _LD(params.beta)))
 
 
-def alpha_limit(params: HeterogeneityParams, tau: int, delay: int,
-                eta_max: float, gamma: float) -> float:
-    """Largest admissible combiner weight for the sublinear guarantee."""
-    return feasibility_limits(params, tau, delay, eta_max, gamma).alpha_star
-
-
 @dataclass(frozen=True)
 class FeasibilityLimits:
     eta_max_limit: float

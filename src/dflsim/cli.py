@@ -11,6 +11,7 @@ invariant suite and fails on any violated check.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import platform
 import sys
@@ -33,27 +34,16 @@ from .netcost import RadioCostModel
 ROWS_PER_WRITE = 256      # rows whose fields are formatted and written at once
 
 
-def _cells(values) -> list[str]:
-    """CSV fields as ``csv.writer``'s excel dialect writes them: a float by ``repr``, None
-    as nothing, anything else by ``str``; one holding a comma, quote or line break quoted,
-    its quotes doubled."""
-    values = values.tolist() if isinstance(values, np.ndarray) else values
-    cells = [repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in values]
-    if any(mark in "".join(cells) for mark in ',"\r\n'):
-        cells = ['"' + c.replace('"', '""') + '"' if any(m in c for m in ',"\r\n') else c
-                 for c in cells]
-    return cells
-
-
 def _write_csv(path: Path, header, columns) -> None:
-    """Write the header and equal-length columns (arrays or sequences) as CSV lines
-    ended by ``\\r\\n``, the bytes of ``csv.writer``; ROWS_PER_WRITE rows at a time,
-    so a long log never holds all its fields as strings at once."""
+    """Write the header and equal-length columns (arrays or sequences) with ``csv.writer``,
+    ROWS_PER_WRITE rows at a time, so a long log never holds all its fields at once; an
+    array's block is turned into Python scalars first, so a float is written by ``repr``."""
     with path.open("w", newline="") as handle:
-        handle.write(",".join(_cells(header)) + "\r\n")
+        writer = csv.writer(handle)
+        writer.writerow(header)
         for s in range(0, len(columns[0]), ROWS_PER_WRITE):
-            block = [_cells(column[s:s + ROWS_PER_WRITE]) for column in columns]
-            handle.writelines(",".join(row) + "\r\n" for row in zip(*block))
+            block = (column[s:s + ROWS_PER_WRITE] for column in columns)
+            writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block)))
 
 
 def _summarize(result: RunResult) -> dict:
@@ -111,7 +101,6 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
                 workers: int, tag: str = "run") -> dict:
     if workers < 1:
         raise ConfigError(f"--workers: expected a positive integer, got {workers}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded for parallel runs only
 
@@ -121,6 +110,7 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
             results = {seed: fut.result() for seed, fut in futures.items()}
     else:
         results = {seed: execute_single(cfg, seed) for seed in seeds}
+    out_dir.mkdir(parents=True, exist_ok=True)     # after every seed ran: a failed run makes none
 
     manifest = {
         "environment": environment(),

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
-    alpha_limit,
     compute_constants,
     eta_max_limit,
+    feasibility_limits,
     gamma_limit,
     theorem_bound,
 )
@@ -437,7 +437,7 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
         try:
             eta_max, gamma = select_step_size(params, tau, delay, config.safety,
                                               config.gamma_safety)
-            alpha_cap = min(alpha_limit(params, tau, delay, eta_max, gamma), 1.0)
+            alpha_cap = min(feasibility_limits(params, tau, delay, eta_max, gamma).alpha_star, 1.0)
         except InfeasibleError:
             continue
         agg_counts = theta.astype(np.int64) * tau    # constant-gap forecast
@@ -500,7 +500,6 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
 
     reference = TriggerReference(topology, model)
     decisions: list[ControlDecision] = []
-    sync_times: list[int] = []
     tau_next, alpha_next = config.initial_tau, 0.0
     while proto.t < config.horizon:
         remaining = config.horizon - proto.t
@@ -521,7 +520,6 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                 aggregates, topology, model, params_hat, config.phi, reference)
 
         outcome = proto.run_interval(plan, theta_policy=theta_policy)
-        sync_times.append(proto.t)
 
         reused = False
         try:
@@ -551,4 +549,4 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                                  theta_counts=tuple(outcome.theta_counts.tolist())))
         tau_next, alpha_next = decision.tau_next, decision.alpha_next
 
-    return proto.result(sync_times=np.asarray(sync_times), decisions=decisions)
+    return proto.result(decisions=decisions)

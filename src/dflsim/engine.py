@@ -116,10 +116,6 @@ class TrainingSchedule:
         if not self.intervals:
             raise ScheduleError("num_intervals must be >= 1")
 
-    @property
-    def sync_times(self) -> np.ndarray:
-        return np.cumsum([p.tau for p in self.intervals])
-
     @staticmethod
     def uniform(num_intervals: int, tau: int, alpha: float, eta: float,
                 delay: int = 0, up_delay: int | None = None,
@@ -289,6 +285,7 @@ class Protocol:
         self.noise_free = np.tile(w_init, (topology.num_subnets, 1))
         self.t = 0
         self.k = 0
+        self._sync_times: list[int] = []     # the last slot of each interval run
         # an empty chunk keeps the concatenations of ``result`` defined
         self._charges = [(0, np.empty(0, dtype=np.int64), np.empty((2, 0)))]
         self._charged = 0       # events in the chunks
@@ -462,13 +459,14 @@ class Protocol:
             self._log_row()
 
         self.k += 1
+        self._sync_times.append(t_end)
         return IntervalOutcome(
             capture_t=capture_t, snapshot=snapshot, stale_models=stale_models,
             stale_gradients=stale_grads, theta_counts=theta_counts,
             capture_prices=capture_prices,
         )
 
-    def result(self, sync_times=None, decisions=None) -> RunResult:
+    def result(self, decisions=None) -> RunResult:
         if self._pending:
             self._log_row()
         t, subnets, prices = zip(*self._charges)
@@ -484,7 +482,7 @@ class Protocol:
         return RunResult(
             metrics={name: rows[name] for name in METRIC_COLUMNS},
             event_columns=events,
-            sync_times=np.asarray(sync_times if sync_times is not None else []),
+            sync_times=np.array(self._sync_times, dtype=np.int64),
             final_models=self.w.copy(),
             decisions=list(decisions) if decisions else [],
         )
@@ -497,4 +495,4 @@ def run_training(topology: FleetTopology, model: LossModel,
     proto = Protocol(topology, model, seed, batch_size, **kwargs)
     for plan in schedule.intervals:
         proto.run_interval(plan)
-    return proto.result(sync_times=schedule.sync_times)
+    return proto.result()

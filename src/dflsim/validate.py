@@ -18,10 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
-    alpha_limit,
     compute_constants,
     eigen_system,
     error_terms,
+    feasibility_limits,
     one_step_bounds,
     proposition_step,
     theorem_bound,
@@ -329,8 +329,8 @@ def solver_experiment(rng: np.random.Generator) -> SolverOutcome:
     grid = brute_force_p(*inputs)
     exact = min(grid, default=None) == (d.objective, d.tau_next, d.alpha_next) \
         and solve_p(*inputs) == d
-    cap = alpha_limit(params, d.tau_next, delay,
-                      *select_step_size(params, d.tau_next, delay, config.safety))
+    cap = feasibility_limits(params, d.tau_next, delay, *select_step_size(
+        params, d.tau_next, delay, config.safety)).alpha_star
     feasible = delay <= d.tau_next <= min(config.tau_max, config.horizon) and d.alpha_next < cap
     return SolverOutcome(d, len(grid), exact, cap, feasible)
 

@@ -295,6 +295,10 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"dataset.kind": "blobs", "dataset.spread": 10 ** 400}, "dataset.spread"),
     # finite, but the features' second moment overflows: refused once the data is built
     ("run", {"dataset.kind": "blobs", "dataset.spread": 1e300}, "dataset.features"),
+    # an explicit subnet split that misses a device; an even split that cannot be made
+    ("run", {"topology.num_devices": 8, "topology.subnet_sizes": [3, 4]},
+     "topology.subnet_sizes"),
+    ("run", {"topology.num_devices": 8, "topology.num_subnets": 3}, "topology.num_devices"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -835,6 +839,75 @@ def test_an_unpriced_slot_exits_1_naming_the_slot(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "CostModelError: slot 5: aggregation energy needs positive rates\n"
     assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_run_that_fails_at_run_time_writes_no_output_directory(tmp_path, capsys, workers):
+    # the unpriced slot of label_skew_svm fails every seed; a directory is made only
+    # once every seed has run, and one that was there keeps its files
+    blob = json.loads((REPO / "configs" / "label_skew_svm.json").read_text())
+    blob["radio"]["device_tx_power_w"] = 1e-320
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("kept")
+    for command in (["run", str(path), "--output", str(out)],
+                    ["run", str(path), "--output", str(kept)],
+                    ["sweep", str(path), "--axis", "schedule.alpha", "--values", "0.5",
+                     "--output", str(out)]):
+        assert cli.main([*command, "--workers", workers]) == 1, command
+        assert capsys.readouterr().err == \
+            "CostModelError: slot 5: aggregation energy needs positive rates\n"
+    assert not out.exists()
+    assert [(f.name, f.read_text()) for f in kept.iterdir()] == [("notes.txt", "kept")]
+
+
+@pytest.mark.parametrize("name, sizes", [("minimal_ridge", [3, 5]),
+                                         ("label_skew_svm", [1, 1, 1, 47])])
+def test_explicit_subnet_sizes_run_the_same_bytes_serial_and_parallel(tmp_path, name, sizes):
+    # unequal subnets: the fleet sums gather through the padded member table, and
+    # the radio prices each member count as its own group
+    blob = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    blob["topology"]["subnet_sizes"] = sizes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    assert load_config(path).fleet.table[1] is not None
+    outs = (tmp_path / "w1", tmp_path / "w2")
+    for out, workers in zip(outs, ("1", "2")):
+        assert cli.main(["run", str(path), "--workers", workers, "--output", str(out)]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    assert len(names) == 1 + 2 * len(blob["seeds"])
+    for file in names:
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
+    manifest = json.loads((outs[0] / "run_manifest.json").read_text())
+    assert manifest["partition"]["subnet_sizes"] == sizes
+    if "radio" in blob:
+        events = (outs[0] / "run_seed0_events.csv").read_text().splitlines()
+        assert {line.split(",")[2] for line in events[1:]} == {"-1", "0", "1", "2", "3"}
+
+
+def test_an_optimum_out_of_iterations_exits_1_naming_the_gradient_norm(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the tracked_svm20 benchmark config: adaptive_demo's data under label_skew_svm's
+    # schedule with the schema's tracking defaults, so the optimum is solved at load
+    from dflsim import losses
+
+    blob = json.loads((REPO / "configs" / "adaptive_demo.json").read_text())
+    schedule = json.loads((REPO / "configs" / "label_skew_svm.json").read_text())["schedule"]
+    for key in ("track_noise_free", "track_optimality", "metrics_every"):
+        del schedule[key]
+    del blob["control"], blob["radio"]
+    blob["schedule"] = schedule
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    monkeypatch.setattr(losses, "MAX_ITER", 1)
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"ConvergenceError: optimum solver exhausted 1 iterations, "
+                        r"final gradient norm \d\.\d{3}e[+-]\d+ > \d\.\d{3}e[+-]\d+\n", err)
+    assert not (tmp_path / "out").exists()
 
 
 def adaptive_demo(tmp_path, section: str, field: str, value) -> Path:

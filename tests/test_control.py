@@ -14,7 +14,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dflsim import cli, control
-from dflsim.analysis import alpha_limit, compute_constants, eta_max_limit, gamma_limit, theorem_bound
+from dflsim.analysis import (compute_constants, eta_max_limit, feasibility_limits, gamma_limit,
+                             theorem_bound)
 from dflsim.control import (
     ControlConfig,
     TriggerReference,
@@ -515,8 +516,8 @@ def test_solve_p_constraints_and_infeasible():
     decision = solve_p(cost, prob.params, config, theta, 0, 4, prob.e3_init)
     assert 4 <= decision.tau_next <= 10
     eta_max, gamma = select_step_size(prob.params, decision.tau_next, 4)
-    assert decision.alpha_next < alpha_limit(prob.params, decision.tau_next, 4,
-                                             eta_max, gamma)
+    assert decision.alpha_next < feasibility_limits(prob.params, decision.tau_next, 4,
+                                                    eta_max, gamma).alpha_star
     with pytest.raises(InfeasibleError):
         # horizon already exhausted
         solve_p(cost, prob.params, config, theta, 40, 4, prob.e3_init)
@@ -611,6 +612,26 @@ def test_adaptive_step_size_decays_by_the_interval_index():
             assert plan.eta == d.eta_max / (1.0 + d.gamma * i)
             counted += 1
     assert counted >= 2
+
+
+def test_an_infeasible_step_size_runs_its_interval_at_the_fallback_eta():
+    # the first interval's (eta_max, gamma) is infeasible: it runs at ETA_FALLBACK,
+    # and the later intervals decay from their decisions' step sizes as before
+    select, calls = control.select_step_size, []
+
+    def infeasible_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InfeasibleError("no step size")
+        return select(*args)
+
+    with mock.patch.object(control, "select_step_size", infeasible_once):
+        plans, decisions = adaptive_plans()
+    assert plans[0].eta == control.ETA_FALLBACK
+    decayed = [(plan.eta, d.eta_max / (1.0 + d.gamma * i))
+               for i, (plan, d) in enumerate(zip(plans[1:], decisions), start=1)
+               if not d.fallback and plan.tau == d.tau_next and plan.delay == 2]
+    assert len(decayed) >= 2 and all(eta == want for eta, want in decayed)
 
 
 def test_each_plan_carries_the_previous_decisions_alpha():

@@ -57,6 +57,20 @@ def test_plan_validation():
     assert plan.down_delay == 1
 
 
+def test_a_protocol_driven_directly_records_its_sync_instants(rng):
+    # the last slot of every interval run, read by at_sync without a schedule
+    topo, model = small_fleet(rng)
+    proto = Protocol(topo, model, seed=0, batch_size=4)
+    for tau in (3, 5, 2):
+        proto.run_interval(IntervalPlan(tau=tau, alpha=0.2, eta=0.05, delay=1))
+    res = proto.result()
+    assert res.sync_times.dtype == np.int64 and res.sync_times.tolist() == [3, 8, 10]
+    assert res.at_sync("t").tolist() == [3, 8, 10]
+    sched = TrainingSchedule.uniform(3, 4, alpha=0.2, eta=0.05, delay=1, num_subnets=2)
+    assert run_training(topo, model, sched, seed=0, batch_size=4).sync_times.tolist() \
+        == [4, 8, 12]
+
+
 def test_periodic_offsets():
     assert periodic_offsets(20, 5, 2) == ((5, 10, 15, 20), (5, 10, 15, 20))
     assert periodic_offsets(7, None, 1) == ((),)

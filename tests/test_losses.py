@@ -1,13 +1,19 @@
 """Loss models: values, gradients, optimum solver, contraction property."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dflsim import config, losses
 from dflsim.data import Dataset
 from dflsim.errors import (
     BatchSizeError,
+    ConvergenceError,
     DimensionMismatchError,
     EmptyDatasetError,
 )
@@ -221,6 +227,53 @@ def test_svm_optimum_equals_the_two_call_descent(seed, counts):
     weights /= weights.sum()
     want = two_call_optimum(model, datasets, weights)
     assert np.array_equal(solve_optimum(model, DeviceStack(datasets), weights), want)
+
+
+def adaptive_demo_fleet():
+    """The svm fleet of ``configs/adaptive_demo.json`` and its model."""
+    blob = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "adaptive_demo.json").read_text())
+    cfg = config.parse_config(blob)
+    return cfg.fleet, cfg.model
+
+
+def test_an_underestimated_smoothness_backtracks_to_the_optimum(monkeypatch):
+    # a fifth of the bound: the first 5/L step overshoots, and the halved steps find
+    # the optimum the 1/L steps find, within the gradient tolerance
+    fleet, model = adaptive_demo_fleet()
+    want = fleet.optimum(model)
+    bound, sum_in_order, objectives = losses.smoothness, losses._sum_in_order, []
+
+    def recorded(terms):
+        total = sum_in_order(terms)
+        if terms.shape[-1] == 1:      # (D, 1) weighted losses: one iterate's objective
+            objectives.append(float(total[0]))
+        return total
+
+    monkeypatch.setattr(losses, "smoothness", lambda *args: bound(*args) / 5)
+    monkeypatch.setattr(losses, "_sum_in_order", recorded)
+    got = fleet.optimum(model)
+    monkeypatch.undo()
+    # a rejected candidate: an objective above the one before it, well beyond rounding
+    assert any(b > a * (1 + 1e-9) for a, b in zip(objectives, objectives[1:]))
+    grad0 = fleet.global_gradient(model, np.zeros(model.model_dim))
+    assert np.linalg.norm(fleet.global_gradient(model, got)) \
+        <= GRAD_TOL * max(1.0, np.linalg.norm(grad0))
+    assert np.abs(got - want).max() <= 1e-8
+
+
+def test_an_optimum_out_of_iterations_names_its_final_gradient_norm(monkeypatch):
+    # one step of 1/L from zero, then ConvergenceError with the gradient norm there
+    fleet, model = adaptive_demo_fleet()
+    weights = fleet.global_weights()
+    grad0 = fleet.global_gradient(model, np.zeros(model.model_dim))
+    lipschitz = smoothness(model, second_moment(fleet.datasets, weights), float(weights.sum()))
+    final = np.linalg.norm(fleet.global_gradient(model, -grad0 / lipschitz))
+    tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad0)))
+    monkeypatch.setattr(losses, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            f"exhausted 1 iterations, final gradient norm {final:.3e} > {tol:.3e}")):
+        fleet.optimum(model)
 
 
 # -- landscape properties ----------------------------------------------------

@@ -413,7 +413,7 @@ def test_snapshot_prices_the_capture_events(tau, delay, period, seed, sizes):
             assert ev.energy_j == aggregation_energy(radio, bits, rates,
                                                      radio.device_tx_power_w)
             assert ev.delay_s == aggregation_delay(radio, bits, rates)
-    for capture in (sched.sync_times - delay)[::-1].tolist():
+    for capture in (res.sync_times - delay)[::-1].tolist():
         energy, delay_s = cost.local_event(capture)
         charged = [ev for ev in res.events if ev.t == capture and ev.kind == "local"]
         assert sorted(ev.subnet for ev in charged) == list(range(len(sizes)))
