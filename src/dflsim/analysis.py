@@ -6,6 +6,9 @@ step-size schedule and combiner weight, the end-to-end optimality-gap
 bound, and the deterministic noise-free companion dynamics used to
 validate all of it empirically.
 
+``_derive`` forms sqrt(8*omega + 1), lam_plus, (1 + lam_plus)^tau and its
+growth once for every limit and constant; ``_gamma_terms`` forms C2 and C3.
+
 Conventions: ``tau`` is the interval length in SGD slots, ``delay`` the
 round-trip delay in slots (0 <= delay < tau), ``alpha`` the combiner
 weight, and the step size decays as eta_k = eta_max / (1 + gamma*k).
@@ -103,32 +106,32 @@ def eigen_system(mu_over_beta: float, omega: float) -> EigenSystem:
 _LD = np.longdouble
 
 
-def _lam_plus_ld(params: HeterogeneityParams):
-    root = np.sqrt(_LD(8.0) * _LD(params.omega) + _LD(1.0))
-    return _LD(0.5) - _LD(params.mu) / _LD(params.beta) + root / _LD(2.0)
+def _derive(params: HeterogeneityParams, tau: int, delay: int) -> tuple:
+    """The one derivation of the terms that every limit and constant shares.
 
-
-def _growth_ld(params: HeterogeneityParams, tau: int):
-    """(1 + lam_plus)^tau - 1 - tau*lam_plus; refused, naming tau, if it overflows."""
-    lam = _lam_plus_ld(params)
-    with np.errstate(over="ignore"):
-        power = (_LD(1.0) + lam) ** tau
-    _require(np.isfinite(power), f"tau: (1 + lam_plus)^tau overflows at tau={tau}")
-    return power - _LD(1.0) - _LD(tau) * lam
-
-
-def eta_max_limit(params: HeterogeneityParams, tau: int, delay: int) -> float:
-    """Upper limit on eta_max: min of the contraction and curvature branches."""
+    Checks (tau, delay), then returns, in long double, root = sqrt(8*omega + 1),
+    lam_plus, power = (1 + lam_plus)^tau (refused, naming tau, when it overflows),
+    growth = power - 1 - tau*lam_plus, and the eta_max limit as a float.
+    """
     _require(tau > delay, "need tau > delay for a positive contraction budget, "
              f"got tau={tau}, delay={delay}")
     _require(delay >= 0, f"delay must be nonnegative, got {delay}")
     mu, beta = _LD(params.mu), _LD(params.beta)
-    branch1 = _LD(2.0) / (beta + mu)
-    growth = _growth_ld(params, tau)
-    if growth <= 0.0:                  # tau = 1: the curvature branch is vacuous
-        return float(branch1)
-    branch2 = _LD(tau - delay) * mu / (beta ** 2 * growth)
-    return float(min(branch1, branch2))
+    root = np.sqrt(_LD(8.0) * _LD(params.omega) + _LD(1.0))
+    lam = _LD(0.5) - mu / beta + root / _LD(2.0)
+    with np.errstate(over="ignore"):
+        power = (_LD(1.0) + lam) ** tau
+    _require(np.isfinite(power), f"tau: (1 + lam_plus)^tau overflows at tau={tau}")
+    growth = power - _LD(1.0) - _LD(tau) * lam
+    em_lim = _LD(2.0) / (beta + mu)
+    if growth > 0.0:                   # tau = 1: the curvature branch is vacuous
+        em_lim = min(em_lim, _LD(tau - delay) * mu / (beta ** 2 * growth))
+    return root, lam, power, growth, float(em_lim)
+
+
+def eta_max_limit(params: HeterogeneityParams, tau: int, delay: int) -> float:
+    """Upper limit on eta_max: min of the contraction and curvature branches."""
+    return _derive(params, tau, delay)[4]
 
 
 def _one_minus_contraction(x, power: int):
@@ -136,17 +139,23 @@ def _one_minus_contraction(x, power: int):
     return -np.expm1(_LD(power) * np.log1p(-_LD(x)))
 
 
+def _gamma_terms(params: HeterogeneityParams, tau: int, delay: int, eta_max: float,
+                 check: bool = True) -> tuple:
+    """(the derivation, C2, C3, the gamma limit): C2 and C3 are formed here
+    only. ``check`` first requires eta_max below its limit."""
+    root, _, power, growth, em_lim = derived = _derive(params, tau, delay)
+    if check:
+        _require(eta_max < em_lim, f"eta_max {eta_max} >= its limit {em_lim}")
+    beta = _LD(params.beta)
+    c2 = _LD(2.0) * beta / root * (power - _LD(1.0))
+    c3 = _LD(tau - delay) * _LD(params.mu) / beta - _LD(eta_max) * beta * growth
+    branch1 = _one_minus_contraction(params.mu * eta_max, 2 * (tau - delay))
+    return derived, c2, c3, float(min(branch1, c3 * _LD(eta_max) * beta))
+
+
 def gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: float) -> float:
     """Upper limit on the step-decay rate gamma given eta_max."""
-    em_lim = eta_max_limit(params, tau, delay)
-    _require(eta_max < em_lim, f"eta_max {eta_max} >= its limit {em_lim}")
-    return _gamma_limit(params, tau, delay, eta_max)
-
-
-def _gamma_limit(params: HeterogeneityParams, tau: int, delay: int, eta_max: float) -> float:
-    branch1 = _one_minus_contraction(params.mu * eta_max, 2 * (tau - delay))
-    c3 = _c3_ld(params, tau, delay, eta_max)
-    return float(min(branch1, c3 * _LD(eta_max) * _LD(params.beta)))
+    return _gamma_terms(params, tau, delay, eta_max)[3]
 
 
 @dataclass(frozen=True)
@@ -159,18 +168,20 @@ class FeasibilityLimits:
 def feasibility_limits(params: HeterogeneityParams, tau: int, delay: int,
                        eta_max: float, gamma: float) -> FeasibilityLimits:
     """The three limits, each evaluated once, at the supplied (eta_max, gamma)."""
-    em_lim = eta_max_limit(params, tau, delay)
-    _require(eta_max < em_lim, f"eta_max {eta_max} >= its limit {em_lim}")
-    g_lim = _gamma_limit(params, tau, delay, eta_max)
+    return _feasibility(params, tau, delay, eta_max, gamma)[0]
+
+
+def _feasibility(params: HeterogeneityParams, tau: int, delay: int,
+                 eta_max: float, gamma: float) -> tuple:
+    """(``feasibility_limits``, the ``_gamma_terms`` they were formed from)."""
+    terms = _gamma_terms(params, tau, delay, eta_max)
+    (_, _, power, _, em_lim), c2, c3, g_lim = terms
     _require(0.0 < gamma < g_lim, f"gamma {gamma} outside (0, {g_lim})")
     beta, em, gm = _LD(params.beta), _LD(eta_max), _LD(gamma)
-    c2 = _c2_ld(params, tau)
-    c3 = _c3_ld(params, tau, delay, eta_max)
-    grow = (_LD(1.0) + _lam_plus_ld(params)) ** tau
     denom = (c2 * em ** 2 / (em * beta * c3 - gm)) \
         * _LD(2.0) * _LD(params.omega) * c2 * (_LD(1.0) + gm) \
-        + (_LD(1.0) + gm) * grow
-    return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom))
+        + (_LD(1.0) + gm) * power
+    return FeasibilityLimits(em_lim, g_lim, float(_LD(1.0) / denom)), terms
 
 
 def _require(cond: bool, message: str) -> None:
@@ -180,18 +191,6 @@ def _require(cond: bool, message: str) -> None:
 
 # ---------------------------------------------------------------------------
 # inter-synchronization constants
-
-
-def _c2_ld(params: HeterogeneityParams, tau: int):
-    root = np.sqrt(_LD(8.0) * _LD(params.omega) + _LD(1.0))
-    lam = _lam_plus_ld(params)
-    return _LD(2.0) * _LD(params.beta) / root * ((_LD(1.0) + lam) ** tau - _LD(1.0))
-
-
-def _c3_ld(params: HeterogeneityParams, tau: int, delay: int, eta_max: float):
-    mu, beta = _LD(params.mu), _LD(params.beta)
-    return _LD(tau - delay) * mu / beta \
-        - _LD(eta_max) * beta * _growth_ld(params, tau)
 
 
 @dataclass(frozen=True)
@@ -245,28 +244,25 @@ def compute_constants(params: HeterogeneityParams, tau: int, delay: int,
     outside the feasible region; useful only for cross-checking).
     """
     if check:
-        limits = feasibility_limits(params, tau, delay, eta_max, gamma)
+        limits, terms = _feasibility(params, tau, delay, eta_max, gamma)
         em_lim, g_lim, a_star = limits.eta_max_limit, limits.gamma_limit, limits.alpha_star
         _require(0.0 < eta_max, f"eta_max {eta_max} outside (0, {em_lim})")
         _require(0.0 <= alpha < min(a_star, 1.0),
                  f"alpha {alpha} outside [0, {min(a_star, 1.0)})")
     else:
-        em_lim, g_lim, a_star = eta_max_limit(params, tau, delay), float("nan"), float("nan")
+        terms = _gamma_terms(params, tau, delay, eta_max, check=False)
+        em_lim, g_lim, a_star = terms[0][4], float("nan"), float("nan")
+    (root, lam_p, grow, _, _), c2, c3, _ = terms
 
     eig = eigen_system(params.mu / params.beta, params.omega)
     one = _LD(1.0)
     mu, beta, omega = _LD(params.mu), _LD(params.beta), _LD(params.omega)
     delta = _LD(params.inter_delta)
     al, em, gm, e30 = _LD(alpha), _LD(eta_max), _LD(gamma), _LD(e3_init)
-    root = np.sqrt(_LD(8.0) * omega + one)
-    lam_p = _lam_plus_ld(params)
     lam_m = one - _LD(2.0) * mu / beta - lam_p    # lam_+ + lam_- = 1 - 2 mu/beta
-    grow = (one + lam_p) ** tau
 
     c1 = (one - al) * _one_minus_contraction(params.mu * eta_max, 2 * (tau - delay)) \
         + al * _one_minus_contraction(params.mu * eta_max, 2 * tau)
-    c2 = _c2_ld(params, tau)
-    c3 = _c3_ld(params, tau, delay, eta_max)
     k1 = mu / (-beta * lam_p * lam_m) * (grow - one)
     k2 = beta / root * sum(
         _LD(math.comb(tau, ell + 2)) * (lam_p ** (ell + 1) - lam_m ** (ell + 1))

@@ -223,6 +223,7 @@ def check_config(raw: dict) -> tuple:
         if ds[fld] is None or not Path(ds[fld]).is_file():
             raise ConfigError(f"dataset.{fld}: no such file {ds[fld]!r}")
     sizes = subnet_sizes(topo)
+    topo["num_subnets"] = len(sizes)        # explicit sizes set the count that runs
 
     if sched["mode"] not in ("fixed", "adaptive"):
         raise ConfigError(f"schedule.mode: expected 'fixed' or 'adaptive', got {sched['mode']!r}")

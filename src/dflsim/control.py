@@ -277,7 +277,7 @@ def certified_marks(lo: np.ndarray, hi: np.ndarray, phi: float) -> np.ndarray | 
 
 def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
                     model: LossModel, params: HeterogeneityParams, phi: float,
-                    reference: TriggerReference | None = None) -> np.ndarray:
+                    reference: TriggerReference) -> np.ndarray:
     """The greedy's marks for the subnet aggregates, as if every gap were evaluated.
 
     Gaps are monitored through strong convexity, ||grad F(w)|| >= mu*||w - w*||:
@@ -288,18 +288,17 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
     sums above the budget; the greedy marks every closed subnet and stops at the same
     suffix of open subnets.
 
-    With a ``reference``, each open subnet's computed norm lies in the interval of
-    ``reference.norm_bounds``; division by mu and the contribution are monotone and
-    correctly rounded, so ``certified_marks`` on the contributions at the interval
-    ends gives the exact path's marks when it gives any. Otherwise grad F is
-    evaluated, in one call, only where the intervals leave the marks undecided (no
-    reference, or an interval across the cut between S and R), those intervals
+    Each open subnet's computed norm lies in the interval of ``reference.norm_bounds``;
+    division by mu and the contribution are monotone and correctly rounded, so
+    ``certified_marks`` on the contributions at the interval ends gives the exact
+    path's marks when it gives any. Otherwise grad F is evaluated, in one call, only
+    where the intervals leave the marks undecided (a subnet with no reference yet, whose
+    bounds are NaN, or an interval across the cut between S and R), those intervals
     shrink to the exact contributions (a point's gradient does not depend on the
     points evaluated with it), and the certificate is tried again; failing that,
     grad F is evaluated at the other open subnets too. Each norm becomes a reference.
     """
-    open_, weights, base, slope = (open_subnets(topology, params, phi), None, None, None) \
-        if reference is None else reference.terms(topology, params, phi)
+    open_, weights, base, slope = reference.terms(topology, params, phi)
     theta = ~open_
     if not open_.any():
         return theta
@@ -311,25 +310,23 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
 
     def evaluate(subnets):              # grad F at the open subnets of the mask ``subnets``
         grad_norms[subnets] = norms(topology.global_gradients(model, points[subnets]))
-        if reference is not None:
-            reference.store(np.flatnonzero(open_)[subnets], points[subnets], grad_norms[subnets])
+        reference.store(np.flatnonzero(open_)[subnets], points[subnets], grad_norms[subnets])
 
-    if reference is not None:
-        lo, hi = (contributions(ends) for ends in reference.norm_bounds(open_, points))
+    lo, hi = (contributions(ends) for ends in reference.norm_bounds(open_, points))
+    marks = certified_marks(lo, hi, phi)
+    if marks is None:   # grad F where intervals are not finite, else cross the cut, else all
+        undecided = ~(np.isfinite(lo) & np.isfinite(hi))
+        if not undecided.any() and 0.0 < phi * phi < math.inf:
+            order, r = _cut(hi.tolist(), phi * phi)     # S = order[r:], R = order[:r]
+            undecided[order[r:]] = lo[order[r:]] <= hi[order[:r]].max(initial=-math.inf)
+            undecided[order[:r]] = hi[order[:r]] >= lo[order[r:]].min(initial=math.inf)
+        undecided |= ~undecided.any()
+        evaluate(undecided)
+        lo[undecided] = hi[undecided] = contributions(grad_norms)[undecided]
         marks = certified_marks(lo, hi, phi)
-        if marks is None:   # grad F where intervals are not finite, else cross the cut, else all
-            undecided = ~(np.isfinite(lo) & np.isfinite(hi))
-            if not undecided.any() and 0.0 < phi * phi < math.inf:
-                order, r = _cut(hi.tolist(), phi * phi)     # S = order[r:], R = order[:r]
-                undecided[order[r:]] = lo[order[r:]] <= hi[order[:r]].max(initial=-math.inf)
-                undecided[order[:r]] = hi[order[:r]] >= lo[order[r:]].min(initial=math.inf)
-            undecided |= ~undecided.any()
-            evaluate(undecided)
-            lo[undecided] = hi[undecided] = contributions(grad_norms)[undecided]
-            marks = certified_marks(lo, hi, phi)
-        if marks is not None:
-            theta[open_] = marks
-            return theta
+    if marks is not None:
+        theta[open_] = marks
+        return theta
     if np.isnan(grad_norms).any():
         evaluate(np.isnan(grad_norms))
     gaps = np.zeros(topology.num_subnets)
@@ -340,7 +337,7 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
 
 def trigger_local_aggregation(subnet_aggregates: np.ndarray, topology: FleetTopology,
                               model: LossModel, params: HeterogeneityParams, phi: float,
-                              reference: TriggerReference | None = None) -> np.ndarray:
+                              reference: TriggerReference) -> np.ndarray:
     """Per-slot aggregation indicators: the slot's ``deviation_marks``. The
     planner calls that step directly, so these calls count the slots."""
     return deviation_marks(subnet_aggregates, topology, model, params, phi, reference)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mp_reference as mpref
@@ -231,6 +231,31 @@ def test_limits_match_oracle():
     assert mpref.rel_err(lims.alpha_star,
                          mpref.alpha_star(0.4, 3.0, 0.25, tau, delay,
                                           eta_max, gamma)) < 1e-12
+
+
+@given(ratio=st.floats(0.01, 0.99), beta=st.floats(0.1, 10.0), omega=st.floats(0.0, 1.0),
+       tau=st.integers(1, 40), delay_share=st.floats(0.0, 1.0), safety=st.floats(0.05, 0.99),
+       gamma_safety=st.floats(0.05, 0.99), alpha_share=st.floats(0.0, 0.99),
+       e3_init=st.floats(0.0, 3.0))
+@settings(max_examples=200)
+def test_the_constants_entry_points_agree_bit_for_bit(ratio, beta, omega, tau, delay_share,
+                                                      safety, gamma_safety, alpha_share,
+                                                      e3_init):
+    params = make_params(mu=ratio * beta, beta=beta, omega=omega)
+    delay = min(int(delay_share * tau), tau - 1)
+    try:
+        eta_max, gamma = select_step_size(params, tau, delay, safety, gamma_safety)
+        consts = compute_constants(params, tau, delay, 0.0, eta_max, gamma, e3_init)
+    except InfeasibleError:
+        assume(False)
+    assert consts.eta_max_limit == eta_max_limit(params, tau, delay)
+    assert consts.gamma_limit == gamma_limit(params, tau, delay, eta_max)
+    assert consts.alpha_star == feasibility_limits(params, tau, delay, eta_max, gamma).alpha_star
+    alpha = alpha_share * min(consts.alpha_star, 1.0)
+    checked, unchecked = (compute_constants(params, tau, delay, alpha, eta_max, gamma, e3_init,
+                                            check=check) for check in (True, False))
+    for name in ("c1", "c2", "c3", "k1", "k2", "y1", "y2", "y3"):
+        assert getattr(checked, name) == getattr(unchecked, name), name
 
 
 def test_select_step_size_strictly_feasible():

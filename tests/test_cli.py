@@ -888,6 +888,26 @@ def test_explicit_subnet_sizes_run_the_same_bytes_serial_and_parallel(tmp_path, 
         assert {line.split(",")[2] for line in events[1:]} == {"-1", "0", "1", "2", "3"}
 
 
+def test_explicit_subnet_sizes_record_the_subnet_count_that_runs(tmp_path):
+    # subnet_sizes overrides num_subnets: the manifest records the count that ran,
+    # and so hashes as the config that gives that count explicitly
+    blob = json.loads((REPO / "configs" / "label_skew_svm.json").read_text())
+    blob["topology"]["subnet_sizes"] = [1, 1, 1, 47]
+    blob["seeds"], blob["schedule"]["num_intervals"] = [0], 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["effective_config"]["topology"]["num_subnets"] == 4
+    blob["topology"]["num_subnets"] = 4
+    assert manifest["config_hash"] == parse_config(blob).config_hash()
+    # sizes that agree with num_subnets keep the hash they had before the count was recorded
+    ridge = json.loads((REPO / "configs" / "minimal_ridge.json").read_text())
+    ridge["topology"]["subnet_sizes"] = [3, 5]
+    assert parse_config(ridge).config_hash() == \
+        "25a7abe0fedce2282df3a73589428b1515ce84ea6ca448306575f428857b23ad"
+
+
 def test_an_optimum_out_of_iterations_exits_1_naming_the_gradient_norm(tmp_path, monkeypatch,
                                                                        capsys):
     # the tracked_svm20 benchmark config: adaptive_demo's data under label_skew_svm's

@@ -22,6 +22,7 @@ from dflsim.control import (
     aggregation_indicators,
     bootstrap_estimates,
     certified_marks,
+    deviation_marks,
     estimate_parameters,
     open_subnets,
     run_adaptive,
@@ -101,9 +102,11 @@ def test_trigger_uses_strong_convexity_gap():
     # delta_c part, and a budget above their sum must not trigger
     contrib = subnet_contributions(np.zeros(topo.num_subnets), topo.subnet_weights, params)
     phi_loose = math.sqrt(contrib.sum()) * 1.01
-    theta = trigger_local_aggregation(aggregates, topo, model, params, phi_loose)
+    theta = trigger_local_aggregation(aggregates, topo, model, params, phi_loose,
+                                      TriggerReference(topo, model))
     assert not theta.any()
-    theta_tight = trigger_local_aggregation(aggregates, topo, model, params, 0.0)
+    theta_tight = trigger_local_aggregation(aggregates, topo, model, params, 0.0,
+                                            TriggerReference(topo, model))
     assert theta_tight.all()
 
 
@@ -188,10 +191,36 @@ def trigger_cases(draw):
 @given(trigger_cases())
 def test_trigger_skips_only_gradients_that_cannot_change_its_decision(case):
     topo, model, aggregates, params, phi = case
-    got = trigger_local_aggregation(aggregates, topo, model, params, phi)
+    got = trigger_local_aggregation(aggregates, topo, model, params, phi,
+                                    TriggerReference(topo, model))
     want = aggregation_indicators(
         reference_contributions(aggregates, topo, model, params, params.mu), phi)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e306, math.inf])
+@pytest.mark.parametrize("phi", [0.0, math.sqrt(300.0), math.inf])
+def test_a_fresh_reference_marks_as_every_exact_gap_does(scale, phi):
+    # a fresh reference bounds no norm (NaN), so grad F is evaluated at every open
+    # subnet; the certificate or the greedy then marks as the exact gaps do, also
+    # where the contributions (1e160), grad F (1e306) or the aggregates (inf) overflow
+    gen = np.random.default_rng(3)
+    datasets = [Dataset(gen.standard_normal((5, 2)), gen.standard_normal(5)) for _ in range(4)]
+    topo = build_topology(datasets, [1, 1, 2])
+    model = LossModel(RIDGE, feature_dim=2, regularization=0.05)
+    # subnet 2's floor is positive: closed at phi = 0; at scale 1, phi^2 = 300 marks it alone
+    params = HeterogeneityParams(mu=0.1, beta=2.0, inter_delta=0.1, inter_zeta=0.1,
+                                 intra_delta=np.array([0.0, 0.0, 1.0]), intra_zeta=np.ones(3),
+                                 sgd_noise=0.0, subnet_noise_budget=0.0)
+    aggregates = scale * gen.standard_normal((3, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = aggregation_indicators(
+            reference_contributions(aggregates, topo, model, params, params.mu), phi)
+        got = deviation_marks(aggregates, topo, model, params, phi,
+                              TriggerReference(topo, model))
+    assert np.array_equal(got, want)
+    if scale == 1.0 and 0.0 < phi < math.inf:
+        assert got.tolist() == [False, False, True]
 
 
 def planted_budgets(contributions):

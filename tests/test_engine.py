@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dflsim import engine, losses
 from dflsim.analysis import one_step_bounds
 from dflsim.config import load_config
-from dflsim.control import trigger_local_aggregation
+from dflsim.control import TriggerReference, trigger_local_aggregation
 from dflsim.data import Dataset
 from dflsim.engine import (
     METRIC_COLUMNS,
@@ -529,7 +529,8 @@ def test_divergence_mid_piece_under_the_trigger_names_its_first_row(eta, bad_t, 
         sgd_noise=0.0, subnet_noise_budget=0.5)
 
     def trigger(t, tentative, aggregates):
-        return trigger_local_aggregation(aggregates, topo, model, params, 0.5)
+        return trigger_local_aggregation(aggregates, topo, model, params, 0.5,
+                                         TriggerReference(topo, model))
 
     def diverge() -> Protocol:
         proto = Protocol(topo, model, seed=0, batch_size=5, w_star=cfg.w_star)
