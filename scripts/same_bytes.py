@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Same-bytes gate: two dflsim trees write identical run outputs.
+"""Same-bytes gate: two dflsim trees write identical run and validate outputs.
 
 Runs ``python3 -m dflsim run`` with each tree's ``src`` on the import path,
 serially and with ``--workers 2``, on every ``configs/*.json`` of the parent
@@ -8,11 +8,14 @@ The workload configs come from ``dflbench/workloads.py`` of this checkout,
 imported without writing bytecode, as ``scripts/ab_units.py`` does. After
 each pair of runs it compares the two output directories (metrics, events
 and manifest) file by file, and exits 1 naming the first file that differs
-or the first run that fails; it exits 0 when every file is identical.
+or the first run that fails. Then it runs ``python3 -m dflsim validate SUITE
+--quick`` from each tree for the five suites, and exits 1 naming the first
+suite whose stdout or exit status differs. It exits 0 when everything is
+identical.
 
     python3 scripts/same_bytes.py PARENT_TREE CHANGE_TREE [--configs-only]
 
-``--configs-only`` runs the checked-in configs alone.
+``--configs-only`` runs the checked-in configs alone, and no suite.
 """
 
 import argparse
@@ -25,6 +28,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WORKLOAD_SEEDS = {"adaptive_svm50": range(16), "tracked_svm20": range(3)}
+SUITES = ("facts", "onestep", "proposition", "theorem", "solver")
 
 
 def config_paths(parent: Path, work: Path, configs_only: bool) -> list[Path]:
@@ -41,12 +45,16 @@ def config_paths(parent: Path, work: Path, configs_only: bool) -> list[Path]:
     return paths
 
 
+def dflsim(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python3 -m dflsim ARGS`` from ``tree``, with its ``src`` on the import path."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "dflsim", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
 def run(tree: Path, config: Path, out: Path, workers: str) -> str | None:
     """``dflsim run`` of ``config`` from ``tree`` into ``out``; its stderr if it fails."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "dflsim", "run", str(config),
-                           "--workers", workers, "--output", str(out)],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    done = dflsim(tree, "run", str(config), "--workers", workers, "--output", str(out))
     return None if done.returncode == 0 else done.stderr.strip() or f"exit {done.returncode}"
 
 
@@ -64,7 +72,7 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--configs-only", action="store_true",
-                        help="run the checked-in configs alone")
+                        help="run the checked-in configs alone, and no suite")
     args = parser.parse_args()
     trees = (args.parent.resolve(), args.change.resolve())
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,7 +91,14 @@ def main() -> int:
                 if name is not None:
                     print(f"{label}: {name} differs")
                     return 1
-        print(f"same bytes: {len(configs)} configs, serial and --workers 2")
+    suites = () if args.configs_only else SUITES
+    for suite in suites:
+        parent, change = (dflsim(tree, "validate", suite, "--quick") for tree in trees)
+        if (parent.returncode, parent.stdout) != (change.returncode, change.stdout):
+            print(f"validate {suite} --quick: stdout or exit status differs")
+            return 1
+    print(f"same bytes: {len(configs)} configs, serial and --workers 2"
+          + (f"; {len(suites)} validate suites" if suites else ""))
     return 0
 
 

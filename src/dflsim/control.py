@@ -304,12 +304,14 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
         return theta
     points = subnet_aggregates[open_]
     grad_norms = np.full(points.shape[0], np.nan)     # NaN until evaluated
+    evaluated = np.zeros(points.shape[0], dtype=bool)   # an evaluated norm may be NaN too
 
     def contributions(norm_values):     # of the open subnets, at these norms of grad F
         return weights * (base + slope * (norm_values / params.mu) ** 2)
 
     def evaluate(subnets):              # grad F at the open subnets of the mask ``subnets``
         grad_norms[subnets] = norms(topology.global_gradients(model, points[subnets]))
+        evaluated[subnets] = True
         reference.store(np.flatnonzero(open_)[subnets], points[subnets], grad_norms[subnets])
 
     lo, hi = (contributions(ends) for ends in reference.norm_bounds(open_, points))
@@ -327,8 +329,8 @@ def deviation_marks(subnet_aggregates: np.ndarray, topology: FleetTopology,
     if marks is not None:
         theta[open_] = marks
         return theta
-    if np.isnan(grad_norms).any():
-        evaluate(np.isnan(grad_norms))
+    if not evaluated.all():
+        evaluate(~evaluated)
     gaps = np.zeros(topology.num_subnets)
     gaps[open_] = grad_norms / params.mu
     return aggregation_indicators(

@@ -20,7 +20,6 @@ import numpy as np
 from .analysis import (
     compute_constants,
     eigen_system,
-    error_terms,
     feasibility_limits,
     one_step_bounds,
     proposition_step,
@@ -36,7 +35,7 @@ from .control import (
     subnet_contributions,
 )
 from .data import Dataset, make_blobs, make_shared_design
-from .engine import IntervalPlan, TrainingSchedule, noise_free_interval, run_training
+from .engine import IntervalPlan, TrainingSchedule, run_training
 from .errors import InfeasibleError
 from .fleet import (FleetTopology, HeterogeneityParams, build_topology, flatten_topology,
                     partition_label_skew)
@@ -224,34 +223,25 @@ def eigen_margins() -> tuple[float, bool, float]:
 
 
 def noise_free_onestep(steps: int) -> tuple[float, float, int]:
-    """Worst slack of the one-slot e2 and e3 bounds on diverse_problem's
-    companions, over the slots that do not synchronize, and their count."""
+    """Worst slack of the one-slot e2 and e3 bounds on the companion columns of a
+    diverse_problem run, over the slots 1..steps that do not synchronize, and their count."""
     prob = diverse_problem()
-    topo, model, params = prob.topology, prob.model, prob.params
+    params = prob.params
     eta = 0.9 * 2.0 / (params.mu + params.beta)
     plan = IntervalPlan(tau=25, alpha=0.3, eta=eta, delay=5)
-    companions = np.zeros((topo.num_subnets, model.model_dim))
-    zeros = np.zeros((topo.num_devices, model.model_dim))
-    worst2 = worst3 = math.inf
-    checked = 0
-    for t in range(1, steps + 1):
-        if (t - 1) % plan.tau == 0:     # an interval starts
-            slots = noise_free_interval(companions, topo, model, plan)
-        _, e2, e3 = error_terms(zeros, topo, companions, prob.w_star)
-        _, b2, b3 = one_step_bounds(params, 0.0, e2, e3, eta)
-        companions = next(slots)
-        if t % plan.tau:                # the slot does not synchronize
-            _, e2n, e3n = error_terms(zeros, topo, companions, prob.w_star)
-            worst2 = min(worst2, b2 - e2n)
-            worst3 = min(worst3, b3 - e3n)
-            checked += 1
-    return worst2, worst3, checked
+    res = run_training(prob.topology, prob.model,
+                       TrainingSchedule((plan,) * math.ceil(steps / plan.tau)),
+                       seed=0, batch_size=1, w_star=prob.w_star)
+    e2, e3 = res.column("e2")[:steps + 1], res.column("e3")[:steps + 1]    # row t is slot t
+    _, b2, b3 = one_step_bounds(params, 0.0, e2[:-1], e3[:-1], eta)
+    inner = np.arange(1, steps + 1) % plan.tau != 0
+    return (float(np.min((b2 - e2[1:])[inner])), float(np.min((b3 - e3[1:])[inner])),
+            int(np.count_nonzero(inner)))
 
 
 def replica_moments(prob: CertifiedProblem, schedule: TrainingSchedule, num_seeds: int,
                     trajectory, **engine_kwargs) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of ``trajectory(run)`` over seeds 0..num_seeds-1:
-    the one multi-seed loop of the suites and the acceptance criteria."""
+    """Mean and standard error of ``trajectory(run)`` over seeds 0..num_seeds-1."""
     samples = np.stack([
         trajectory(run_training(prob.topology, prob.model, schedule, seed=s,
                                 batch_size=1, w_star=prob.w_star, **engine_kwargs))
@@ -462,25 +452,23 @@ def suite_proposition(draws: int = 100, seed: int = 1) -> list[CheckResult]:
 
     # tight recursion dominates the simulated noise-free dynamics at syncs
     prob = diverse_problem()
-    topo, model = prob.topology, prob.model
     tau, delay = 8, 2
     eta_max, gamma = select_step_size(prob.params, tau, delay)
     alpha = 0.5 * compute_constants(prob.params, tau, delay, 0.0, eta_max,
                                     gamma).alpha_star
+    consts = compute_constants(prob.params, tau, delay, alpha, eta_max, gamma,
+                               e3_init=prob.e3_init)
+    etas = [consts.eta_at(k) for k in range(12)]
+    res = run_training(prob.topology, prob.model, TrainingSchedule(tuple(
+        IntervalPlan(tau=tau, alpha=alpha, eta=eta_k, delay=delay) for eta_k in etas)),
+        seed=0, batch_size=1, w_star=prob.w_star, metrics_every=tau)
+    e2, e3 = (np.append(res.column(name)[0], res.at_sync(name)).tolist()
+              for name in ("e2", "e3"))
     worst = math.inf
-    companions = np.zeros((topo.num_subnets, model.model_dim))
-    zeros = np.zeros((topo.num_devices, model.model_dim))
-    for k in range(12):
-        consts = compute_constants(prob.params, tau, delay, alpha, eta_max, gamma,
-                                   e3_init=prob.e3_init)
-        eta_k = consts.eta_at(k)
-        _, e2, e3 = error_terms(zeros, topo, companions, prob.w_star)
-        plan = IntervalPlan(tau=tau, alpha=alpha, eta=eta_k, delay=delay)
-        *_, companions = noise_free_interval(companions, topo, model, plan)
-        _, e2n, e3n = error_terms(zeros, topo, companions, prob.w_star)
-        _, t2, t3 = proposition_step(consts, 0.0, e2, e3, eta_k, tight=True)
-        _, s2, s3 = proposition_step(consts, 0.0, e2, e3, eta_k, tight=False)
-        worst = min(worst, t2 - e2n, t3 - e3n, s2 - t2, s3 - t3)
+    for k, eta_k in enumerate(etas):
+        _, t2, t3 = proposition_step(consts, 0.0, e2[k], e3[k], eta_k, tight=True)
+        _, s2, s3 = proposition_step(consts, 0.0, e2[k], e3[k], eta_k, tight=False)
+        worst = min(worst, t2 - e2[k + 1], t3 - e3[k + 1], s2 - t2, s3 - t3)
     checks.append(CheckResult("tight-dominates-simulation", worst >= -1e-9, worst,
                               "12 noise-free synchronizations"))
     return checks

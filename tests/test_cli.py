@@ -299,6 +299,12 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"topology.num_devices": 8, "topology.subnet_sizes": [3, 4]},
      "topology.subnet_sizes"),
     ("run", {"topology.num_devices": 8, "topology.num_subnets": 3}, "topology.num_devices"),
+    # the controller's tau range, gamma safety and cost weights, and the backhaul latency
+    ("run", {"control.tau_min": 9, "control.tau_max": 8}, "control.tau_min"),
+    ("run", {"control.gamma_safety": 1.5}, "control.gamma_safety"),
+    ("run", {"control.energy_weight": 0, "control.delay_weight": 0,
+             "control.bound_weight": 0}, "control.bound_weight"),
+    ("run", {"radio.edge_cloud_latency_s": -1}, "radio.edge_cloud_latency_s"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -787,6 +793,8 @@ def test_validate_quick_suite_passes(suite, capsys):
     assert cli.main(["validate", suite, "--quick"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    golden = REPO / "tests" / "golden" / f"validate_{suite}_quick.txt"
+    assert out == golden.read_text()
 
 
 def test_checked_in_minimal_config_runs(tmp_path):

@@ -223,6 +223,26 @@ def test_a_fresh_reference_marks_as_every_exact_gap_does(scale, phi):
         assert got.tolist() == [False, False, True]
 
 
+def test_grad_f_is_evaluated_once_at_aggregates_whose_norms_are_nan():
+    # inf aggregates make every evaluated norm NaN: one call of the 3 open subnets,
+    # not a second at the same points for norms that only look unevaluated
+    prob = diverse_problem()
+    topo, model = prob.topology, prob.model
+    evaluate, points = FleetTopology.global_gradients, []
+
+    def counted(self, model, at):
+        points.append(len(at))
+        return evaluate(self, model, at)
+
+    aggregates = np.full((3, model.model_dim), math.inf)
+    with mock.patch.object(FleetTopology, "global_gradients", counted), \
+            np.errstate(over="ignore", invalid="ignore"):
+        got = deviation_marks(aggregates, topo, model, prob.params, 1.0,
+                              TriggerReference(topo, model))
+    assert points == [3]
+    assert got.tolist() == [True, True, True]
+
+
 def planted_budgets(contributions):
     """phi with phi^2 at, or an ulp of phi off, a contribution or a sum of the
     smallest ones: budgets on the greedy's decision boundaries."""
