@@ -3,9 +3,12 @@
 
 Runs ``python3 -m dflsim run`` with each tree's ``src`` on the import path,
 serially and with ``--workers 2``, on every ``configs/*.json`` of the parent
-tree, the 16 ``adaptive_svm50`` pool seeds and ``tracked_svm20`` seeds 0-2.
-The workload configs come from ``dflbench/workloads.py`` of this checkout,
-imported without writing bytecode, as ``scripts/ab_units.py`` does. After
+tree, ``label_skew_svm`` and ``adaptive_demo`` again with
+``schedule.track_optimality`` on and seed 0 alone (their ``gap`` column
+carries the bits of the svm optimum), the 16 ``adaptive_svm50`` pool seeds
+and ``tracked_svm20`` seeds 0-2. The workload configs come from
+``dflbench/workloads.py`` of this checkout, imported without writing
+bytecode, as ``scripts/ab_units.py`` does. After
 each pair of runs it compares the two output directories (metrics, events
 and manifest) file by file, and exits 1 naming the first file that differs
 or the first run that fails. Then it runs ``python3 -m dflsim validate SUITE
@@ -20,6 +23,7 @@ identical.
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -27,15 +31,23 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+TRACKED = ("label_skew_svm", "adaptive_demo")     # svm configs run again with the optimum
 WORKLOAD_SEEDS = {"adaptive_svm50": range(16), "tracked_svm20": range(3)}
 SUITES = ("facts", "onestep", "proposition", "theorem", "solver")
 
 
 def config_paths(parent: Path, work: Path, configs_only: bool) -> list[Path]:
-    """The checked-in configs of ``parent``, then the workload configs, written to ``work``."""
+    """The checked-in configs of ``parent``, then the tracked svm configs and the
+    workload configs, written to ``work``."""
     paths = sorted((parent / "configs").glob("*.json"))
     if configs_only:
         return paths
+    for name in TRACKED:
+        blob = json.loads((parent / "configs" / f"{name}.json").read_text())
+        blob["schedule"]["track_optimality"] = True
+        blob["seeds"] = [0]
+        paths.append(work / f"{name}_tracked.json")
+        paths[-1].write_text(json.dumps(blob))
     sys.dont_write_bytecode = True      # leave dflbench/ as it is
     sys.path.insert(0, str(REPO / "dflbench"))
     import workloads

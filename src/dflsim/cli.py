@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
 def cmd_bounds(args) -> int:
     values, params = cfgmod.check_bounds(cfgmod.read_json(args.params))
     tau, delay, eta_max, gamma = (values[k] for k in ("tau", "delay", "eta_max", "gamma"))
-    if eta_max is None or gamma is None:
+    if eta_max is None:
         eta_max, gamma = select_step_size(params, tau, delay, values["safety"])
     consts = compute_constants(params, tau, delay, values["alpha"], eta_max, gamma,
                                e3_init=values["e3_init"])
@@ -230,13 +230,13 @@ def cmd_control(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .validate import SUITES, run_suite     # loaded for this command only
+    from .validate import QUICK, SUITES     # loaded for this command only
 
     if args.suite not in SUITES:
         print(f"dflsim validate: unknown suite {args.suite!r}; choose from "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         raise SystemExit(2)
-    checks = run_suite(args.suite, quick=args.quick)
+    checks = SUITES[args.suite](**(QUICK[args.suite] if args.quick else {}))
     for check in checks:
         print(check.line())
     return 0 if all(c.passed for c in checks) else 1

@@ -323,6 +323,9 @@ def check_bounds(raw: dict) -> tuple[dict, HeterogeneityParams]:
     """The checked values of a ``dflsim bounds`` parameter file, and its params."""
     values, params = _param_file(raw, BOUNDS_DEFAULTS, "")
     checked("", lambda: ControlConfig(safety=values["safety"]))     # the same range
+    if (values["eta_max"] is None) != (values["gamma"] is None):
+        missing, given = ("gamma", "eta_max") if values["gamma"] is None else ("eta_max", "gamma")
+        raise ConfigError(f"{missing}: required when {given} is given")
     values.update({k: float(values[k]) for k in ("eta_max", "gamma") if values[k] is not None})
     return values, params
 

@@ -417,7 +417,7 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     """Exhaustive grid minimizer of the energy/delay/bound objective, with
     ``theta`` the subnets forecast to aggregate in every slot.
 
-    Scans integer interval lengths tau in [max(delay, tau_min), min(tau_max,
+    Scans integer interval lengths tau in [max(delay + 1, tau_min), min(tau_max,
     T - t_now)] and combiner weights on the alpha_step grid below the
     per-tau feasibility ceiling; the gap bound is evaluated at the end of
     the remaining horizon (K = floor((T - t_now)/tau) decay steps). Ties
@@ -429,7 +429,7 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     """
     horizon_left = config.horizon - t_now
     tau_hi = min(config.tau_max, horizon_left)
-    tau_lo = max(delay, config.tau_min, 1)
+    tau_lo = max(delay + 1, config.tau_min)
 
     best = None
     for tau in range(tau_lo, tau_hi + 1):

@@ -168,14 +168,9 @@ class RunResult:
         return self.metrics[name]
 
     def at_sync(self, name: str) -> np.ndarray:
-        """Metric values at the synchronization instants t_1..t_K."""
-        t = self.metrics["t"]
-        idx = np.searchsorted(t, self.sync_times)
-        present = (idx < t.size) & (t[np.minimum(idx, t.size - 1)] == self.sync_times)
-        if not present.all():
-            raise ValueError("sync instants missing from the metric log; "
-                             "run with metrics_every=1")
-        return self.metrics[name][idx]
+        """Metric values at the synchronization instants t_1..t_K, which are always
+        logged, whatever ``metrics_every``."""
+        return self.metrics[name][np.searchsorted(self.metrics["t"], self.sync_times)]
 
 
 ThetaPolicy = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -413,7 +408,7 @@ class Protocol:
                 aggregates = topo.subnet_sums(tentative) if fired or t == capture_t else None
 
             if t == capture_t:
-                if snapshot is not None or self._pending_snapshot is not None:
+                if self._pending_snapshot is not None:
                     raise SnapshotError(f"duplicate snapshot capture at t={t}")
                 snapshot = topo.global_sums(aggregates)
                 self._pending_snapshot = snapshot
@@ -430,8 +425,6 @@ class Protocol:
                 self._charge(t, np.array([-1]), np.array(self.cost_model.global_event(t))[:, None])
 
             sync = t == t_end
-            if sync and snapshot is None:
-                raise SnapshotError("synchronization without a captured snapshot")
             if fired == n_sub:
                 local = aggregates[topo.subnet_of]
             elif fired:

@@ -34,7 +34,7 @@ class ScheduleError(DFLError):
 
 
 class SnapshotError(DFLError):
-    """Global snapshot captured twice, or synchronization without a snapshot."""
+    """Global snapshot captured while an earlier one still awaits its synchronization."""
 
 
 class DivergenceError(DFLError):

@@ -196,9 +196,9 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
                          rng: np.random.Generator) -> list[Dataset]:
     """Split a labeled dataset so each device sees exactly k distinct labels.
 
-    Devices are assigned label subsets cyclically over a permuted label
-    alphabet, then each label's (shuffled) points are dealt out to the
-    devices holding that label. Every point lands on exactly one device.
+    Device slot s holds positions s*k .. s*k + k - 1 (mod L) of a permuted label
+    alphabet, distinct as k <= L; each label's (shuffled) points are dealt out to
+    its holders, at least one each. Every point lands on exactly one device.
     """
     labels = np.unique(dataset.labels)
     if labels_per_device < 1 or labels_per_device > labels.size:
@@ -209,12 +209,10 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
     device_order = rng.permutation(num_devices)
 
     holders: dict[float, list[int]] = {lab: [] for lab in labels}
-    held = [set() for _ in range(num_devices)]     # each device's labels
     for slot, dev in enumerate(device_order.tolist()):
         for j in range(labels_per_device):
             lab = alphabet[(slot * labels_per_device + j) % labels.size]
             holders[lab].append(dev)
-            held[dev].add(lab)
 
     per_device_idx: list[list[np.ndarray]] = [[] for _ in range(num_devices)]
     for lab in labels:
@@ -230,12 +228,7 @@ def partition_label_skew(dataset: Dataset, num_devices: int, labels_per_device: 
         for dev, chunk in zip(devs, np.array_split(idx, len(devs))):
             per_device_idx[dev].append(chunk)     # at least one point of the label
 
-    out = []
-    for dev in range(num_devices):
-        if len(held[dev]) != min(labels_per_device, labels.size):
-            raise PartitionError(f"device {dev} ended with wrong label support")
-        out.append(dataset.subset(np.sort(np.concatenate(per_device_idx[dev]))))
-    return out
+    return [dataset.subset(np.sort(np.concatenate(chunks))) for chunks in per_device_idx]
 
 
 def build_topology(assignments: Sequence[Dataset], subnet_sizes: Sequence[int]) -> FleetTopology:

@@ -381,7 +381,7 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
     the devices of ``stack``, whose rows are read in place.
 
     Ridge uses the normal equations directly. The squared-hinge model is
-    solved by full-batch gradient descent with backtracking line search.
+    solved by full-batch gradient descent, backtracking to sufficient decrease.
     Each iterate's objective and gradient come from one ``_svm_margins``
     array per layout block, so an accepted candidate's gradient is the next
     step's, and their weighted sums are ``_sum_in_order``'s. Terminates when
@@ -424,10 +424,11 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
         gnorm2 = float(grad @ grad)
         if np.sqrt(gnorm2) <= tol:
             return w
-        # the 1/L step always descends; backtrack only if numerics disagree
+        # a 1/L step descends by step*|grad|^2/2 at least; halve any step that does not
         cand = w - step * grad
         cand_value, cand_grad = evaluate(cand)
-        while cand_value > value + 4.0 * np.finfo(np.float64).eps * abs(value) \
+        while cand_value > value - 0.5 * step * gnorm2 \
+                + 4.0 * np.finfo(np.float64).eps * abs(value) \
                 and step > 1e-18 / lipschitz:
             step *= 0.5
             cand = w - step * grad

@@ -519,17 +519,11 @@ SUITES = {
     "solver": suite_solver,
 }
 
-
-def run_suite(name: str, quick: bool = False) -> list[CheckResult]:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if quick:
-        overrides = {
-            "facts": dict(trials=200),
-            "onestep": dict(steps=120, e1_seeds=200),
-            "proposition": dict(draws=30),
-            "theorem": dict(num_seeds=60, num_syncs=20),
-            "solver": dict(),
-        }
-        return SUITES[name](**overrides[name])
-    return SUITES[name]()
+# the ``--quick`` sample sizes of each suite
+QUICK = {
+    "facts": dict(trials=200),
+    "onestep": dict(steps=120, e1_seeds=200),
+    "proposition": dict(draws=30),
+    "theorem": dict(num_seeds=60, num_syncs=20),
+    "solver": {},
+}

@@ -305,6 +305,19 @@ def test_unknown_field_named(tmp_path, capsys):
     ("run", {"control.energy_weight": 0, "control.delay_weight": 0,
              "control.bound_weight": 0}, "control.bound_weight"),
     ("run", {"radio.edge_cloud_latency_s": -1}, "radio.edge_cloud_latency_s"),
+    # a lone step size or gamma would be dropped for the auto-selected pair
+    ("bounds", {"eta_max": 0.01}, "gamma: required"),
+    ("bounds", {"gamma": 0.001}, "eta_max: required"),
+    # the batch size, the kinds and modes, the adaptive schedule and a sweep axis
+    ("run", {"batch_size": 0}, "batch_size"),
+    ("run", {"dataset.kind": "bogus"}, "dataset.kind"),
+    ("run", {"model.kind": "bogus"}, "model.kind"),
+    ("run", {"schedule.mode": "bogus"}, "schedule.mode"),
+    ("run", {"schedule.mode": "adaptive"}, "control: required"),
+    ("run", {"schedule.mode": "adaptive", "control.horizon": 40, "schedule.delay": -1},
+     "schedule.delay"),
+    ("sweep --axis seeds.x --values 1", {}, "seeds.x"),
+    # new rows go here, at the end: a dict row's id holds its place in this list
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, overrides,
                                         field):
@@ -331,6 +344,29 @@ def test_bad_input_exits_2_naming_field(tmp_path, capsys, monkeypatch, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
     assert not (tmp_path / "out").exists()      # nothing is written
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds", "control"])
+def test_a_missing_or_non_object_input_file_exits_2_naming_it(tmp_path, capsys, command):
+    flags = ["--axis", "schedule.tau", "--values", "6"] if command == "sweep" else []
+    missing, array = tmp_path / "absent.json", tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    for path, reason in ((missing, "cannot read"), (array, "expected a JSON object")):
+        assert cli.main([command, str(path), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {reason}")
+
+
+def test_a_radio_sweep_of_a_radio_less_config_prices_its_events(tmp_path):
+    path = write_config(tmp_path)       # MINIMAL has no radio section
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--axis", "radio.bandwidth_hz",
+                     "--values", "2e6", "--output", str(out)]) == 0
+    sub = out / "sweep_radio_bandwidth_hz_2000000.0"
+    manifest = json.loads((sub / "radio_bandwidth_hz_2000000.0_manifest.json").read_text())
+    assert manifest["effective_config"]["radio"]["bandwidth_hz"] == 2e6
+    with (sub / "radio_bandwidth_hz_2000000.0_seed0_events.csv").open(newline="") as handle:
+        local = [row for row in csv.DictReader(handle) if row["kind"] == "local"]
+    assert local and all(float(row["energy_j"]) > 0 for row in local)
 
 
 def test_csv_labels_per_device_above_label_count_exits_2(tmp_path, capsys):

@@ -200,11 +200,13 @@ def two_call_optimum(model, datasets, weights, max_iter=200_000):
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad)))
     value, step = objective(w), 1.0 / lipschitz
     for _ in range(max_iter):
-        if np.sqrt(float(grad @ grad)) <= tol:
+        gnorm2 = float(grad @ grad)
+        if np.sqrt(gnorm2) <= tol:
             return w
         cand = w - step * grad
         cand_value = objective(cand)
-        while cand_value > value + 4.0 * np.finfo(np.float64).eps * abs(value) \
+        while cand_value > value - 0.5 * step * gnorm2 \
+                + 4.0 * np.finfo(np.float64).eps * abs(value) \
                 and step > 1e-18 / lipschitz:
             step *= 0.5
             cand = w - step * grad
@@ -260,6 +262,18 @@ def test_an_underestimated_smoothness_backtracks_to_the_optimum(monkeypatch):
     assert np.linalg.norm(fleet.global_gradient(model, got)) \
         <= GRAD_TOL * max(1.0, np.linalg.norm(grad0))
     assert np.abs(got - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8, 16])
+def test_a_smoothness_understated_by_a_power_of_two_converges(monkeypatch, factor):
+    # a candidate of equal objective is no descent: the halved steps reach 1/L
+    # and find the optimum the true bound finds, well within a small budget
+    fleet, model = adaptive_demo_fleet()
+    want = fleet.optimum(model)
+    bound = losses.smoothness
+    monkeypatch.setattr(losses, "smoothness", lambda *args: bound(*args) / factor)
+    monkeypatch.setattr(losses, "MAX_ITER", 2000)
+    assert np.array_equal(fleet.optimum(model), want)
 
 
 def test_an_optimum_out_of_iterations_names_its_final_gradient_norm(monkeypatch):
