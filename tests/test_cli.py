@@ -974,6 +974,27 @@ def test_an_optimum_out_of_iterations_exits_1_naming_the_gradient_norm(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_tracked_svm_without_regularization_solves_past_an_all_zero_feature(tmp_path):
+    # regularization 0 and a feature that is 0 at every point: each Hessian's row and
+    # column of that feature are 0, so the Newton step is the minimum-norm solve
+    from dflsim import losses
+    from dflsim.data import make_blobs
+
+    data = make_blobs(4, 15, 3, 0.6, np.random.default_rng(7))
+    lines = ["y,x1,x2,x3,x4"] + [",".join(map(repr, [y, *x, 0.0])) for x, y
+                                 in zip(data.features.tolist(), data.labels.tolist())]
+    (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+    blob = {**MINIMAL, "dataset": {"kind": "csv", "path": str(tmp_path / "points.csv")},
+            "model": {"kind": "svm", "regularization": 0.0, "num_classes": 4}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert np.isfinite(read_metrics_csv(tmp_path / "out" / "run_seed0_metrics.csv")["gap"]).all()
+    cfg = load_config(path)
+    grad = lambda w: np.linalg.norm(cfg.fleet.global_gradient(cfg.model, w))
+    assert grad(cfg.w_star) <= losses.GRAD_TOL * max(1.0, grad(np.zeros(cfg.model.model_dim)))
+
+
 def adaptive_demo(tmp_path, section: str, field: str, value) -> Path:
     """``configs/adaptive_demo.json`` for seed 0 with one value replaced."""
     blob = json.loads((REPO / "configs" / "adaptive_demo.json").read_text())

@@ -117,6 +117,6 @@ def test_tracked_svm_outputs_match_pinned_digests(tmp_path):
     digest = lambda kind: hashlib.sha256(
         (out / f"run_seed0_{kind}.csv").read_bytes()).hexdigest()
     assert (digest("metrics"), digest("events")) == (
-        "6e098f6c4f182a1b1e7a90d15afc94b92352342784fc1cdfbeda535c9ed69e10",
+        "8a2ae025c7bac3ca37103b066f9c0a1d92d022828795efcc2d9bc09f05dc3fa2",
         "659467e3949491f0f8545002e28f21f53c3efe8402922fdf766decbf940cfe1e",
     )

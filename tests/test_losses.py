@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,9 @@ def two_call_optimum(model, datasets, weights, max_iter=200_000):
 
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=6))
 def test_svm_optimum_equals_the_two_call_descent(seed, counts):
-    # unequal datasets, weights not proportional to their sizes
+    # unequal datasets, weights not proportional to their sizes. The objective is
+    # reg*W-strongly convex, so two points whose gradients are g1 and g2 lie at most
+    # (|g1| + |g2|)/(reg*W) apart; the slack is the rounding of those gradients
     gen = np.random.default_rng(seed)
     dim, classes = int(gen.integers(1, 4)), int(gen.integers(2, 5))
     model = LossModel(SVM, feature_dim=dim, regularization=float(gen.uniform(0.05, 0.5)),
@@ -227,8 +230,13 @@ def test_svm_optimum_equals_the_two_call_descent(seed, counts):
                 for n in counts]
     weights = gen.uniform(0.1, 1.0, len(counts))
     weights /= weights.sum()
+    stack = DeviceStack(datasets)
     want = two_call_optimum(model, datasets, weights)
-    assert np.array_equal(solve_optimum(model, DeviceStack(datasets), weights), want)
+    got = solve_optimum(model, stack, weights)
+    gnorm = lambda w: np.linalg.norm(_sum_in_order(weights[:, None] * stack.gradients(
+        model, w[None])[0]))
+    bound = (gnorm(want) + gnorm(got)) / (model.regularization * weights.sum())
+    assert np.linalg.norm(got - want) <= bound + 1e-12
 
 
 def adaptive_demo_fleet():
@@ -239,55 +247,64 @@ def adaptive_demo_fleet():
     return cfg.fleet, cfg.model
 
 
-def test_an_underestimated_smoothness_backtracks_to_the_optimum(monkeypatch):
-    # a fifth of the bound: the first 5/L step overshoots, and the halved steps find
-    # the optimum the 1/L steps find, within the gradient tolerance
-    fleet, model = adaptive_demo_fleet()
-    want = fleet.optimum(model)
-    bound, sum_in_order, objectives = losses.smoothness, losses._sum_in_order, []
+def test_an_overshooting_newton_step_is_halved(monkeypatch):
+    # three points of one label: from the first iterate the full Newton step of its
+    # active set lands where points it ignored turn active, and the objective rises
+    # about 17-fold; the next point tried is halfway to it
+    model = LossModel(SVM, feature_dim=3, regularization=0.004, num_classes=2)
+    stack = DeviceStack([Dataset([[-1.1, 0.7, -0.3], [0.0, 0.7, 2.5], [-0.5, 0.5, 0.9]],
+                                 [1.0, 1.0, 1.0])])
+    margins, points = losses._svm_margins, []
 
-    def recorded(terms):
-        total = sum_in_order(terms)
-        if terms.shape[-1] == 1:      # (D, 1) weighted losses: one iterate's objective
-            objectives.append(float(total[0]))
-        return total
+    def recorded(model, X, targets, W):
+        points.append(W.copy())         # one layout block: one call per point tried
+        return margins(model, X, targets, W)
 
-    monkeypatch.setattr(losses, "smoothness", lambda *args: bound(*args) / 5)
-    monkeypatch.setattr(losses, "_sum_in_order", recorded)
-    got = fleet.optimum(model)
+    monkeypatch.setattr(losses, "_svm_margins", recorded)
+    w_star = solve_optimum(model, stack, [1.0])
     monkeypatch.undo()
-    # a rejected candidate: an objective above the one before it, well beyond rounding
-    assert any(b > a * (1 + 1e-9) for a, b in zip(objectives, objectives[1:]))
-    grad0 = fleet.global_gradient(model, np.zeros(model.model_dim))
-    assert np.linalg.norm(fleet.global_gradient(model, got)) \
+    F = [float(stack.losses(model, w)[0]) for w in points]
+    assert [i for i in range(len(points) - 2) if F[i + 1] > 2 * F[i] and np.allclose(
+        points[i + 2] - points[i], 0.5 * (points[i + 1] - points[i]), rtol=1e-12)] == [1]
+    grad0 = full_gradient(model, stack.datasets()[0], np.zeros(model.model_dim))
+    assert np.linalg.norm(full_gradient(model, stack.datasets()[0], w_star)) \
         <= GRAD_TOL * max(1.0, np.linalg.norm(grad0))
-    assert np.abs(got - want).max() <= 1e-8
-
-
-@pytest.mark.parametrize("factor", [2, 4, 8, 16])
-def test_a_smoothness_understated_by_a_power_of_two_converges(monkeypatch, factor):
-    # a candidate of equal objective is no descent: the halved steps reach 1/L
-    # and find the optimum the true bound finds, well within a small budget
-    fleet, model = adaptive_demo_fleet()
-    want = fleet.optimum(model)
-    bound = losses.smoothness
-    monkeypatch.setattr(losses, "smoothness", lambda *args: bound(*args) / factor)
-    monkeypatch.setattr(losses, "MAX_ITER", 2000)
-    assert np.array_equal(fleet.optimum(model), want)
 
 
 def test_an_optimum_out_of_iterations_names_its_final_gradient_norm(monkeypatch):
-    # one step of 1/L from zero, then ConvergenceError with the gradient norm there
+    # one Newton step from zero, then ConvergenceError with the gradient norm there.
+    # At zero every hinge is active, so each class's Hessian is 2*second moment +
+    # reg*W*I, and the full step's objective is at most that quadratic's: accepted
     fleet, model = adaptive_demo_fleet()
     weights = fleet.global_weights()
     grad0 = fleet.global_gradient(model, np.zeros(model.model_dim))
-    lipschitz = smoothness(model, second_moment(fleet.datasets, weights), float(weights.sum()))
-    final = np.linalg.norm(fleet.global_gradient(model, -grad0 / lipschitz))
+    hess = 2.0 * second_moment(fleet.datasets, weights) \
+        + model.regularization * weights.sum() * np.eye(model.feature_dim)
+    step = -np.linalg.solve(hess, grad0.reshape(model.num_classes, -1).T).T.ravel()
+    final = np.linalg.norm(fleet.global_gradient(model, step))
     tol = GRAD_TOL * max(1.0, float(np.linalg.norm(grad0)))
     monkeypatch.setattr(losses, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match=re.escape(
             f"exhausted 1 iterations, final gradient norm {final:.3e} > {tol:.3e}")):
         fleet.optimum(model)
+
+
+def test_an_ill_conditioned_svm_optimum_returns_within_its_budget():
+    # 3 devices of 3 points, 8 features, 4 classes, regularization 2.5e-4: the
+    # smoothness bound is over 1e5 times the strong convexity, far beyond what
+    # gradient descent at step 1/L solves in MAX_ITER = 200 000 steps
+    gen = np.random.default_rng(3)
+    model = LossModel(SVM, feature_dim=8, regularization=2.5e-4, num_classes=4)
+    datasets = [Dataset(4.0 * gen.standard_normal((3, 8)), gen.integers(0, 4, 3).astype(float))
+                for _ in range(3)]
+    weights = np.full(3, 1 / 3)
+    assert smoothness(model, second_moment(datasets, weights), 1.0) > 1e5 * 2.5e-4
+    start = time.perf_counter()
+    w_star = solve_optimum(model, DeviceStack(datasets), weights)
+    assert time.perf_counter() - start < 1.0
+    grad = lambda w: sum(wt * full_gradient(model, ds, w) for wt, ds in zip(weights, datasets))
+    assert np.linalg.norm(grad(w_star)) \
+        <= GRAD_TOL * max(1.0, np.linalg.norm(grad(np.zeros(model.model_dim))))
 
 
 # -- landscape properties ----------------------------------------------------
