@@ -373,7 +373,7 @@ def smoothness(model: LossModel, pooled: np.ndarray, weight_sum: float) -> float
 
 
 GRAD_TOL = 1e-12
-MAX_ITER = 100      # Newton steps of the svm optimum before ConvergenceError
+MAX_ITER = 300      # Newton steps of the svm optimum before ConvergenceError
 
 
 def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
@@ -385,10 +385,10 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
     Hessian 2*X_A' diag(rho) X_A + reg*W*I, rho = weights[i]/n_i per point and
     W the weight sum. Damped semismooth Newton steps every class by one
     (C, f, f) solve, minimum-norm at regularization 0 (the one case where a
-    Hessian can be singular), halved until the objective falls by 1e-4 of the
-    predicted decrease, up to rounding (Armijo), until ||grad|| <= GRAD_TOL *
-    max(1, ||grad(0)||); ConvergenceError, naming the final gradient norm,
-    after MAX_ITER steps.
+    Hessian can be singular). Each class's step is halved until its objective
+    falls by 1e-4 of the predicted decrease, up to rounding (Armijo), until
+    ||grad|| <= GRAD_TOL * max(1, ||grad(0)||); ConvergenceError, naming the
+    final gradient norm, after MAX_ITER steps.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != stack.num_devices:
@@ -407,18 +407,19 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
     reg, rho = model.regularization * float(np.sum(weights)), weights / stack.counts
 
     def evaluate(w):
-        """The objective, (C, f) gradient and (C, f, f) data Hessian at (C, f) blocks w."""
-        value, grad, hess = 0.5 * reg * float(np.sum(w * w)), reg * w, np.zeros((C, f, f))
+        """The (C,) objectives, (C, f) gradient and (C, f, f) data Hessian at (C, f) w."""
+        value, grad, hess = 0.5 * reg * np.sum(w * w, axis=1), reg * w, np.zeros((C, f, f))
         for devices, X, targets in blocks:
             margins = _svm_margins(model, X, targets, w.ravel())     # (G, n, C)
             scaled = rho[devices, None, None] * margins
-            value += float(np.sum(scaled * margins))
+            value += np.sum(scaled * margins, axis=(0, 1))
             X = X.reshape(-1, f)
             grad -= 2.0 * (targets * scaled).reshape(-1, C).T @ X
             active = np.where(margins > 0.0, 2.0 * rho[devices, None, None], 0.0).reshape(-1, C)
             hess += [X.T @ (a[:, None] * X) for a in active.T]     # (R, f) temporaries
         return value, grad, hess
 
+    # every Hessian is at least reg*W*I when reg > 0; pinv's eigh raises peak RSS
     solve = np.linalg.solve if reg > 0 else lambda H, g: np.linalg.pinv(H, hermitian=True) @ g
     w, eps = np.zeros((C, f)), np.finfo(np.float64).eps
     value, grad, hess = evaluate(w)
@@ -427,13 +428,12 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
         if np.linalg.norm(grad) <= tol:
             return w.ravel()
         step = -solve(hess + reg * np.eye(f), grad[..., None])[..., 0]
-        slope, t = float(np.sum(grad * step)), 1.0
+        slope, t = np.sum(grad * step, axis=1), np.ones(C)
         cand = evaluate(w + step)
-        while cand[0] > value + 1e-4 * t * slope + 4.0 * eps * abs(value) and t > eps:
-            t *= 0.5
-            cand = evaluate(w + t * step)
-        w, (value, grad, hess) = w + t * step, cand
-    raise ConvergenceError(
-        f"optimum solver exhausted {MAX_ITER} iterations, "
-        f"final gradient norm {np.linalg.norm(grad):.3e} > {tol:.3e}"
-    )
+        while (short := (cand[0] > value + 1e-4 * t * slope + 4.0 * eps * abs(value))
+               & (t > eps)).any():
+            t[short] *= 0.5
+            cand = evaluate(w + t[:, None] * step)
+        w, (value, grad, hess) = w + t[:, None] * step, cand
+    raise ConvergenceError(f"optimum solver exhausted {MAX_ITER} iterations, final gradient "
+                           f"norm {np.linalg.norm(grad):.3e} > {tol:.3e}")

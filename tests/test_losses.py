@@ -271,6 +271,27 @@ def test_an_overshooting_newton_step_is_halved(monkeypatch):
         <= GRAD_TOL * max(1.0, np.linalg.norm(grad0))
 
 
+def test_a_class_whose_step_overshoots_is_halved_alone(monkeypatch):
+    # the objective separates by class, so one class's Armijo failure must not
+    # shorten the others' steps: at the second Newton step class 0's full step is
+    # halved while classes 1 and 2 keep theirs
+    model = LossModel(SVM, feature_dim=2, regularization=0.01, num_classes=3)
+    stack = DeviceStack([Dataset([[0.3, -1.0], [0.8, 0.9], [-2.0, -1.3], [0.1, -0.3]],
+                                 [1.0, 0.0, 2.0, 1.0])])
+    margins, points = losses._svm_margins, []
+
+    def recorded(model, X, targets, W):
+        points.append(W.reshape(3, 2).copy())      # one layout block: one call per point
+        return margins(model, X, targets, W)
+
+    monkeypatch.setattr(losses, "_svm_margins", recorded)
+    solve_optimum(model, stack, [1.0])
+    monkeypatch.undo()
+    base, full, tried = points[1:4]     # the first step's point, the second's full step, its retry
+    assert np.allclose(tried[0] - base[0], 0.5 * (full[0] - base[0]), rtol=1e-12, atol=0)
+    assert np.array_equal(tried[1:], full[1:]) and not np.allclose(full[1:], base[1:])
+
+
 def test_an_optimum_out_of_iterations_names_its_final_gradient_norm(monkeypatch):
     # one Newton step from zero, then ConvergenceError with the gradient norm there.
     # At zero every hinge is active, so each class's Hessian is 2*second moment +
