@@ -46,7 +46,7 @@ def _write_csv(path: Path, header, columns) -> None:
             writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block)))
 
 
-def _summarize(result: RunResult) -> dict:
+def _summarize(result: RunResult, adaptive: bool) -> dict:
     out = {
         "final_loss": float(result.metrics["loss"][-1]),
         "final_gap": float(result.metrics["gap"][-1]),
@@ -54,7 +54,7 @@ def _summarize(result: RunResult) -> dict:
         "cum_delay": float(result.metrics["cum_delay"][-1]),
         "steps": int(result.metrics["t"][-1]),
     }
-    if result.decisions:
+    if adaptive:
         alphas = [d.alpha_next for d in result.decisions if not d.fallback]
         taus = [d.tau_next for d in result.decisions if not d.fallback]
         out["mean_alpha"] = float(np.mean(alphas)) if alphas else float("nan")
@@ -82,7 +82,7 @@ def execute_single(cfg: cfgmod.ExperimentConfig, seed: int) -> tuple:
     else:
         result = run_adaptive(fleet, cfg.model, cfg.control, delay=sched["delay"],
                               up_delay=sched["up_delay"], **kwargs)
-    return result, _summarize(result)
+    return result, _summarize(result, cfg.schedule is None)
 
 
 def environment() -> dict:
@@ -131,14 +131,11 @@ def _run_config(cfg: cfgmod.ExperimentConfig, seeds: list[int], out_dir: Path,
             "metrics": metrics_path.name, "events": events_path.name,
         }
         manifest["summary"][str(seed)] = summary
-        if result.decisions:
-            manifest.setdefault("decisions", {})[str(seed)] = [
-                asdict(d) for d in result.decisions
-            ]
+        if cfg.schedule is None:    # adaptive: K interval records, K - 1 decisions
+            manifest.setdefault("decisions", {})[str(seed)] = [asdict(d) for d in result.decisions]
+            manifest.setdefault("intervals", {})[str(seed)] = [asdict(r) for r in result.intervals]
         if len(result.sync_times):
-            manifest.setdefault("sync_times", {})[str(seed)] = [
-                int(t) for t in result.sync_times
-            ]
+            manifest.setdefault("sync_times", {})[str(seed)] = result.sync_times.tolist()
     (out_dir / f"{tag}_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

@@ -105,10 +105,25 @@ class ControlDecision:
     objective: float
     fallback: bool = False
     estimates_reused: bool = False   # the uploads were degenerate; previous estimates kept
-    # the interval that ended here: local aggregations per subnet (realized,
-    # next to the forecast agg_counts) and the delay after the tau - 1 clamp
-    theta_counts: tuple = ()
-    delay_eff: int | None = None
+
+
+@dataclass(frozen=True)
+class IntervalRecord:
+    """An interval's plan as it ran and each subnet's realized local aggregations."""
+    tau: int
+    alpha: float
+    eta: float
+    delay: int
+    up_delay: int
+    theta_counts: tuple
+
+
+def interval_clock(tau: int, delay: int, up_delay: int | None, slots_left: int):
+    """The (tau, delay, up_delay) an interval planned at ``tau`` runs with ``slots_left`` slots
+    left: tau cut to them, then the shortened-delay tail rule, both delays at most tau - 1."""
+    tau = min(tau, slots_left)
+    delay = min(delay, tau - 1)
+    return tau, delay, None if up_delay is None else min(up_delay, delay)
 
 
 def select_step_size(params: HeterogeneityParams, tau: int, delay: int,
@@ -417,20 +432,18 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
     """Exhaustive grid minimizer of the energy/delay/bound objective, with
     ``theta`` the subnets forecast to aggregate in every slot.
 
-    Scans integer interval lengths tau in [max(delay + 1, tau_min), min(tau_max,
-    T - t_now)] and combiner weights on the alpha_step grid below the
-    per-tau feasibility ceiling; the gap bound is evaluated at the end of
-    the remaining horizon (K = floor((T - t_now)/tau) decay steps). Ties
-    break toward smaller tau, then smaller alpha; a point whose objective is
-    not finite (its bound overflowed) is skipped. A term whose weight is 0
-    is left out of the objective, so an unweighted cost that overflows
-    cannot make it NaN (0 * inf); with finite terms the sum is the same.
-    Raises InfeasibleError when no grid point is left.
+    Scans the integer interval lengths tau in [max(delay + 1, tau_min), min(tau_max,
+    T - t_now)], those ``interval_clock`` runs as planned, and combiner weights on the
+    alpha_step grid below the per-tau feasibility ceiling; the gap bound is evaluated at
+    the end of the remaining horizon (K = floor((T - t_now)/tau) decay steps). Ties break
+    toward smaller tau, then smaller alpha; a point whose objective is not finite (its
+    bound overflowed) is skipped. A term whose weight is 0 is left out of the objective,
+    so an unweighted cost that overflows cannot make it NaN (0 * inf); with finite terms
+    the sum is the same. Raises InfeasibleError when no grid point is left.
     """
     horizon_left = config.horizon - t_now
-    tau_hi = min(config.tau_max, horizon_left)
-    tau_lo = max(delay + 1, config.tau_min)
-
+    tau_hi = interval_clock(config.tau_max, delay, None, horizon_left)[0]
+    tau_lo = max(delay + 1, config.tau_min)     # the shortest tau the clock gives the full delay
     best = None
     for tau in range(tau_lo, tau_hi + 1):
         try:
@@ -476,11 +489,11 @@ def solve_p(cost: CostSnapshot, params: HeterogeneityParams,
 
 
 def fallback_decision(delay: int, horizon_left: int) -> ControlDecision:
-    """Protocol-valid decision used when the solver finds no feasible point."""
-    tau = min(max(delay + 1, 1), max(horizon_left, 1))
+    """Protocol-valid decision used when the solver finds no feasible point: the
+    shortest interval that holds the delay, as ``interval_clock`` runs it."""
     return ControlDecision(
-        tau_next=tau, alpha_next=0.0, alpha_cap=float("nan"),
-        eta_max=float("nan"), gamma=float("nan"),
+        tau_next=interval_clock(delay + 1, delay, None, horizon_left)[0],
+        alpha_next=0.0, alpha_cap=float("nan"), eta_max=float("nan"), gamma=float("nan"),
         theta_plan=(), agg_counts=(), energy_term=0.0, delay_term=0.0,
         bound_term=float("nan"), objective=float("nan"), fallback=True,
     )
@@ -491,34 +504,34 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
                  delay: int, up_delay: int | None = None,
                  cost_model: RadioCostModel | None = None,
                  **engine_kwargs) -> RunResult:
-    """Full adaptive run: estimate, re-plan and train interval by interval.
-    ``engine_kwargs`` go to the ``Protocol``; the bootstrap probes its start."""
-    proto = Protocol(topology, model, seed, batch_size, cost_model=cost_model,
-                     **engine_kwargs)
+    """Full adaptive run: estimate, re-plan and train interval by interval, up to the
+    horizon, where it stops: K intervals, K records, K - 1 decisions. ``engine_kwargs``
+    go to the ``Protocol``; the bootstrap probes its start."""
+    proto = Protocol(topology, model, seed, batch_size, cost_model=cost_model, **engine_kwargs)
     params_hat = bootstrap_estimates(topology, model, proto.w[0], seed, config, batch_size)
 
     reference = TriggerReference(topology, model)
-    decisions: list[ControlDecision] = []
+    decisions, intervals = [], []       # ControlDecisions, IntervalRecords
     tau_next, alpha_next = config.initial_tau, 0.0
-    while proto.t < config.horizon:
-        remaining = config.horizon - proto.t
-        tau = min(tau_next, remaining)
-        delay_eff = min(delay, tau - 1)
-        up_eff = None if up_delay is None else min(up_delay, delay_eff)
+    while True:
+        tau, delay_eff, up_eff = interval_clock(tau_next, delay, up_delay, config.horizon - proto.t)
         try:
             eta_max, gamma = select_step_size(params_hat, tau, delay_eff,
                                               config.safety, config.gamma_safety)
             eta_k = eta_max / (1.0 + gamma * proto.k)
         except InfeasibleError:
             eta_k = ETA_FALLBACK
-        plan = IntervalPlan(tau=tau, alpha=alpha_next, eta=eta_k,
-                            delay=delay_eff, up_delay=up_eff)
+        plan = IntervalPlan(tau=tau, alpha=alpha_next, eta=eta_k, delay=delay_eff, up_delay=up_eff)
 
         def theta_policy(t, tentative, aggregates):
             return trigger_local_aggregation(
                 aggregates, topology, model, params_hat, config.phi, reference)
 
         outcome = proto.run_interval(plan, theta_policy=theta_policy)
+        intervals.append(IntervalRecord(plan.tau, plan.alpha, plan.eta, plan.delay,
+                                        plan.up_delay, tuple(outcome.theta_counts.tolist())))
+        if proto.t == config.horizon:
+            break
 
         reused = False
         try:
@@ -544,8 +557,7 @@ def run_adaptive(topology: FleetTopology, model: LossModel,
             decision = solve_p(cost, params_hat, config, theta, proto.t, delay, e3_init)
         except InfeasibleError:
             decision = fallback_decision(delay, config.horizon - proto.t)
-        decisions.append(replace(decision, estimates_reused=reused, delay_eff=delay_eff,
-                                 theta_counts=tuple(outcome.theta_counts.tolist())))
+        decisions.append(replace(decision, estimates_reused=reused))
         tau_next, alpha_next = decision.tau_next, decision.alpha_next
 
-    return proto.result(decisions=decisions)
+    return replace(proto.result(), decisions=decisions, intervals=intervals)

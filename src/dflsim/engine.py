@@ -156,7 +156,8 @@ class RunResult:
     event_columns: dict     # EVENT_COLUMNS -> (E,) array, one row per cost event in log order
     sync_times: np.ndarray
     final_models: np.ndarray
-    decisions: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)       # an adaptive run's, K - 1 of them
+    intervals: list = field(default_factory=list)       # and its K IntervalRecords
 
     @property
     def events(self) -> list[CostEvent]:
@@ -459,7 +460,7 @@ class Protocol:
             capture_prices=capture_prices,
         )
 
-    def result(self, decisions=None) -> RunResult:
+    def result(self) -> RunResult:
         if self._pending:
             self._log_row()
         t, subnets, prices = zip(*self._charges)
@@ -477,7 +478,6 @@ class Protocol:
             event_columns=events,
             sync_times=np.array(self._sync_times, dtype=np.int64),
             final_models=self.w.copy(),
-            decisions=list(decisions) if decisions else [],
         )
 
 

@@ -430,8 +430,9 @@ def solve_optimum(model: LossModel, stack: DeviceStack, weights) -> np.ndarray:
         step = -solve(hess + reg * np.eye(f), grad[..., None])[..., 0]
         slope, t = np.sum(grad * step, axis=1), np.ones(C)
         cand = evaluate(w + step)
+        # a class whose trial point rounds to its current one is not halved further
         while (short := (cand[0] > value + 1e-4 * t * slope + 4.0 * eps * abs(value))
-               & (t > eps)).any():
+               & (t > eps) & (w + t[:, None] * step != w).any(axis=1)).any():
             t[short] *= 0.5
             cand = evaluate(w + t[:, None] * step)
         w, (value, grad, hess) = w + t[:, None] * step, cand

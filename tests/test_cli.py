@@ -1155,6 +1155,31 @@ def test_adaptive_manifest_records_estimate_reuse(tmp_path):
     assert decisions[0]["estimates_reused"] is True
 
 
+def test_a_one_interval_adaptive_run_writes_its_summary_and_one_record(tmp_path):
+    # horizon 8 = initial_tau: the only interval ends at the horizon, so nothing is decided
+    blob = {
+        "dataset": {"kind": "blobs", "num_classes": 4, "points_per_class": 40,
+                    "feature_dim": 4, "spread": 0.5, "seed": 3},
+        "model": {"kind": "ridge", "regularization": 2.0},
+        "topology": {"num_devices": 4, "num_subnets": 2, "partition_seed": 5},
+        "schedule": {"mode": "adaptive", "delay": 2, "track_noise_free": False,
+                     "track_optimality": False, "metrics_every": 8},
+        "control": {"phi": 1.0, "tau_max": 8, "horizon": 8, "initial_tau": 8,
+                    "probe_scale": 0.5},
+        "seeds": [0],
+        "batch_size": 5,
+    }
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["summary"]["0"]["fallbacks"] == 0
+    assert math.isnan(manifest["summary"]["0"]["mean_alpha"])
+    assert manifest["decisions"]["0"] == []
+    assert [(r["tau"], r["delay"]) for r in manifest["intervals"]["0"]] == [(8, 2)]
+
+
 def test_adaptive_manifest_records_realized_aggregations(tmp_path, monkeypatch):
     from dflsim.engine import Protocol
 
@@ -1185,10 +1210,10 @@ def test_adaptive_manifest_records_realized_aggregations(tmp_path, monkeypatch):
     path.write_text(json.dumps(blob))
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--output", str(out)]) == 0
-    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
-    assert [d["theta_counts"] for d in decisions] == realized
+    intervals = json.loads((out / "run_manifest.json").read_text())["intervals"]["0"]
+    assert [r["theta_counts"] for r in intervals] == realized
     assert realized[0] == [8, 6]
-    assert [d["delay_eff"] for d in decisions] == [2] * len(decisions)
+    assert [r["delay"] for r in intervals] == [2] * len(intervals)
 
 
 def test_a_trigger_whose_floors_exceed_the_budget_evaluates_no_gradient(tmp_path,
@@ -1217,11 +1242,12 @@ def test_a_trigger_whose_floors_exceed_the_budget_evaluates_no_gradient(tmp_path
     path.write_text(json.dumps(blob))
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--output", str(out)]) == 0
-    decisions = json.loads((out / "run_manifest.json").read_text())["decisions"]["0"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    decisions, intervals = manifest["decisions"]["0"], manifest["intervals"]["0"]
     # the trigger ran in every slot and fired every subnet, without grad F:
-    # the one global_gradients call per interval is the controller's gap points
+    # the one global_gradients call per decision is the controller's gap points
     assert triggers == {"trigger_local_aggregation": 32}
-    assert [d["theta_counts"] for d in decisions] == [[8, 8]] * 4
+    assert [r["theta_counts"] for r in intervals] == [[8, 8]] * 4
     assert gradients == {"global_gradients": len(decisions)}
 
 

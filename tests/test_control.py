@@ -616,19 +616,57 @@ def test_run_adaptive_records_reused_estimates():
     assert not any(d.estimates_reused for d in fresh.decisions)
 
 
-def test_run_adaptive_records_the_clamped_tail_delay():
-    # horizon 10 in intervals of 4: the 2-slot tail cannot hold the delay of
-    # 3, so it runs with delay 1
+def tail_run(monkeypatch=None, **counted):
+    """An adaptive run whose horizon, 10, is not a multiple of its tau, 4, at delay 3,
+    and the calls of each ``counted`` name, an attribute of the object it maps to."""
+    calls = dict.fromkeys(counted, 0)
+    for name, owner in counted.items():
+        def wrapper(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
     prob = diverse_problem()
     config = ControlConfig(phi=2.0 * prob.params.subnet_noise_budget, tau_max=4,
                            tau_min=4, alpha_step=0.05, horizon=10, initial_tau=4,
                            probe_scale=0.5)
     res = run_adaptive(prob.topology, prob.model, config, seed=3, batch_size=1,
                        delay=3, w_star=prob.w_star, track_noise_free=False)
+    return res, calls
+
+
+def test_run_adaptive_records_the_clamped_tail_delay():
+    # horizon 10 in intervals of 4: the 2-slot tail cannot hold the delay of
+    # 3, so it runs with delay 1
+    res, _ = tail_run()
     assert res.sync_times.tolist() == [4, 8, 10]
-    assert [d.delay_eff for d in res.decisions] == [3, 3, 1]
-    for d in res.decisions:
-        assert len(d.theta_counts) == prob.topology.num_subnets
+    assert [r.delay for r in res.intervals] == [3, 3, 1]
+    for r in res.intervals:
+        assert len(r.theta_counts) == diverse_problem().topology.num_subnets
+
+
+def test_every_interval_has_one_record_and_each_later_one_the_decision_it_ran():
+    # K = 3 intervals: 3 records and 2 decisions, none at the horizon. The 2-slot tail
+    # holds no tau of [4, 4]: its decision is a fallback, the one interval 3 ran on
+    res, _ = tail_run()
+    assert len(res.intervals) == 3 and len(res.decisions) == 2
+    assert [(r.tau, r.delay, r.up_delay) for r in res.intervals] == [(4, 3, 3), (4, 3, 3),
+                                                                      (2, 1, 1)]
+    assert [d.fallback for d in res.decisions] == [False, True]
+    for d, r in zip(res.decisions, res.intervals[1:]):
+        assert (r.tau, r.alpha) == (d.tau_next, d.alpha_next)
+    assert cli._summarize(res, adaptive=True)["fallbacks"] == 1
+
+
+def test_the_controller_estimates_and_forecasts_only_for_an_interval_to_come(monkeypatch):
+    # K = 3 intervals: the bootstrap and K - 1 = 2 captures estimate; the snapshot
+    # gradient and the forecast marks run K - 1 times; the trigger once per slot
+    res, calls = tail_run(monkeypatch, estimate_parameters=control,
+                          deviation_marks=control, trigger_local_aggregation=control,
+                          global_gradient=FleetTopology)
+    assert len(res.intervals) == 3
+    assert calls["estimate_parameters"] == 3 and calls["global_gradient"] == 2
+    assert calls["trigger_local_aggregation"] == 10
+    assert calls["deviation_marks"] - calls["trigger_local_aggregation"] == 2
 
 
 TREND_CONFIG = ControlConfig(phi=2.0, tau_min=4, tau_max=12, horizon=60, initial_tau=4,
@@ -647,7 +685,7 @@ def adaptive_plans():
     topo, model = trend_fleet(3)
     with mock.patch.object(Protocol, "run_interval", spy):
         res = run_adaptive(topo, model, TREND_CONFIG, seed=1, batch_size=10, delay=2)
-    assert len(plans) == len(res.decisions)
+    assert len(plans) == len(res.intervals) == len(res.decisions) + 1
     return plans, res.decisions
 
 
@@ -694,12 +732,12 @@ def test_each_plan_carries_the_previous_decisions_alpha():
     with mock.patch.object(control, "solve_p", deciding):
         plans, decisions = adaptive_plans()
     assert plans[0].alpha == 0.0
-    assert [p.alpha for p in plans[1:]] == [d.alpha_next for d in decisions[:-1]]
+    assert [p.alpha for p in plans[1:]] == [d.alpha_next for d in decisions]
     assert 0.375 in [p.alpha for p in plans]
 
 
 # SHA-256 of adaptive_demo seed 0's manifest decisions, json.dumps(..., sort_keys=True)
-ADAPTIVE_DEMO_DECISIONS = "417e9fabd3b9ff246f57be19e803a20260045b7ac7aecc4a6294c4b5a4e4d6f1"
+ADAPTIVE_DEMO_DECISIONS = "107995f4be03b51713f93490e3f174842ee080a564092d96cb885b7fcc6ada0a"
 
 
 def test_adaptive_demo_decisions_match_their_pinned_digest(tmp_path):
